@@ -11,8 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
+from .errors import InputError
 from .posets import Poset, canonical_poset_bytes
 
 __all__ = ["cache_dir", "poset_key", "fetch", "store", "cached"]
@@ -36,26 +38,37 @@ def poset_key(p: Poset, op: str) -> str:
 
 
 def fetch(key: str):
-    """Returns (hit, value)."""
+    """Returns (hit, value).
+
+    Raises:
+        InputError: if the entry on disk is not a valid cache entry.
+    """
     base = cache_dir()
     if base is None:
         return False, None
     path = base / f"{key}.json"
     if not path.is_file():
         return False, None
-    with open(path, encoding="utf-8") as fh:
-        return True, json.load(fh)["value"]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return True, json.load(fh)["value"]
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise InputError(f"corrupt cache entry {path}: delete it and rerun") from exc
 
 
 def store(key: str, value) -> None:
     base = cache_dir()
     if base is None:
         return
-    path = base / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"key": key, "value": value}, fh, sort_keys=True)
-    tmp.replace(path)
+    # one temporary file per writer, so concurrent stores of a key never mix
+    fd, tmp = tempfile.mkstemp(dir=base, prefix=f"{key}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump({"key": key, "value": value}, fh, sort_keys=True)
+        os.replace(tmp, base / f"{key}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cached(p: Poset, op: str, compute):

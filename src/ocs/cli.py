@@ -129,7 +129,7 @@ def _load_space(arg: str) -> SpaceInput:
 
 def _load_poset_file(arg: str):
     obj = _load_descriptor(arg, "posets")
-    if "covers" not in obj and ("group" in obj or "gset" in obj):
+    if isinstance(obj, dict) and "covers" not in obj and ("group" in obj or "gset" in obj):
         raise InputError(
             "this descriptor is a dowling family spec; build it first with "
             "'ocs dowling build'"
@@ -329,13 +329,18 @@ def _cmd_stability_report(args) -> str:
 
 def _built_dowling_poset(arg: str):
     obj = _load_descriptor(arg, "posets")
-    if "dowling" not in obj:
+    if isinstance(obj, dict) and "dowling" not in obj:
         raise DomainError(
             "rep commands need group provenance: build the poset with "
             "'ocs dowling build' and pass its output file"
         )
     p = poset_from_json(obj)
     d = obj["dowling"]
+    if not (
+        isinstance(d, dict) and "spec" in d and isinstance(d.get("elements"), list)
+        and len(d["elements"]) == p.n_elems and all(isinstance(s, str) for s in d["elements"])
+    ):
+        raise InputError("'dowling' block needs 'spec' and one element string per poset element")
     spec = spec_from_json(d["spec"])
     elements = [parse_element(spec, s) for s in d["elements"]]
     return p, spec, elements

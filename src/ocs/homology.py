@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError, InputError
-from .posets import Poset, lower_interval, mobius, proper_part
+from .posets import Poset, _bits, lower_interval, mobius, proper_part
 
 __all__ = [
     "order_complex_chains",
@@ -242,13 +242,9 @@ def _check_automorphism(p: Poset, perm) -> tuple[int, ...]:
     if len(f) != n or sorted(f) != list(range(n)):
         raise InputError("permutation is not a bijection on poset elements")
     for a in range(n):
-        m = p.leq[a]
         fm = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            fm |= 1 << f[low.bit_length() - 1]
-            mm ^= low
+        for x in _bits(p.leq[a]):
+            fm |= 1 << f[x]
         if fm != p.leq[f[a]]:
             raise InputError("permutation is not order-preserving")
     return f

@@ -2,9 +2,10 @@
 
 Elements are integer indices ``0..n_elems-1``.  The order relation is stored
 as a bit-packed reachability table: ``leq[a]`` is an int whose bit ``b`` is
-set iff a <= b.  Mobius recursion, chain enumeration, and interval extraction
-are then quadratic table scans, which comfortably covers every poset this
-package ever builds (a few hundred elements).
+set iff a <= b.  The closure, the Hasse-diagram checks and the Mobius rows
+are bitset passes: one big-int OR per cover, and one pass per Mobius source
+whose cost is the number of comparable pairs above it.  That covers the
+largest posets this package builds (thousands of elements).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Poset:
     hasse: tuple[tuple[int, ...], ...]  # hasse[a] = sorted upper covers of a
     leq: tuple[int, ...]  # bitmask reachability, reflexive
     rank: tuple[int, ...] | None = None
-    _mobius_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _mobius_memo: dict = field(default_factory=dict, repr=False, compare=False)  # a -> row
 
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)
@@ -88,6 +89,22 @@ class Poset:
         return f"Poset(n_elems={self.n_elems})"
 
 
+def _bits(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _strictly_above(elems, leq) -> int:
+    """Bitset of the elements strictly above some element of elems."""
+    above = 0
+    for c in elems:
+        above |= leq[c] ^ (1 << c)
+    return above
+
+
 def _topo_order(n: int, hasse) -> list[int]:
     indeg = [0] * n
     for a in range(n):
@@ -107,33 +124,18 @@ def _topo_order(n: int, hasse) -> list[int]:
     return out
 
 
-def _closure_from_hasse(n: int, hasse) -> tuple[int, ...]:
-    # Process in reverse topological order so each element's reachability
-    # set is final when its predecessors consume it.
-    order = _topo_order(n, hasse)
-    leq = [1 << a for a in range(n)]
-    for a in reversed(order):
-        m = leq[a]
-        for b in hasse[a]:
-            m |= leq[b]
-        leq[a] = m
-    return tuple(leq)
-
-
 def _hasse_from_leq(n: int, leq) -> tuple[tuple[int, ...], ...]:
+    # the covers of a are the strict up-set minus everything strictly above it
     hasse = []
     for a in range(n):
-        ups = [b for b in range(n) if b != a and leq[a] >> b & 1]
-        covers = []
-        for b in ups:
-            if not any(c != b and leq[c] >> b & 1 for c in ups):
-                covers.append(b)
-        hasse.append(tuple(sorted(covers)))
+        strict = leq[a] ^ (1 << a)
+        hasse.append(tuple(_bits(strict & ~_strictly_above(_bits(strict), leq))))
     return tuple(hasse)
 
 
 def from_covers(n: int, covers, rank=None) -> Poset:
-    """Build a poset from its Hasse diagram.
+    """Build a poset from its Hasse diagram, with one big-int OR per cover
+    for the closure and the redundancy check together.
 
     Args:
         n: number of elements.
@@ -158,13 +160,21 @@ def from_covers(n: int, covers, rank=None) -> Poset:
         seen.add((a, b))
         adj[a].append(b)
     hasse = tuple(tuple(sorted(u)) for u in adj)
-    leq = _closure_from_hasse(n, hasse)
+    # Closure in reverse topological order, so each leq[b] is final before
+    # a reads it.  A listed cover (a, b) is redundant iff b is strictly above
+    # another listed cover of a, that is iff above[a] has bit b.
+    leq = [0] * n
+    above = [0] * n
+    for a in reversed(_topo_order(n, hasse)):
+        above[a] = _strictly_above(hasse[a], leq)
+        leq[a] = above[a] | sum(1 << b for b in hasse[a]) | 1 << a
+    leq = tuple(leq)
     for a, b in pairs:
-        # (a,b) is redundant iff some c strictly between a and b exists.
-        between = leq[a] & ~(1 << a) & ~(1 << b)
-        for c in range(n):
-            if between >> c & 1 and leq[c] >> b & 1:
-                raise InputError(f"cover ({a},{b}) is implied by transitivity via {c}")
+        if above[a] >> b & 1:
+            # report the lowest-index element strictly between a and b
+            between = leq[a] & ~(1 << a) & ~(1 << b)
+            c = next(c for c in _bits(between) if leq[c] >> b & 1)
+            raise InputError(f"cover ({a},{b}) is implied by transitivity via {c}")
     if rank is not None:
         rank = tuple(rank)
         if len(rank) != n:
@@ -172,29 +182,58 @@ def from_covers(n: int, covers, rank=None) -> Poset:
     return Poset(n_elems=n, hasse=hasse, leq=leq, rank=rank)
 
 
+def _mobius_row(p: Poset, a: int) -> dict[int, int]:
+    """{d: mu(a, d)} for every d >= a, memoized on the poset.
+
+    Rota's recursion mu(a, d) = -sum_{a <= c < d} mu(a, c), run over the
+    up-set of a in topological order: each mu(a, c) is pushed into the
+    running sums of the elements strictly above c, so the pass costs the
+    number of comparable pairs above a.
+    """
+    row = p._mobius_memo.get(a)
+    if row is not None:
+        return row
+    up = p.leq[a]
+    row = {}
+    pending = [0] * p.n_elems  # d -> sum of mu(a, c) over a <= c < d so far
+    for d in _topo_order(p.n_elems, p.hasse):
+        if not up >> d & 1:
+            continue
+        mu = 1 if d == a else -pending[d]
+        row[d] = mu
+        if mu:
+            for e in _bits(p.leq[d] ^ (1 << d)):
+                pending[e] += mu
+    p._mobius_memo[a] = row
+    return row
+
+
 def mobius(p: Poset, a: int, b: int):
-    """Mobius function mu(a, b), memoized on the poset.
+    """Mobius function mu(a, b); the first call from a computes the whole
+    row mu(a, .) (see `_mobius_row`), later ones look it up.
 
     Raises:
         InputError: if a is not <= b.
     """
     if not p.is_leq(a, b):
         raise InputError(f"mobius requires comparable pair, got {a} !<= {b}")
-    memo = p._mobius_memo
-    key = (a, b)
-    if key in memo:
-        return memo[key]
-    if a == b:
-        memo[key] = 1
-        return 1
-    # mu(a,b) = -sum_{a <= c < b} mu(a,c); iterate c in the half-open interval.
-    total = 0
-    m = p.leq[a]
-    for c in range(p.n_elems):
-        if c != b and (m >> c & 1) and p.is_leq(c, b):
-            total += mobius(p, a, c)
-    memo[key] = -total
-    return -total
+    return _mobius_row(p, a)[b]
+
+
+def _restricted_leq(p: Poset, elems) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The leq table of p restricted to the sorted elems, re-indexed so that
+    elems[i] becomes i; also returns the map original -> new index."""
+    pos = {e: i for i, e in enumerate(elems)}
+    mask = 0
+    for e in elems:
+        mask |= 1 << e
+    leq = []
+    for e in elems:
+        packed = 0
+        for x in _bits(p.leq[e] & mask):
+            packed |= 1 << pos[x]
+        leq.append(packed)
+    return tuple(leq), pos
 
 
 def induced_subposet(p: Poset, elements) -> tuple[Poset, tuple[int, ...]]:
@@ -204,24 +243,10 @@ def induced_subposet(p: Poset, elements) -> tuple[Poset, tuple[int, ...]]:
     corresponds to original index ``elements_sorted[i]``.
     """
     elems = tuple(sorted(set(elements)))
-    pos = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    mask = 0
-    for e in elems:
-        mask |= 1 << e
-    leq = []
-    for e in elems:
-        m = p.leq[e] & mask
-        packed = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            packed |= 1 << pos[low.bit_length() - 1]
-            mm ^= low
-        leq.append(packed)
-    hasse = _hasse_from_leq(k, leq)
+    leq, _ = _restricted_leq(p, elems)
+    hasse = _hasse_from_leq(len(elems), leq)
     rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
-    return Poset(n_elems=k, hasse=hasse, leq=tuple(leq), rank=rank), elems
+    return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
 
 
 def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
@@ -235,25 +260,12 @@ def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
     elems = tuple(x for x in range(p.n_elems) if p.leq[x] >> b & 1)
-    pos = {e: i for i, e in enumerate(elems)}
-    mask = 0
-    for e in elems:
-        mask |= 1 << e
+    leq, pos = _restricted_leq(p, elems)
     hasse = tuple(
         tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems
     )
-    leq = []
-    for e in elems:
-        m = p.leq[e] & mask
-        packed = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            packed |= 1 << pos[low.bit_length() - 1]
-            mm ^= low
-        leq.append(packed)
     rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
-    return Poset(n_elems=len(elems), hasse=hasse, leq=tuple(leq), rank=rank), elems
+    return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
 
 
 def direct_product(p: Poset, q: Poset) -> Poset:
@@ -274,12 +286,8 @@ def direct_product(p: Poset, q: Poset) -> Poset:
         for j in range(nq):
             qm = q.leq[j]
             m = 0
-            pp = pm
-            while pp:
-                low = pp & -pp
-                i2 = low.bit_length() - 1
+            for i2 in _bits(pm):
                 m |= qm << (i2 * nq)
-                pp ^= low
             leq.append(m)
     hasse = [[] for _ in range(n)]
     for a, b in covers:

@@ -85,7 +85,6 @@ class GenerationLocus:
     limit_present: bool
     top_degree: int
     label: str = ""
-    n_cap: int = 8  # display only; classification never truncates
 
     def family(self, degree: int) -> Family | None:
         for f in self.families:
@@ -94,7 +93,7 @@ class GenerationLocus:
         return None
 
 
-def locus_from_space(space: SpaceInput, n_cap: int = 8) -> GenerationLocus:
+def locus_from_space(space: SpaceInput) -> GenerationLocus:
     families = tuple(
         Family(degree=i, coeff=b) for i, b in enumerate(space.betti) if b
     )
@@ -103,7 +102,6 @@ def locus_from_space(space: SpaceInput, n_cap: int = 8) -> GenerationLocus:
         limit_present=True,
         top_degree=space.top_degree,
         label=space.name,
-        n_cap=n_cap,
     )
 
 
@@ -440,7 +438,7 @@ class StabilityReport:
 
 
 def iterate_report(
-    space: SpaceInput, variant: str = "left", steps: int = 1, n_cap: int = 8
+    space: SpaceInput, variant: str = "left", steps: int = 1
 ) -> StabilityReport:
     """Run the stabilization procedure for up to `steps` steps, each step
     removing its chosen point; stops early at a terminal step.
@@ -453,7 +451,7 @@ def iterate_report(
         raise InputError("steps must be >= 1")
     if variant not in ("left", "right", "bottom"):
         raise InputError("variant must be 'left', 'right', or 'bottom'")
-    locus = locus_from_space(space, n_cap)
+    locus = locus_from_space(space)
     out = []
     for _ in range(steps):
         step = bottom_step(locus) if variant == "bottom" else classify_step(locus, variant)

@@ -317,10 +317,3 @@ def stable_multiplicity_check(
         report["size_bound_ok"] = not oversized
         report["oversized_names"] = oversized
     return report
-
-
-def whitney_rank_character_of_spec(spec: DowlingSpec, p: Poset, elements, r: int):
-    """Convenience wrapper: symmetric-group Whitney character of a built
-    Dowling-type poset at rank r."""
-    perms = sym_class_poset_perms(spec, elements)
-    return whitney_character(p, perms, r, spec.n)

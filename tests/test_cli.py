@@ -29,3 +29,61 @@ def test_bottom_report_ends_after_its_corners(spec, capsys):
     )["betti"]
     assert len(steps) == sum(1 for b in betti if b) + 1
     assert [s["terminal"] for s in steps] == [False] * (len(steps) - 1) + [True]
+
+
+def _single_json_error(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
+
+
+PARTITION_N2 = {
+    **json.loads(resources.files("ocs").joinpath("specs", "posets", "partition.json").read_text()),
+    "n": 2,
+}
+
+
+@pytest.mark.parametrize("block", [
+    {"elements": []},
+    {"spec": PARTITION_N2},
+    {"spec": PARTITION_N2, "elements": 7},
+    {"spec": PARTITION_N2, "elements": []},
+    "partition",
+])
+def test_rep_rejects_malformed_dowling_block(block, tmp_path, capsys):
+    # ROADMAP D3: these used to escape as KeyError, TypeError or IndexError
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "rank": [0, 1], "dowling": block}))
+    rc = run(["rep", "decompose", "--rank", "1", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err)["type"] == "input"
+
+
+def test_corrupt_cache_entry_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # ROADMAP D3: a corrupt entry used to escape as a JSONDecodeError
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("OCS_CACHE", str(cache))
+    poset = tmp_path / "diamond.json"
+    poset.write_text(json.dumps({"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+    argv = ["poset", "mobius", "--poset", str(poset)]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    (entry,) = cache.glob("*.json")
+    assert run(argv) == 0 and capsys.readouterr().out == first
+    entry.write_text("garbage")
+    rc = run(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    error = _single_json_error(err)
+    assert error["type"] == "input" and str(entry) in error["message"]
+
+
+@pytest.mark.parametrize("cmd", [["poset", "mobius"], ["poset", "whitney"], ["rep", "decompose"]])
+def test_non_object_poset_file_is_an_input_error(cmd, tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text("5")
+    rc = run(cmd + ["--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {"type": "input", "message": "poset descriptor must be an object"}

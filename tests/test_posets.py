@@ -1,7 +1,11 @@
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocs.dowling import build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError, InputError
+from ocs.groups import cyclic_group
 from ocs.posets import (
     Poset,
     boolean_lattice,
@@ -194,3 +198,174 @@ def test_rank_is_kept():
     p = from_covers(2, [[0, 1]], rank=[0, 1])
     assert p.rank == (0, 1)
     assert poset_to_json(p)["rank"] == [0, 1]
+
+
+# Oracles: the O(n)-scan versions the bitset passes replaced ----------------
+
+def old_from_covers_message(n, covers):
+    """The InputError message the between-scan from_covers raised, or None."""
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for a, b in covers:
+        if not (0 <= a < n and 0 <= b < n):
+            return f"cover ({a},{b}) out of range"
+        if a == b:
+            return f"cover ({a},{b}) is a self-loop"
+        if (a, b) in seen:
+            return f"duplicate cover ({a},{b})"
+        seen.add((a, b))
+        adj[a].append(b)
+    leq = []
+    for a in range(n):
+        reach, stack = 0, list(adj[a])
+        while stack:
+            x = stack.pop()
+            if not reach >> x & 1:
+                reach |= 1 << x
+                stack.extend(adj[x])
+        if reach >> a & 1:
+            return "cover relation contains a cycle"
+        leq.append(reach | 1 << a)
+    for a, b in covers:
+        between = leq[a] & ~(1 << a) & ~(1 << b)
+        for c in range(n):
+            if between >> c & 1 and leq[c] >> b & 1:
+                return f"cover ({a},{b}) is implied by transitivity via {c}"
+    return None
+
+
+def old_mobius(p, a, b, memo):
+    if (a, b) not in memo:
+        memo[a, b] = 1 if a == b else -sum(
+            old_mobius(p, a, c, memo)
+            for c in range(p.n_elems)
+            if c != b and p.is_leq(a, c) and p.is_leq(c, b)
+        )
+    return memo[a, b]
+
+
+def old_hasse_from_leq(n, leq):
+    hasse = []
+    for a in range(n):
+        ups = [b for b in range(n) if b != a and leq[a] >> b & 1]
+        hasse.append(tuple(sorted(
+            b for b in ups if not any(c != b and leq[c] >> b & 1 for c in ups)
+        )))
+    return tuple(hasse)
+
+
+def _closure(n, edges):
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in edges:
+        leq[a][b] = True
+    for c in range(n):
+        for a in range(n):
+            if leq[a][c]:
+                for b in range(n):
+                    leq[a][b] = leq[a][b] or leq[c][b]
+    return leq
+
+
+@st.composite
+def dag_hasse(draw, max_n=8):
+    """(n, Hasse diagram, implied non-cover pairs) of a random poset whose
+    labels are shuffled, so covers do not always go up in index."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=14))
+    leq = _closure(n, edges)
+    comparable = [(a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
+    hasse = [
+        (a, b) for a, b in comparable
+        if not any(leq[a][c] and leq[c][b] for c in range(n) if c not in (a, b))
+    ]
+    implied = [e for e in comparable if e not in hasse]
+    relabel = lambda es: [(label[a], label[b]) for a, b in es]
+    return n, relabel(hasse), relabel(implied)
+
+
+@st.composite
+def cover_lists(draw):
+    n, hasse, implied = draw(dag_hasse())
+    extra = draw(st.lists(st.sampled_from(implied), max_size=3)) if implied else []
+    noise = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=1))
+    return n, draw(st.permutations(hasse + extra + noise))
+
+
+@st.composite
+def posets(draw, max_n=8):
+    n, hasse, _ = draw(dag_hasse(max_n))
+    return from_covers(n, draw(st.permutations(hasse)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_lists())
+def test_from_covers_matches_between_scan(case):
+    n, covers = case
+    expected = old_from_covers_message(n, covers)
+    if expected is None:
+        p = from_covers(n, covers)
+        assert p.hasse == tuple(tuple(sorted(b for a, b in covers if a == x)) for x in range(n))
+    else:
+        with pytest.raises(InputError) as exc:
+            from_covers(n, covers)
+        assert str(exc.value) == expected
+
+
+def test_from_covers_reports_lowest_witness_of_first_redundant_pair():
+    # 0 < 1 < 2 < 4 and 0 < 3 < 4: (0,4) lies above both 1 and 3
+    covers = [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4], [1, 4], [0, 4]]
+    with pytest.raises(InputError, match=r"^cover \(1,4\) is implied by transitivity via 2$"):
+        from_covers(5, covers)
+    with pytest.raises(InputError, match=r"^cover \(0,4\) is implied by transitivity via 1$"):
+        from_covers(5, covers[:5] + [[0, 4]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets())
+def test_mobius_matches_recursive_definition(p):
+    memo = {}
+    for a in range(p.n_elems):
+        for b in range(p.n_elems):
+            if p.is_leq(a, b):
+                assert mobius(p, a, b) == old_mobius(p, a, b, memo)
+            else:
+                with pytest.raises(InputError):
+                    mobius(p, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets(), st.data())
+def test_subposet_tables_match_scans(p, data):
+    n = p.n_elems
+    keep = data.draw(st.sets(st.integers(0, n - 1)))
+    sub, elems = induced_subposet(p, keep)
+    b = data.draw(st.integers(0, n - 1))
+    interval, below = lower_interval(p, b)
+    assert below == tuple(x for x in range(n) if p.is_leq(x, b))
+    for q, es in ((sub, elems), (interval, below)):
+        assert q.leq == tuple(
+            sum(1 << j for j, y in enumerate(es) if p.is_leq(x, y)) for x in es
+        )
+        assert q.hasse == old_hasse_from_leq(q.n_elems, q.leq)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dowling_lattice_mobius_closed_form(order, n):
+    # Dowling 1973: mu(Q_n(G)) = (-1)^n prod_{i<n} (1 + i|G|)
+    p, _ = build_poset(spec_single_point(cyclic_group(order), n, in_t=True))
+    expected = (-1) ** n * prod(1 + i * order for i in range(n))
+    assert mobius(p, p.bottom(), p.top()) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_lattice_mobius_closed_form(n):
+    p, _ = build_poset(spec_partition(n))
+    assert mobius(p, p.bottom(), p.top()) == (-1) ** (n - 1) * factorial(n - 1)
+
+
+def test_boolean_lattice_12_mobius():
+    b = boolean_lattice(12)
+    assert mobius(b, 0, b.n_elems - 1) == 1
