@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .errors import CapExceeded, InputError
@@ -95,6 +96,19 @@ class DowlingSpec:
             out.append((i, orbit, rep, stab, rep in self.gset.t_subset))
         return out
 
+    @cached_property
+    def _orbit_table(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+        """(orbit id of each point of S, whether each orbit lies in T),
+        computed once per spec; the frozen dataclass still has a __dict__
+        for the cached value."""
+        ids = [0] * self.gset.size
+        in_t = []
+        for i, orbit, _rep, _stab, orbit_in_t in self.orbit_info():
+            for pt in orbit:
+                ids[pt] = i
+            in_t.append(orbit_in_t)
+        return tuple(ids), tuple(in_t)
+
 
 def spec_partition(n: int, name: str = "") -> DowlingSpec:
     """The partition lattice Q_n as the trivial-group, empty-S case."""
@@ -139,37 +153,11 @@ def _canonical_block(spec: DowlingSpec, entries) -> tuple[tuple[int, int], ...]:
 
 def _zero_valid(spec: DowlingSpec, zero) -> bool:
     counts: dict[int, int] = {}
-    orbit_id = _orbit_ids(spec)
+    orbit_id, in_t = spec._orbit_table
     for _, s in zero:
         o = orbit_id[s]
         counts[o] = counts.get(o, 0) + 1
-    in_t = _orbit_in_t(spec)
     return all(c != 1 or in_t[o] for o, c in counts.items())
-
-
-_ORBIT_CACHE: dict[GSetSpec, tuple[tuple[int, ...], tuple[bool, ...]]] = {}
-
-
-def _orbit_tables(spec: DowlingSpec):
-    hit = _ORBIT_CACHE.get(spec.gset)
-    if hit is None:
-        ids = [0] * spec.gset.size
-        in_t = []
-        for i, (orbit, rep, _stab) in enumerate(orbits_and_stabilizers(spec.gset)):
-            for pt in orbit:
-                ids[pt] = i
-            in_t.append(rep in spec.gset.t_subset)
-        hit = (tuple(ids), tuple(in_t))
-        _ORBIT_CACHE[spec.gset] = hit
-    return hit
-
-
-def _orbit_ids(spec: DowlingSpec):
-    return _orbit_tables(spec)[0]
-
-
-def _orbit_in_t(spec: DowlingSpec):
-    return _orbit_tables(spec)[1]
 
 
 def validate_element(spec: DowlingSpec, elem: DowlingElement) -> None:
@@ -320,45 +308,24 @@ def count_elements_species(spec: DowlingSpec) -> int:
     In the weighted convention (tau^n coefficient = count / (w^n n!), with
     w = |G|), the poset's element species factors as exp over block sizes
     times one zero-block factor per orbit of S; the orbit factor's degree-1
-    term is present exactly when the orbit lies in T.
+    term is present exactly when the orbit lies in T.  The count is the
+    x = y = 0 case of a WeightedSeries.
     """
+    # imported here because series imports this module
+    from .series import WeightedSeries, series_exp
+
     n, w = spec.n, spec.group.order
-    N = n + 1
-
-    def mul_trunc(f, g):
-        h = [Fraction(0)] * N
-        for i, fi in enumerate(f):
-            if fi:
-                for j in range(N - i):
-                    if g[j]:
-                        h[i + j] += fi * g[j]
-        return h
-
-    def exp_trunc(a):
-        assert a[0] == 0
-        h = [Fraction(0)] * N
-        h[0] = Fraction(1)
-        term = h[:]
-        for k in range(1, N):
-            term = mul_trunc(term, a)
-            for i in range(N):
-                h[i] += term[i] / factorial(k)
-        return h
-
-    block_arg = [Fraction(0)] * N
-    for m in range(1, N):
-        block_arg[m] = Fraction(1, w * factorial(m))
-    f = exp_trunc(block_arg)
-    for _i, _orbit, rep, stab, in_t in spec.orbit_info():
+    f = series_exp(
+        WeightedSeries(w, n, {(m, 0, 0): Fraction(1, w * factorial(m)) for m in range(1, n + 1)})
+    )
+    for _i, _orbit, _rep, stab, in_t in spec.orbit_info():
         c = len(stab)
-        orb = [Fraction(0)] * N
-        orb[0] = Fraction(1)
-        if n >= 1 and in_t:
-            orb[1] = Fraction(1, c)
-        for k in range(2, N):
-            orb[k] = Fraction(1, c**k * factorial(k))
-        f = mul_trunc(f, orb)
-    total = f[n] * w**n * factorial(n)
+        f = f * WeightedSeries(
+            w,
+            n,
+            {(k, 0, 0): Fraction(1, c**k * factorial(k)) for k in range(n + 1) if k != 1 or in_t},
+        )
+    total = f.unweighted_dim(n, 0, 0)
     assert total.denominator == 1 and total >= 0
     return int(total)
 
@@ -391,7 +358,7 @@ def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFac
                 spec=spec_partition(len(ground)),
             )
         )
-    orbit_id = _orbit_ids(spec)
+    orbit_id = spec._orbit_table[0]
     for i, _orbit, rep, stab, in_t in spec.orbit_info():
         ground = tuple(x for x, s in elem.zero if orbit_id[s] == i)
         stab_group, _ = subgroup_table(spec.group, stab)

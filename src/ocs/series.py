@@ -12,8 +12,17 @@ Borel-Moore Betti numbers b_q factors as a product of
   * one "diagonal" factor per size n >= 1: exp of (sum_q b_q y^q) x^(n-1)
     t^n / (w n), and
   * one zero-block factor per orbit of excluded/singular points, whose t^k
-    coefficient is the top homology rank of the k-point single-orbit poset
-    (divided by |G_s|^k k!), sitting in bidegree (k, 0).
+    coefficient is the top homology rank h_k of the k-point single-orbit
+    poset (divided by c^k k!, c = |G_s|), sitting in bidegree (k, 0).
+
+The zero-block ranks are closed forms, with u = xt.  When the orbit lies in
+T the k-point poset is the Dowling lattice Q_k(G_s), whose Mobius number
+is |mu(Q_k)| = prod_{i<k} (1 + i c) (Dowling 1973), so the factor is
+(1 - u)^(-1/c).  When it does not, the singleton zero blocks are missing,
+which multiplies the factor by (1 - u/c) and gives h_k - k h_{k-1}.  That
+these posets have homology only in the top degree k - 2, so that the
+Mobius number is the homology rank, is pinned by the brute-force oracle in
+the tests, not recomputed here.
 """
 
 from __future__ import annotations
@@ -23,10 +32,9 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, InputError
-from .dowling import DowlingSpec, build_poset, spec_single_point
+from .dowling import DowlingSpec, build_poset
 from .groups import GroupTable, group_from_json, subgroup_table
-from .homology import reduced_homology, whitney_homology
-from .posets import proper_part
+from .homology import whitney_homology
 
 __all__ = [
     "WeightedSeries",
@@ -182,51 +190,45 @@ class SpaceInput:
         return sum((-1) ** q * b for q, b in enumerate(self.betti))
 
 
+def _diagonal_argument(space: SpaceInput, sizes, trunc: int) -> WeightedSeries:
+    """Sum over n in sizes of the diagonal exponents P_b(y) x^(n-1) t^n / (w n)."""
+    w = space.group.order
+    return WeightedSeries(
+        w,
+        trunc,
+        {
+            (n, n - 1, q): Fraction(b, w * n)
+            for n in sizes
+            if n <= trunc
+            for q, b in enumerate(space.betti)
+            if b
+        },
+    )
+
+
 def main_factor(space: SpaceInput, n: int, trunc: int) -> WeightedSeries:
     """The size-n diagonal factor exp(P_b(y) x^(n-1) t^n / (w n)); its
     single generator packet has unweighted dimension (n-1)! w^(n-1) b_q in
     bidegree (n-1, q)."""
     if n < 1:
         raise InputError("diagonal factor needs n >= 1")
-    w = space.group.order
-    arg = WeightedSeries(
-        w,
-        trunc,
-        {
-            (n, n - 1, q): Fraction(b, w * n)
-            for q, b in enumerate(space.betti)
-            if b and n <= trunc
-        },
-    )
-    return series_exp(arg)
-
-
-_ORBIT_DIM_CACHE: dict[tuple[GroupTable, bool, int], int] = {}
+    return series_exp(_diagonal_argument(space, (n,), trunc))
 
 
 def orbit_generator_dim(stab: GroupTable, in_t: bool, k: int) -> int:
     """dim of the degree-k generator space of one zero-block factor: the
     reduced homology in dimension k-2 of the proper part of the k-point
-    single-orbit poset.  Verified concentrated; a violation raises."""
-    key = (stab, in_t, k)
-    hit = _ORBIT_DIM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    spec = spec_single_point(stab, k, in_t)
-    poset, _ = build_poset(spec)
-    if poset.n_elems == 1:
-        # k = 0, or k = 1 with the singleton zero block forbidden: no
-        # degree-k generator (the lone element is the bottom).
-        val = 1 if k == 0 else 0
-    else:
-        betti = reduced_homology(proper_part(poset))
-        if set(betti) - {k - 2}:
-            raise DomainError(
-                f"zero-block poset homology not concentrated at k={k}: {betti}"
-            )
-        val = betti.get(k - 2, 0)
-    _ORBIT_DIM_CACHE[key] = val
-    return val
+    single-orbit poset, with c = |stab|.
+
+    In T this is Dowling's |mu(Q_k(G_s))| = h_k = prod_{i<k} (1 + i c), the
+    t^k coefficient of (1 - xt)^(-1/c); outside T the factor (1 - xt/c)
+    removes the singleton zero blocks, leaving h_k - k h_{k-1}.  The tests
+    compare both against the homology of the built posets.
+    """
+    h = prev = 1
+    for i in range(k):
+        prev, h = h, h * (1 + i * stab.order)
+    return h if in_t else h - k * prev
 
 
 def orbit_factor(space: SpaceInput, orbit_index: int, trunc: int) -> WeightedSeries:
@@ -244,11 +246,10 @@ def orbit_factor(space: SpaceInput, orbit_index: int, trunc: int) -> WeightedSer
 
 
 def e1_series(space: SpaceInput, trunc: int) -> WeightedSeries:
-    """The full weighted first-page series: product of all diagonal factors
-    with n <= trunc and all zero-block factors."""
-    s = series_one(space.group.order, trunc)
-    for n in range(1, trunc + 1):
-        s = s * main_factor(space, n, trunc)
+    """The full weighted first-page series: the product of all diagonal
+    factors with n <= trunc, taken as the exp of their summed arguments,
+    and all zero-block factors."""
+    s = series_exp(_diagonal_argument(space, range(1, trunc + 1), trunc))
     for i in range(len(space.orbit_data)):
         s = s * orbit_factor(space, i, trunc)
     return s
@@ -343,30 +344,19 @@ def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
     poset, _ = build_poset(spec, cap=cap)
     table = whitney_homology(poset)
     n = spec.n
-    w = spec.group.order
-    s = series_one(w, n)
-    for m in range(1, n + 1):
-        s = s * series_exp(
-            WeightedSeries(w, n, {(m, m - 1, 0): Fraction(1, w * m)})
-        )
-    for _i, _orbit, _rep, stab, in_t in spec.orbit_info():
-        stab_group, _ = subgroup_table(spec.group, stab)
-        c = stab_group.order
-        coeffs = {}
-        for k in range(n + 1):
-            h = orbit_generator_dim(stab_group, in_t, k)
-            if h:
-                coeffs[(k, k, 0)] = Fraction(h, c**k * factorial(k))
-        s = s * WeightedSeries(w, n, coeffs)
+    orbit_data = tuple(
+        (subgroup_table(spec.group, stab)[0], in_t)
+        for _i, _orbit, _rep, stab, in_t in spec.orbit_info()
+    )
+    s = e1_series(SpaceInput((1,), spec.group, orbit_data, i_acyclic=True), n)
     mismatches = []
     for (r, k), v in sorted(table.items()):
         if k != r:
             mismatches.append(
                 {"rank": r, "degree": k, "poset": v, "series": 0, "why": "off-diagonal"}
             )
-    scale = w**n * factorial(n)
     for r in range(n + 1):
-        series_val = s.coeff(n, r, 0) * scale
+        series_val = s.unweighted_dim(n, r, 0)
         assert series_val.denominator == 1
         poset_val = table.get((r, r), 0)
         if int(series_val) != poset_val:

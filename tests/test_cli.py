@@ -87,3 +87,22 @@ def test_non_object_poset_file_is_an_input_error(cmd, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {"type": "input", "message": "poset descriptor must be an object"}
+
+
+ORBIT_SPACES = [
+    spec for spec in SPACES
+    if json.loads(
+        resources.files("ocs").joinpath("specs", "spaces", spec + ".json").read_text()
+    )["orbits"]
+]
+
+
+@pytest.mark.parametrize("cmd", [["config", "e1", "--nmax", "12"], ["stability", "report", "--verify"]])
+@pytest.mark.parametrize("spec", ORBIT_SPACES)
+def test_orbit_spaces_reach_their_documented_caps(spec, cmd, capsys):
+    # ROADMAP D2: the zero-block factors used to build the k-point poset's
+    # order complex, so both commands hung from nmax 5 on
+    assert len(ORBIT_SPACES) == 5
+    rc = run(cmd + ["--spec", spec])
+    _, err = capsys.readouterr()
+    assert rc == 0, err

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +135,9 @@ def test_counts_match_species_small_grid():
         spec_toric(3, [0, 1]),
         spec_toric(3, []),
     ]
+    for res in resources.files("ocs").joinpath("specs", "posets").iterdir():
+        if res.name.endswith(".json"):
+            specs += [spec_from_json(json.loads(res.read_text()), n=n) for n in range(5)]
     for spec in specs:
         assert sum(len(l) for l in enumerate_levels(spec)) == count_elements_species(spec)
 

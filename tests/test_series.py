@@ -4,9 +4,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocs.dowling import DowlingSpec, spec_partition, spec_single_point
+from ocs.dowling import DowlingSpec, build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError, InputError
-from ocs.groups import GSetSpec, cyclic_group
+from ocs.groups import GSetSpec, cyclic_group, group_from_table
+from ocs.homology import reduced_homology
+from ocs.posets import mobius, proper_part
 from ocs.series import (
     SpaceInput,
     WeightedSeries,
@@ -29,6 +31,7 @@ from ocs.series import (
 TRIV = cyclic_group(1)
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
+KLEIN = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
 
 
 def euclidean(d, name=""):
@@ -107,6 +110,40 @@ def test_orbit_generator_dims_frozen():
     assert orbit_generator_dim(Z2, True, 2) == 3
     assert orbit_generator_dim(Z2, False, 2) == 1
     assert orbit_generator_dim(Z3, True, 2) == 4
+
+
+def brute_orbit_generator_dim(stab, in_t, k):
+    """The zero-block generator rank from its definition: the reduced
+    homology of the proper part of the built k-point single-orbit poset,
+    which must be concentrated in degree k - 2."""
+    poset, _ = build_poset(spec_single_point(stab, k, in_t))
+    if poset.n_elems == 1:
+        # k = 0, or k = 1 outside T: the lone element is the bottom
+        return 1 if k == 0 else 0
+    betti = reduced_homology(proper_part(poset))
+    assert set(betti) <= {k - 2}, f"homology not concentrated at k={k}: {betti}"
+    return betti.get(k - 2, 0)
+
+
+@pytest.mark.parametrize("in_t", [True, False])
+@pytest.mark.parametrize("stab,kmax", [
+    (TRIV, 4), (Z2, 4), (Z3, 3), (cyclic_group(4), 3), (KLEIN, 3),
+], ids=["trivial", "Z2", "Z3", "Z4", "klein"])
+def test_orbit_generator_dim_matches_poset_homology(stab, kmax, in_t):
+    for k in range(kmax + 1):
+        assert orbit_generator_dim(stab, in_t, k) == brute_orbit_generator_dim(stab, in_t, k)
+
+
+@pytest.mark.parametrize("in_t", [True, False])
+@pytest.mark.parametrize("stab", [TRIV, Z2, Z3, cyclic_group(4), KLEIN],
+                         ids=["trivial", "Z2", "Z3", "Z4", "klein"])
+def test_orbit_generator_dim_matches_mobius_number(stab, in_t):
+    # for k >= 2 the poset is bounded and, its homology being concentrated,
+    # (-1)^k mu(bottom, top) is the generator rank
+    for k in range(2, 6):
+        poset, _ = build_poset(spec_single_point(stab, k, in_t))
+        mu = mobius(poset, poset.bottom(), poset.top())
+        assert orbit_generator_dim(stab, in_t, k) == (-1) ** k * mu
 
 
 def test_e1_table_r2_frozen():
