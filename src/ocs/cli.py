@@ -19,7 +19,6 @@ from functools import reduce
 from importlib import resources
 from pathlib import Path
 
-from .cache import cached
 from .dowling import (
     DEFAULT_CAP,
     build_poset,
@@ -206,17 +205,13 @@ def _cmd_poset_mobius(args) -> str:
     p, _ = _load_poset_file(args.poset)
     a = p.bottom() if args.a is None else args.a
     b = p.top() if args.b is None else args.b
-    value = cached(p, f"mobius:{a}:{b}", lambda: mobius(p, a, b))
-    return _json_text({"a": a, "b": b, "mobius": value})
+    return _json_text({"a": a, "b": b, "mobius": mobius(p, a, b)})
 
 
 def _cmd_poset_homology(args) -> str:
     p, _ = _load_poset_file(args.poset)
     q = proper_part(p) if args.proper else p
-    tag = "homology:proper" if args.proper else "homology"
-    pairs = cached(
-        p, tag, lambda: [[k, r] for k, r in sorted(reduced_homology(q).items())]
-    )
+    pairs = [[k, r] for k, r in sorted(reduced_homology(q).items())]
     if args.format == "csv":
         return _csv_text(["degree", "rank"], pairs)
     return _json_text({"proper": bool(args.proper), "betti": pairs})
@@ -224,11 +219,7 @@ def _cmd_poset_homology(args) -> str:
 
 def _cmd_poset_whitney(args) -> str:
     p, _ = _load_poset_file(args.poset)
-    triples = cached(
-        p,
-        "whitney",
-        lambda: [[r, k, d] for (r, k), d in sorted(whitney_homology(p).items())],
-    )
+    triples = [[r, k, d] for (r, k), d in sorted(whitney_homology(p).items())]
     if args.format == "csv":
         return _csv_text(["rank", "degree", "dim"], triples)
     return _json_text({"whitney": triples})

@@ -1,8 +1,13 @@
 """Order complexes and exact rational homology of finite posets.
 
-Everything here is integer arithmetic: boundary matrices have entries in
-{-1, 0, 1} and ranks are computed by sparse fraction-free elimination, so the
-reported Betti numbers are exact rational-coefficient ranks.
+Everything here is integer arithmetic, with one strategy per question:
+  * Betti numbers: boundary matrices of the order complex, with entries in
+    {-1, 0, 1}, reduced column by column by lowest row, the standard
+    reduction of persistent homology (Edelsbrunner, Letscher and
+    Zomorodian 2002), kept fraction-free, so the ranks are exact over Q.
+  * Euler characteristics and Lefschetz numbers: P. Hall's theorem (1936),
+    chi~(Delta(P)) = mu(0^, 1^) of P with a bottom and a top adjoined, one
+    Mobius pass with no chains enumerated.
 
 Conventions, fixed globally:
   * The order complex carries an empty face in dimension -1 (reduced chain
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .posets import Poset, _bits, lower_interval, mobius, proper_part
 
 __all__ = [
@@ -94,64 +99,41 @@ def _boundary_matrices(chains: list[list[tuple[int, ...]]]):
 
 
 def sparse_rank(columns: list[dict[int, int]]) -> int:
-    """Exact rank of an integer matrix given as columns {row: value}.
+    """Exact rank of an integer matrix given as columns {row: nonzero value}.
 
-    Fraction-free sparse elimination: pivots preferring unit entries and low
-    fill (Markowitz-style score), eliminating column against column with
-    cross-multiplication and content (gcd) stripping.  No floating point.
+    The standard column reduction by lowest row (Edelsbrunner, Letscher and
+    Zomorodian 2002): each kept column owns its lowest (largest) row.  An
+    incoming column is reduced against the kept column owning its current
+    lowest row until it is empty or owns a new lowest row, in which case it
+    is kept.  The rank is the number of kept columns.  Each step is
+    fraction-free: col -= (b/a)*kept when the kept pivot a divides the
+    column's entry b (always, for unit pivots), col := a*col - b*kept
+    otherwise, and then the integer content of col is stripped.
     """
-    cols: dict[int, dict[int, int]] = {
-        j: dict(col) for j, col in enumerate(columns) if col
-    }
-    # row -> set of live column ids containing it
-    row_index: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for r in col:
-            row_index.setdefault(r, set()).add(j)
-    rank = 0
-    while cols:
-        # Pivot selection: among unit entries if any exist, minimize
-        # (len(col)-1)*(len(row)-1); otherwise take a smallest-magnitude entry.
-        best = None
-        best_score = None
-        best_unit = False
-        for j, col in cols.items():
-            cl = len(col)
-            for r, v in col.items():
-                unit = v == 1 or v == -1
-                score = (cl - 1) * (len(row_index[r]) - 1)
-                if best is None or (unit, -score) > (best_unit, -(best_score)):
-                    best, best_score, best_unit = (r, j), score, unit
-            if best_unit and best_score == 0:
+    owner: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = max(col)
+            kept = owner.get(low)
+            if kept is None:
+                owner[low] = col
                 break
-        r, j = best
-        pivot_col = cols.pop(j)
-        pv = pivot_col[r]
-        for rr in pivot_col:
-            row_index[rr].discard(j)
-        rank += 1
-        touched = [jj for jj in row_index.get(r, ()) if jj in cols]
-        for jj in touched:
-            col = cols[jj]
-            v = col[r]
-            # col := col * pv - pivot_col * v, then strip integer content.
-            g = 0
-            for rr in set(col) | set(pivot_col):
-                nv = col.get(rr, 0) * pv - pivot_col.get(rr, 0) * v
+            a, b = kept[low], col[low]
+            if b % a:
+                col = {r: a * v for r, v in col.items()}
+                b *= a
+            f = b // a
+            for r, v in kept.items():
+                nv = col.get(r, 0) - f * v
                 if nv:
-                    col[rr] = nv
-                    row_index.setdefault(rr, set()).add(jj)
-                    g = gcd(g, nv)
-                elif rr in col:
-                    del col[rr]
-                    row_index[rr].discard(jj)
-            if not col:
-                del cols[jj]
-            elif g > 1:
-                for rr in col:
-                    col[rr] //= g
-        row_index.pop(r, None)
-    return rank
+                    col[r] = nv
+                else:
+                    del col[r]
+            g = gcd(*col.values())
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
+    return len(owner)
 
 
 def reduced_homology(p: Poset) -> dict[int, int]:
@@ -179,17 +161,29 @@ def reduced_homology(p: Poset) -> dict[int, int]:
     return betti
 
 
+def _hall_euler(p: Poset, elems) -> int:
+    """Reduced Euler characteristic of the order complex of the subposet of p
+    on elems, by P. Hall's theorem (1936): chi~ equals mu(0^, 1^) once a
+    bottom 0^ and a top 1^ are adjoined.
+
+    With mu(0^, x) = -1 - sum of mu(0^, y) over the chosen y < x, taken in
+    order of decreasing up-set size (a linear extension), the value is
+    chi~ = mu(0^, 1^) = -1 - sum of mu(0^, x) over the chosen x.
+    """
+    chosen = sum(1 << x for x in elems)
+    below = dict.fromkeys(elems, 0)  # x -> sum of mu(0^, y) over chosen y < x
+    chi = -1
+    for x in sorted(elems, key=lambda x: -p.leq[x].bit_count()):
+        mu = -1 - below[x]
+        chi -= mu
+        for z in _bits((p.leq[x] & chosen) ^ (1 << x)):
+            below[z] += mu
+    return chi
+
+
 def reduced_euler_characteristic(p: Poset) -> int:
-    """Euler characteristic of the reduced order complex, via chain counts."""
-    if p.n_elems == 0:
-        return -1
-    chains = order_complex_chains(p)
-    total = -1
-    sign = 1
-    for level in chains:
-        total += sign * len(level)
-        sign = -sign
-    return total
+    """Euler characteristic of the reduced order complex, by Hall's theorem."""
+    return _hall_euler(p, range(p.n_elems))
 
 
 def interval_degree_table(p: Poset, x: int) -> dict[int, int]:
@@ -258,26 +252,9 @@ def lefschetz_character(p: Poset, perm) -> int:
     induces.  An order automorphism fixing a chain setwise fixes it pointwise
     (it preserves the chain's total order), so that sign is always +1 and the
     alternating sum reduces to the Euler characteristic of the fixed
-    subposet's reduced order complex, which is how it is computed.  Under
+    subposet's reduced order complex, computed by Hall's theorem.  Under
     homology concentrated in degree m, the character of the action on that
     homology equals (-1)^m times this number.
     """
     f = _check_automorphism(p, perm)
-    fixed = [x for x in range(p.n_elems) if f[x] == x]
-    if not fixed:
-        return -1
-    sub_leq = p.leq
-    total = -1
-    ups = {
-        x: [y for y in fixed if y != x and sub_leq[x] >> y & 1] for x in fixed
-    }
-
-    def walk(last: int, dim: int):
-        nonlocal total
-        total += -1 if dim % 2 else 1
-        for y in ups[last]:
-            walk(y, dim + 1)
-
-    for x in fixed:
-        walk(x, 0)
-    return total
+    return _hall_euler(p, [x for x in range(p.n_elems) if f[x] == x])

@@ -485,5 +485,5 @@ def poset_from_json(obj) -> Poset:
 
 
 def canonical_poset_bytes(p: Poset) -> bytes:
-    """Deterministic serialization used for content-hash cache keys."""
+    """Deterministic serialization: equal for posets with equal covers and ranks."""
     return json.dumps(poset_to_json(p), sort_keys=True, separators=(",", ":")).encode()

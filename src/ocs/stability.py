@@ -34,7 +34,14 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, InputError
-from .series import SpaceInput, WeightedSeries, e1_series, series_exp, series_one
+from .series import (
+    SpaceInput,
+    WeightedSeries,
+    _diagonal_argument,
+    e1_series,
+    series_exp,
+    series_one,
+)
 
 __all__ = [
     "Family",
@@ -474,11 +481,8 @@ def _factor_argument(space: SpaceInput, pt, trunc: int) -> WeightedSeries:
     b = space.betti[i] if i < len(space.betti) else 0
     if not b:
         raise InputError(f"space has no generators in homology degree {i}")
-    w = space.group.order
-    coeffs = {}
-    if n <= trunc:
-        coeffs[(n, n - 1, i)] = Fraction(b, w * n)
-    return WeightedSeries(w, trunc, coeffs)
+    arg = _diagonal_argument(space, (n,), trunc)
+    return WeightedSeries(arg.w, trunc, {key: c for key, c in arg.coeffs.items() if key[2] == i})
 
 
 def quotient_series(space: SpaceInput, points, trunc: int) -> WeightedSeries:

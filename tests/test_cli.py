@@ -60,25 +60,6 @@ def test_rep_rejects_malformed_dowling_block(block, tmp_path, capsys):
     assert _single_json_error(err)["type"] == "input"
 
 
-def test_corrupt_cache_entry_is_an_input_error(tmp_path, monkeypatch, capsys):
-    # ROADMAP D3: a corrupt entry used to escape as a JSONDecodeError
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("OCS_CACHE", str(cache))
-    poset = tmp_path / "diamond.json"
-    poset.write_text(json.dumps({"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
-    argv = ["poset", "mobius", "--poset", str(poset)]
-    assert run(argv) == 0
-    first = capsys.readouterr().out
-    (entry,) = cache.glob("*.json")
-    assert run(argv) == 0 and capsys.readouterr().out == first
-    entry.write_text("garbage")
-    rc = run(argv)
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == ""
-    error = _single_json_error(err)
-    assert error["type"] == "input" and str(entry) in error["message"]
-
-
 @pytest.mark.parametrize("cmd", [["poset", "mobius"], ["poset", "whitney"], ["rep", "decompose"]])
 def test_non_object_poset_file_is_an_input_error(cmd, tmp_path, capsys):
     path = tmp_path / "poset.json"

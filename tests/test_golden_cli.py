@@ -1,10 +1,17 @@
-"""Golden outputs of the `config` and `stability` commands.
+"""Golden outputs of the `config`, `stability`, `poset` and `rep` commands.
 
 Pins the sha256 of stdout and the exit code of seven invocations on every
 bundled space, so a refactor of the series or stability code cannot change
 any byte of their output unnoticed.  The digests in `golden_cli.json` were
-recorded before the zero-block factors became closed forms; re-record them
-only for a deliberate output change, with
+recorded before the zero-block factors became closed forms.
+
+A second set pins `poset homology`, `poset whitney` and `rep decompose` on
+`dowling build` outputs of every bundled poset spec at n=3, plus dowling_z3
+n=4 and partition n=5, keyed by spec and n.  Its digests in
+`golden_homology.json` were recorded before the column reduction and the
+Hall Euler characteristic replaced the old elimination and chain walks.
+
+Re-record either set only for a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -21,6 +28,7 @@ import pytest
 from ocs.cli import run
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_HOMOLOGY = Path(__file__).with_name("golden_homology.json")
 
 
 def _invocations():
@@ -61,6 +69,57 @@ def test_output_matches_golden(cmd):
     assert _digest(cmd.split()) == json.loads(GOLDEN.read_text())[cmd]
 
 
+POSETS = [(res.name.removesuffix(".json"), 3)
+          for res in sorted(resources.files("ocs").joinpath("specs", "posets").iterdir(),
+                            key=lambda r: r.name)
+          if res.name.endswith(".json")] + [("dowling_z3", 4), ("partition", 5)]
+POSET_COMMANDS = [
+    "poset homology",
+    "poset homology --format csv",
+    "poset homology --proper",
+    "poset homology --proper --format csv",
+    "poset whitney",
+    "poset whitney --format csv",
+    "rep decompose",
+]
+HOMOLOGY_INVOCATIONS = [f"{spec} n={n}: {cmd}" for spec, n in POSETS for cmd in POSET_COMMANDS]
+
+
+def _built(spec: str, n: int, directory: Path) -> Path:
+    path = directory / f"{spec}-{n}.json"
+    if not path.exists():
+        assert _digest(["dowling", "build", "--spec", spec, "--n", str(n),
+                        "--out", str(path)])["rc"] == 0
+    return path
+
+
+def _homology_digest(key: str, directory: Path) -> dict:
+    spec_n, cmd = key.split(": ")
+    spec, n = spec_n.split(" n=")
+    return _digest(cmd.split() + ["--poset", str(_built(spec, int(n), directory))])
+
+
+@pytest.fixture(scope="module")
+def built_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("posets")
+
+
+def test_golden_homology_covers_every_invocation():
+    assert sorted(json.loads(GOLDEN_HOMOLOGY.read_text())) == sorted(HOMOLOGY_INVOCATIONS)
+    assert len(POSETS) == 8
+
+
+@pytest.mark.parametrize("key", HOMOLOGY_INVOCATIONS)
+def test_homology_output_matches_golden(key, built_dir):
+    assert _homology_digest(key, built_dir) == json.loads(GOLDEN_HOMOLOGY.read_text())[key]
+
+
 if __name__ == "__main__":
+    import tempfile
+
     GOLDEN.write_text(json.dumps({cmd: _digest(cmd.split()) for cmd in INVOCATIONS},
                                  indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_HOMOLOGY.write_text(json.dumps(
+            {key: _homology_digest(key, Path(tmp)) for key in HOMOLOGY_INVOCATIONS},
+            indent=1, sort_keys=True) + "\n")

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ocs.dowling import build_poset, spec_single_point
 from ocs.errors import DomainError
+from ocs.groups import cyclic_group
 from ocs.homology import (
     interval_degree_table,
     lefschetz_character,
@@ -17,9 +20,11 @@ from ocs.posets import (
     boolean_lattice,
     chain_poset,
     from_covers,
+    induced_subposet,
     mobius,
     proper_part,
 )
+from ocs.symrep import sym_class_poset_perms
 
 
 def crown4():
@@ -55,17 +60,39 @@ def dense_rank(rows):
     return rank
 
 
-def test_sparse_rank_matches_dense_oracle():
-    rows = [
-        [1, 2, 3, 0],
-        [2, 4, 6, 0],
-        [0, 1, 1, 1],
-        [1, 0, 5, -7],
-    ]
-    cols = [
-        {r: rows[r][c] for r in range(4) if rows[r][c]} for c in range(4)
-    ]
-    assert sparse_rank(cols) == dense_rank(rows) == 3
+def _columns(rows):
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(len(rows[0]))]
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices up to 8x8 with entries in -3..3, some columns zero
+    and some repeated."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cols = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append([0] * n_rows)
+        elif kind == "repeat" and cols:
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            cols.append(draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows)))
+    return [[cols[c][r] for c in range(n_cols)] for r in range(n_rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example([
+    [1, 2, 3, 0],
+    [2, 4, 6, 0],
+    [0, 1, 1, 1],
+    [1, 0, 5, -7],
+])
+def test_sparse_rank_matches_dense_oracle(rows):
+    cols = _columns(rows)
+    assert sparse_rank(cols) == dense_rank(rows)
+    assert cols == _columns(rows)  # the input columns are left as they were
 
 
 def test_sparse_rank_empty_and_zero():
@@ -160,6 +187,100 @@ def test_lefschetz_reflection_on_circle():
     # swap maxima only: fixed subposet is the 2-antichain of minima
     refl = (0, 1, 3, 2)
     assert lefschetz_character(p, refl) == 1
+
+
+def chain_count_euler(p: Poset) -> int:
+    """Oracle: the reduced Euler characteristic as the alternating count of
+    the chains of the order complex, with -1 for the empty face."""
+    total = -1
+    for k, level in enumerate(order_complex_chains(p)):
+        total += (-1) ** k * len(level)
+    return total
+
+
+def chain_walk_lefschetz(p: Poset, perm) -> int:
+    """Oracle: the reduced Lefschetz number as the alternating count of the
+    chains of the fixed subposet, walked upward from each fixed point."""
+    fixed = [x for x in range(p.n_elems) if perm[x] == x]
+    ups = {x: [y for y in fixed if y != x and p.leq[x] >> y & 1] for x in fixed}
+    total = -1
+
+    def walk(last: int, dim: int):
+        nonlocal total
+        total += -1 if dim % 2 else 1
+        for y in ups[last]:
+            walk(y, dim + 1)
+
+    for x in fixed:
+        walk(x, 0)
+    return total
+
+
+@st.composite
+def posets_with_automorphism(draw, max_n=9):
+    """A random poset on at most max_n elements, labelled in no particular
+    order, together with an order automorphism sigma.  Each cycle of sigma
+    gets one level, relations only go up a level, and the relation is
+    closed under sigma."""
+    n = draw(st.integers(0, max_n))
+    sigma = draw(st.permutations(range(n)))
+    level = [None] * n
+    for x in range(n):
+        if level[x] is None:
+            lv, y = draw(st.integers(0, 3)), x
+            while level[y] is None:
+                level[y], y = lv, sigma[y]
+    upward = [(a, b) for a in range(n) for b in range(n) if level[a] < level[b]]
+    edges = draw(st.lists(st.sampled_from(upward), max_size=8)) if upward else []
+    leq = [1 << x for x in range(n)]
+    for a, b in edges:
+        x, y = a, b
+        while True:
+            leq[x] |= 1 << y
+            x, y = sigma[x], sigma[y]
+            if (x, y) == (a, b):
+                break
+    for y in range(n):  # transitive closure
+        for x in range(n):
+            if leq[x] >> y & 1:
+                leq[x] |= leq[y]
+    covers = [
+        (a, b) for a in range(n) for b in range(n)
+        if a != b and leq[a] >> b & 1
+        and not any(c not in (a, b) and leq[a] >> c & 1 and leq[c] >> b & 1 for c in range(n))
+    ]
+    return from_covers(n, covers), tuple(sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(posets_with_automorphism())
+def test_euler_and_lefschetz_match_chain_oracles_on_random_posets(case):
+    p, sigma = case
+    assert reduced_euler_characteristic(p) == chain_count_euler(p)
+    assert lefschetz_character(p, tuple(range(p.n_elems))) == chain_count_euler(p)
+    perm = sigma
+    for _ in range(3):
+        assert lefschetz_character(p, perm) == chain_walk_lefschetz(p, perm)
+        perm = tuple(sigma[x] for x in perm)
+
+
+def test_lefschetz_matches_chain_oracle_on_dowling_open_intervals():
+    # symmetric-group action on every open interval (bottom, x) of Q_4(Z_2)
+    spec = spec_single_point(cyclic_group(2), 4, in_t=True)
+    p, elements = build_poset(spec)
+    perms = sym_class_poset_perms(spec, elements)
+    bottom, checked = p.bottom(), 0
+    for x in range(p.n_elems):
+        inside = [y for y in p.down_set(x) if y not in (x, bottom)]
+        sub, elems = induced_subposet(p, inside)
+        assert reduced_euler_characteristic(sub) == chain_count_euler(sub)
+        local = {e: i for i, e in enumerate(elems)}
+        for perm in perms.values():
+            if perm[x] == x:
+                sub_perm = tuple(local[perm[e]] for e in elems)
+                assert lefschetz_character(sub, sub_perm) == chain_walk_lefschetz(sub, sub_perm)
+                checked += 1
+    assert checked > p.n_elems
 
 
 def test_lefschetz_rejects_non_automorphism():
