@@ -94,7 +94,6 @@ from .symrep import (
     character_table,
     decompose,
     mn_character,
-    pad_partition,
     partitions_of,
     stable_multiplicity_check,
     strip_top_row,

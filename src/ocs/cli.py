@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .dowling import (
     DEFAULT_CAP,
+    DowlingSpec,
     build_poset,
     count_elements_species,
     element_to_string,
@@ -406,8 +407,6 @@ def _parse_window(text: str) -> list[int]:
 
 
 def _cmd_rep_stability(args) -> str:
-    from .dowling import DowlingSpec
-
     space = _load_space(args.spec)
     window = _parse_window(args.window)
     gset = _gset_from_orbit_data(space.group, space.orbit_data)

@@ -15,7 +15,9 @@ Canonical form: within a block, the minimal element carries the group
 identity; blocks are sorted by minimal element; the canonical string joins
 blocks as comma-separated ``g:e`` entries with a final ``Z{e:s,...}``
 segment, e.g. ``0:0,1:1|Z{2:0}``.  Poset element order is breadth-first by
-rank, lexicographic by canonical string within a rank.
+rank, lexicographic by canonical string within a rank.  One breadth-first
+pass expands each element once; no caller reads the generation order in
+which ``covers_of`` lists the covers.
 """
 
 from __future__ import annotations
@@ -228,78 +230,83 @@ def parse_element(spec: DowlingSpec, text: str) -> DowlingElement:
 
 
 def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
-    """All covers of elem, canonical, sorted by canonical string.
+    """All covers of elem, canonical and deduplicated, in generation order.
 
     Merge moves supply |G| candidates per unordered block pair (the relative
     twist applied to the larger-min block); color moves supply |S| candidates
     per block, silently dropping those whose zero coloring would be invalid.
     """
-    G = spec.group
-    mul = G.mul
-    out = set()
+    mul = spec.group.mul
+    out = {}
     blocks = elem.blocks
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
+            # blocks are sorted by minimal element, so b has the larger minimum
             a, b = blocks[i], blocks[j]
-            if a[0][0] > b[0][0]:
-                a, b = b, a
-            for g in range(G.order):
+            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+            for g in range(spec.group.order):
                 merged = tuple(sorted(a + tuple((x, mul[c][g]) for x, c in b)))
-                rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
                 new_blocks = tuple(sorted(rest + (merged,), key=lambda bl: bl[0][0]))
-                out.add(DowlingElement(blocks=new_blocks, zero=elem.zero))
+                out[DowlingElement(blocks=new_blocks, zero=elem.zero)] = None
     action = spec.gset.action
     for i, b in enumerate(blocks):
         rest = blocks[:i] + blocks[i + 1 :]
         for s in range(spec.gset.size):
             zero = tuple(sorted(elem.zero + tuple((x, action[c][s]) for x, c in b)))
             if _zero_valid(spec, zero):
-                out.add(DowlingElement(blocks=rest, zero=zero))
-    return sorted(out, key=element_to_string)
+                out[DowlingElement(blocks=rest, zero=zero)] = None
+    return list(out)
 
 
-def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[DowlingElement]]:
-    """Breadth-first rank levels from the bottom element.
-
-    Raises:
-        CapExceeded: when more than cap elements appear; carries the count
-            of elements found so far.
-    """
+def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
+    """The one pass behind enumerate_levels and build_poset: it expands
+    every element by covers_of once, and appends each element's covers, in
+    element order, to covers when that is a list."""
     levels = [[bottom_element(spec)]]
     total = 1
     while True:
-        nxt = set()
+        found: dict[DowlingElement, DowlingElement] = {}
         for e in levels[-1]:
-            nxt.update(covers_of(spec, e))
-        if not nxt:
+            # setdefault keeps one object per element, shared by every cover list
+            up = [found.setdefault(c, c) for c in covers_of(spec, e)]
+            if covers is not None:
+                covers.append(up)
+        if not found:
             return levels
-        total += len(nxt)
+        total += len(found)
         if total > cap:
             raise CapExceeded(
                 f"element cap {cap} exceeded while enumerating rank {len(levels)}",
                 partial_count=total,
             )
-        levels.append(sorted(nxt, key=element_to_string))
+        levels.append(sorted(found, key=element_to_string))
+
+
+def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[DowlingElement]]:
+    """Breadth-first rank levels from the bottom element, each sorted by
+    canonical string; no covers are kept.
+
+    Raises:
+        CapExceeded: when more than cap elements appear; carries the count
+            of elements found so far.
+    """
+    return _breadth_first(spec, cap)
 
 
 def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[DowlingElement]]:
-    """Materialize the poset: breadth-first closure under covers_of.
+    """Materialize the poset from the covers that one breadth-first pass
+    keeps as it expands each element.
 
     Returns (poset, elements) with elements[i] the canonical element at
     poset index i; indices go rank by rank, lexicographic by canonical
     string within a rank; poset rank labels are n - #blocks.
     """
-    levels = enumerate_levels(spec, cap=cap)
-    elements: list[DowlingElement] = [e for level in levels for e in level]
+    covers: list[list[DowlingElement]] = []
+    elements = [e for level in _breadth_first(spec, cap, covers) for e in level]
     index = {e: i for i, e in enumerate(elements)}
-    covers = []
-    for level in levels[:-1]:
-        for e in level:
-            i = index[e]
-            for c in covers_of(spec, e):
-                covers.append((i, index[c]))
+    pairs = [(i, index[c]) for i, up in enumerate(covers) for c in up]
     rank = tuple(element_rank(spec, e) for e in elements)
-    return from_covers(len(elements), covers, rank=rank), elements
+    return from_covers(len(elements), pairs, rank=rank), elements
 
 
 def count_elements_species(spec: DowlingSpec) -> int:
@@ -348,28 +355,15 @@ def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFac
     isomorphic to the lower interval below elem.
     """
     validate_element(spec, elem)
-    factors = []
-    for b in elem.blocks:
-        ground = tuple(x for x, _ in b)
-        factors.append(
-            IntervalFactor(
-                kind="partition",
-                ground=ground,
-                spec=spec_partition(len(ground)),
-            )
-        )
+    factors = [IntervalFactor(kind="partition", ground=tuple(x for x, _ in b),
+                              spec=spec_partition(len(b)))
+               for b in elem.blocks]
     orbit_id = spec._orbit_table[0]
     for i, _orbit, rep, stab, in_t in spec.orbit_info():
         ground = tuple(x for x, s in elem.zero if orbit_id[s] == i)
         stab_group, _ = subgroup_table(spec.group, stab)
-        factors.append(
-            IntervalFactor(
-                kind="orbit",
-                ground=ground,
-                spec=spec_single_point(stab_group, len(ground), in_t),
-                orbit_rep=rep,
-            )
-        )
+        factors.append(IntervalFactor(kind="orbit", ground=ground, orbit_rep=rep,
+                                      spec=spec_single_point(stab_group, len(ground), in_t)))
     return factors
 
 

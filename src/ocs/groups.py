@@ -9,9 +9,7 @@ stabilizers and inverses exact and trivial to compute.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -271,25 +269,6 @@ def wreath_inverse(group: GroupTable, w: WreathElement) -> WreathElement:
         inv_perm[j] = i
     colors = tuple(group.inv[w.colors[inv_perm[j]]] for j in range(w.n))
     return WreathElement(colors=colors, perm=tuple(inv_perm))
-
-
-def all_wreath_elements(group: GroupTable, n: int):
-    """Iterate over the full wreath product G^n x| S_n (desk scale only)."""
-    for perm in itertools.permutations(range(n)):
-        for colors in itertools.product(range(group.order), repeat=n):
-            yield WreathElement(colors=colors, perm=perm)
-
-
-def orbit_count_burnside(gset: GSetSpec) -> int:
-    """Number of orbits via the averaging formula; used as a cross-check."""
-    G = gset.group
-    total = sum(
-        sum(1 for s in range(gset.size) if gset.action[g][s] == s) for g in range(G.order)
-    )
-    q = Fraction(total, G.order)
-    if q.denominator != 1:
-        raise InputError("fixed-point average is not an integer; bad action table")
-    return int(q)
 
 
 # JSON descriptors ----------------------------------------------------------

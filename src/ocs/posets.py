@@ -43,15 +43,8 @@ class Poset:
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)
 
-    def is_less(self, a: int, b: int) -> bool:
-        return a != b and bool(self.leq[a] >> b & 1)
-
     def down_set(self, b: int) -> list[int]:
         return [x for x in range(self.n_elems) if self.leq[x] >> b & 1]
-
-    def up_set(self, a: int) -> list[int]:
-        m = self.leq[a]
-        return [x for x in range(self.n_elems) if m >> x & 1]
 
     def minimal_elements(self) -> list[int]:
         has_lower = [False] * self.n_elems

@@ -276,6 +276,15 @@ def _table_from_series(space: SpaceInput, s: WeightedSeries, nmax: int):
     return table
 
 
+# The largest size that e1_table and stability.quotient_series compute to.
+NMAX_CAP = 12
+
+
+def _check_nmax_cap(nmax: int) -> None:
+    if nmax > NMAX_CAP:
+        raise DomainError(f"truncation cap is {NMAX_CAP}, got {nmax}")
+
+
 def e1_table(space: SpaceInput, nmax: int) -> dict[int, dict[tuple[int, int], int]]:
     """Per size n <= nmax, the map (p, q) -> dim of the first-page entry.
 
@@ -284,8 +293,7 @@ def e1_table(space: SpaceInput, nmax: int) -> dict[int, dict[tuple[int, int], in
     """
     if nmax < 0:
         raise InputError("nmax must be nonnegative")
-    if nmax > 12:
-        raise DomainError(f"truncation cap is 12, got {nmax}")
+    _check_nmax_cap(nmax)
     return _table_from_series(space, e1_series(space, nmax), nmax)
 
 

@@ -37,6 +37,7 @@ from .errors import DomainError, InputError
 from .series import (
     SpaceInput,
     WeightedSeries,
+    _check_nmax_cap,
     _diagonal_argument,
     e1_series,
     series_exp,
@@ -487,7 +488,12 @@ def _factor_argument(space: SpaceInput, pt, trunc: int) -> WeightedSeries:
 
 def quotient_series(space: SpaceInput, points, trunc: int) -> WeightedSeries:
     """The full first-page series with the named generator factors divided
-    out (exactly: multiplied by exp of the negated arguments)."""
+    out (exactly: multiplied by exp of the negated arguments).
+
+    Raises:
+        DomainError: past the truncation cap that e1_table also keeps.
+    """
+    _check_nmax_cap(trunc)
     s = e1_series(space, trunc)
     for pt in points:
         s = s * series_exp(-_factor_argument(space, pt, trunc))

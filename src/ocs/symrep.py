@@ -29,7 +29,6 @@ __all__ = [
     "character_table",
     "ClassFunction",
     "decompose",
-    "pad_partition",
     "strip_top_row",
     "cycle_type_permutation",
     "sym_class_poset_perms",
@@ -178,17 +177,6 @@ def decompose(cf: ClassFunction) -> dict[tuple[int, ...], int]:
     return out
 
 
-def pad_partition(lam, m: int) -> tuple[int, ...]:
-    """Prepend a top row so the result is a partition of m."""
-    lam = check_partition(lam)
-    top = m - sum(lam)
-    if lam and top < lam[0]:
-        raise InputError(f"m={m} too small to pad {lam}: top row {top} < {lam[0]}")
-    if top < 0:
-        raise InputError(f"m={m} smaller than |{lam}|")
-    return ((top,) + lam) if top > 0 else lam
-
-
 def strip_top_row(lam) -> tuple[int, ...]:
     lam = check_partition(lam)
     return lam[1:]
@@ -220,8 +208,7 @@ def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     return out
 
 
-def _open_interval_action(p: Poset, x: int, perm) -> tuple[Poset, tuple[int, ...]]:
-    bottom = p.bottom()
+def _open_interval_action(p: Poset, bottom: int, x: int, perm) -> tuple[Poset, tuple[int, ...]]:
     inside = [y for y in p.down_set(x) if y != x and y != bottom]
     sub, elems = induced_subposet(p, inside)
     local = {e: i for i, e in enumerate(elems)}
@@ -266,7 +253,7 @@ def whitney_character(
             if x == bottom:
                 total += 1
                 continue
-            sub, sub_perm = _open_interval_action(p, x, perm)
+            sub, sub_perm = _open_interval_action(p, bottom, x, perm)
             total += sign * lefschetz_character(sub, sub_perm)
         values[mu] = Fraction(total)
     return ClassFunction.from_dict(m, values)

@@ -87,3 +87,16 @@ def test_orbit_spaces_reach_their_documented_caps(spec, cmd, capsys):
     rc = run(cmd + ["--spec", spec])
     _, err = capsys.readouterr()
     assert rc == 0, err
+
+
+# typeA_R1 (the line) has no absolute step, so --verify builds no series there
+@pytest.mark.parametrize("spec", [spec for spec in SPACES if spec != "typeA_R1"])
+def test_verify_keeps_the_config_truncation_cap(spec, capsys):
+    # ROADMAP D5: --verify used to build the quotient series to any --nmax
+    assert run(["config", "e1", "--spec", spec, "--nmax", "13"]) == 1
+    _, e1_err = capsys.readouterr()
+    rc = run(["stability", "report", "--spec", spec, "--verify", "--nmax", "13"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert _single_json_error(err) == _single_json_error(e1_err)
+    assert _single_json_error(err)["type"] == "domain"

@@ -23,7 +23,8 @@ from ocs.dowling import (
     wreath_act,
 )
 from ocs.errors import CapExceeded, InputError
-from ocs.groups import GSetSpec, WreathElement, all_wreath_elements, cyclic_group, wreath_compose
+from ocs.groups import GSetSpec, WreathElement, cyclic_group, wreath_compose
+from test_groups import all_wreath_elements
 from ocs.posets import is_isomorphic, lower_interval, mobius
 
 
@@ -115,6 +116,22 @@ def test_covers_of_bottom_counts():
     spec = spec_dowling(2, 3)
     cov = covers_of(spec, bottom_element(spec))
     assert len(cov) == 3 * 2 + 3 * 1
+
+
+@pytest.mark.parametrize("name,n", [("dowling_z3", 4), ("partition", 5)])
+def test_build_poset_expands_each_element_once(monkeypatch, name, n):
+    spec = spec_from_json(json.loads(
+        resources.files("ocs").joinpath("specs", "posets", f"{name}.json").read_text()), n=n)
+    expanded = []
+
+    def counting_covers_of(spec, elem):
+        expanded.append(elem)
+        return covers_of(spec, elem)
+
+    monkeypatch.setattr("ocs.dowling.covers_of", counting_covers_of)
+    p, elems = build_poset(spec)
+    assert len(expanded) == p.n_elems == len(elems)
+    assert set(expanded) == set(elems)
 
 
 def test_cap_exceeded_carries_partial_count():

@@ -11,7 +11,15 @@ n=4 and partition n=5, keyed by spec and n.  Its digests in
 `golden_homology.json` were recorded before the column reduction and the
 Hall Euler characteristic replaced the old elimination and chain walks.
 
-Re-record either set only for a deliberate output change, with
+A third set pins the Dowling layer: `dowling build` of every bundled poset
+spec at n=0..5, `dowling count` at n=6 (with and without a cap refusal),
+`dowling interval` at the first element of each rank of typeB and
+dowling_z3 at n=4, `poset mobius` on every built n=4 file and
+`rep stability` of typeA_R2 at ranks 1 to 3.  Its digests in
+`golden_dowling.json` also pin stderr, and were recorded before the
+breadth-first enumeration kept each element's covers for `build_poset`.
+
+Re-record a set only for a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -29,6 +37,7 @@ from ocs.cli import run
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_HOMOLOGY = Path(__file__).with_name("golden_homology.json")
+GOLDEN_DOWLING = Path(__file__).with_name("golden_dowling.json")
 
 
 def _invocations():
@@ -52,11 +61,18 @@ def _invocations():
 INVOCATIONS = [" ".join(argv) for argv in _invocations()]
 
 
-def _digest(argv: list[str]) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest(argv: list[str], with_stderr: bool = False) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run(argv)
-    return {"rc": rc, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    digest = {"rc": rc, "stdout_sha256": _sha256(out.getvalue())}
+    if with_stderr:
+        digest["stderr_sha256"] = _sha256(err.getvalue())
+    return digest
 
 
 def test_golden_covers_every_invocation():
@@ -114,6 +130,45 @@ def test_homology_output_matches_golden(key, built_dir):
     assert _homology_digest(key, built_dir) == json.loads(GOLDEN_HOMOLOGY.read_text())[key]
 
 
+POSET_SPECS = [spec for spec, n in POSETS if n == 3]
+DOWLING_INVOCATIONS = (
+    [f"dowling build --spec {spec} --n {n}" for spec in POSET_SPECS for n in range(6)]
+    + [f"dowling count --spec {spec} --n 6 --cap {cap}"
+       for spec in ("typeC", "dowling_z3") for cap in (100000, 1000)]
+    + [f"{spec} n=4 rank={r}: dowling interval" for spec in ("typeB", "dowling_z3")
+       for r in range(5)]
+    + [f"{spec} n=4: poset mobius" for spec in POSET_SPECS]
+    + [f"rep stability --spec typeA_R2 --rank {r} --window 4..7" for r in (1, 2, 3)]
+)
+
+
+def _dowling_digest(key: str, directory: Path) -> dict:
+    """Digest of one Dowling invocation.  A key `<spec> n=<n>...: <cmd>`
+    runs cmd on that built poset: `poset mobius` reads the file, and
+    `dowling interval` takes the first element of the rank named in the key."""
+    if ": " not in key:
+        return _digest(key.split(), with_stderr=True)
+    spec_n, cmd = key.split(": ")
+    spec, n, *rank = (word.split("=")[-1] for word in spec_n.split())
+    path = _built(spec, int(n), directory)
+    if cmd == "poset mobius":
+        return _digest(cmd.split() + ["--poset", str(path)], with_stderr=True)
+    built = json.loads(path.read_text())
+    element = built["dowling"]["elements"][built["rank"].index(int(rank[0]))]
+    return _digest(cmd.split() + ["--spec", spec, "--n", n, "--element", element],
+                   with_stderr=True)
+
+
+def test_golden_dowling_covers_every_invocation():
+    assert sorted(json.loads(GOLDEN_DOWLING.read_text())) == sorted(DOWLING_INVOCATIONS)
+    assert len(DOWLING_INVOCATIONS) == 59
+
+
+@pytest.mark.parametrize("key", DOWLING_INVOCATIONS)
+def test_dowling_output_matches_golden(key, built_dir):
+    assert _dowling_digest(key, built_dir) == json.loads(GOLDEN_DOWLING.read_text())[key]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -122,4 +177,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN_HOMOLOGY.write_text(json.dumps(
             {key: _homology_digest(key, Path(tmp)) for key in HOMOLOGY_INVOCATIONS},
+            indent=1, sort_keys=True) + "\n")
+        GOLDEN_DOWLING.write_text(json.dumps(
+            {key: _dowling_digest(key, Path(tmp)) for key in DOWLING_INVOCATIONS},
             indent=1, sort_keys=True) + "\n")

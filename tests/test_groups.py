@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,18 +9,36 @@ from ocs.groups import (
     GroupTable,
     GSetSpec,
     WreathElement,
-    all_wreath_elements,
     cyclic_group,
     group_from_json,
     group_from_table,
     gset_from_json,
-    orbit_count_burnside,
     orbits_and_stabilizers,
     subgroup_table,
     wreath_compose,
     wreath_identity,
     wreath_inverse,
 )
+
+
+def all_wreath_elements(group: GroupTable, n: int):
+    """Iterate over the full wreath product G^n x| S_n (desk scale only)."""
+    for perm in itertools.permutations(range(n)):
+        for colors in itertools.product(range(group.order), repeat=n):
+            yield WreathElement(colors=colors, perm=perm)
+
+
+def orbit_count_burnside(gset: GSetSpec) -> int:
+    """Number of orbits via the averaging formula, an oracle for
+    orbits_and_stabilizers."""
+    G = gset.group
+    total = sum(
+        sum(1 for s in range(gset.size) if gset.action[g][s] == s) for g in range(G.order)
+    )
+    q = Fraction(total, G.order)
+    if q.denominator != 1:
+        raise InputError("fixed-point average is not an integer; bad action table")
+    return int(q)
 
 
 def klein_four():
@@ -109,7 +130,7 @@ def test_burnside_counts_necklaces():
         action=tuple(tuple((g + x) % 4 for x in range(4)) for g in range(4)),
         t_subset=frozenset(),
     )
-    assert orbit_count_burnside(gs) == 1
+    assert orbit_count_burnside(gs) == 1 == len(orbits_and_stabilizers(gs))
 
 
 def _wreath_strategy(group, n):

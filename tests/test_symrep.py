@@ -1,0 +1,80 @@
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+
+from ocs.dowling import build_poset, spec_partition
+from ocs.errors import DomainError
+from ocs.symrep import (
+    ClassFunction,
+    character_table,
+    conjugacy_class_size,
+    decompose,
+    partitions_of,
+    sym_class_poset_perms,
+    whitney_character,
+)
+
+
+def moebius(d: int) -> int:
+    """The number-theoretic Moebius function, by trial division."""
+    out, k = 1, 2
+    while k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if d > 1 else out
+
+
+def lie_character(mu: tuple[int, ...]) -> int:
+    """Character of Lie_n: mu(d) (k-1)! d^(k-1) on cycle type (d^k), 0 on
+    every other cycle type."""
+    d, k = mu[0], len(mu)
+    if any(part != d for part in mu):
+        return 0
+    return moebius(d) * factorial(k - 1) * d ** (k - 1)
+
+
+def sign(mu: tuple[int, ...]) -> int:
+    return (-1) ** (sum(mu) - len(mu))
+
+
+def partition_lattice_character(n: int, r: int) -> dict:
+    spec = spec_partition(n)
+    p, elements = build_poset(spec)
+    return dict(whitney_character(p, sym_class_poset_perms(spec, elements), r, n).values)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_character_table_columns_are_orthogonal(m):
+    # sum over lambda of chi^lambda(mu) chi^lambda(nu) = [mu == nu] z_mu
+    table = character_table(m)
+    for mu in partitions_of(m):
+        for nu in partitions_of(m):
+            inner = sum(row[mu] * row[nu] for row in table.values())
+            assert inner == (factorial(m) // conjugacy_class_size(mu) if mu == nu else 0)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_rank_one_whitney_character_of_the_partition_lattice_permutes_pairs(n):
+    # the atoms of Pi_n are the 2-subsets of {0..n-1}; a permutation of cycle
+    # type mu fixes the pairs inside its fixed points and its 2-cycles
+    expected = {mu: comb(mu.count(1), 2) + mu.count(2) for mu in partitions_of(n)}
+    assert partition_lattice_character(n, 1) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_top_whitney_character_of_the_partition_lattice_is_sign_twisted_lie(n):
+    # Stanley 1982: the top Whitney homology of Pi_n is sgn (x) Lie_n
+    expected = {mu: sign(mu) * lie_character(mu) for mu in partitions_of(n)}
+    assert partition_lattice_character(n, n - 1) == expected
+
+
+def test_decompose_refuses_a_class_function_that_is_not_a_virtual_character():
+    # half the regular character of S_2: both multiplicities are 1/2
+    cf = ClassFunction.from_dict(2, {(1, 1): Fraction(1), (2,): Fraction(0)})
+    with pytest.raises(DomainError):
+        decompose(cf)
