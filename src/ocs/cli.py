@@ -46,6 +46,7 @@ from .posets import (
 )
 from .series import (
     SpaceInput,
+    _check_nmax_cap,
     bm_betti,
     closed_form_euler,
     e1_table,
@@ -282,6 +283,8 @@ def _cmd_config_euler(args) -> str:
 
 def _cmd_stability_report(args) -> str:
     space = _load_space(args.spec)
+    if args.verify:
+        _check_nmax_cap(args.nmax)
     report = iterate_report(space, variant=args.variant, steps=args.steps)
     steps_json = []
     for i, step in enumerate(report.steps):
@@ -335,6 +338,8 @@ def _built_dowling_poset(arg: str):
         raise InputError("'dowling' block needs 'spec' and one element string per poset element")
     spec = spec_from_json(d["spec"])
     elements = [parse_element(spec, s) for s in d["elements"]]
+    if len(set(elements)) != len(elements):
+        raise InputError("'dowling' element strings must name distinct elements")
     return p, spec, elements
 
 

@@ -18,6 +18,11 @@ segment, e.g. ``0:0,1:1|Z{2:0}``.  Poset element order is breadth-first by
 rank, lexicographic by canonical string within a rank.  One breadth-first
 pass expands each element once; no caller reads the generation order in
 which ``covers_of`` lists the covers.
+
+``covers_of`` builds every cover directly in canonical form, and the covers
+of one element are distinct by construction, so nothing is deduplicated or
+re-sorted.  Elements are NamedTuples, hashed and compared in C; an element
+compares equal to the plain tuple ``(blocks, zero)`` of the same fields.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from typing import NamedTuple
 
 from .errors import CapExceeded, InputError
 from .groups import (
@@ -65,8 +71,10 @@ __all__ = [
 DEFAULT_CAP = 10000
 
 
-@dataclass(frozen=True)
-class DowlingElement:
+class DowlingElement(NamedTuple):
+    """An element as the pair (blocks, zero).  Being a NamedTuple, it hashes
+    and compares in C, and equals the plain tuple of the same fields."""
+
     # blocks: tuple of blocks; a block is a tuple of (element, color) pairs
     # sorted by element, with the minimal element colored by the identity.
     blocks: tuple[tuple[tuple[int, int], ...], ...]
@@ -186,8 +194,8 @@ def validate_element(spec: DowlingSpec, elem: DowlingElement) -> None:
 
 
 def element_to_string(elem: DowlingElement) -> str:
-    segs = [",".join(f"{c}:{x}" for x, c in b) for b in elem.blocks]
-    segs.append("Z{" + ",".join(f"{x}:{s}" for x, s in elem.zero) + "}")
+    segs = [",".join([f"{c}:{x}" for x, c in b]) for b in elem.blocks]
+    segs.append("Z{" + ",".join([f"{x}:{s}" for x, s in elem.zero]) + "}")
     return "|".join(segs)
 
 
@@ -230,32 +238,60 @@ def parse_element(spec: DowlingSpec, text: str) -> DowlingElement:
 
 
 def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
-    """All covers of elem, canonical and deduplicated, in generation order.
+    """All covers of the canonical element elem, each built directly in
+    canonical form, in generation order: merges by block pair i < j and
+    twist g, then color moves by block and point s of S.
 
-    Merge moves supply |G| candidates per unordered block pair (the relative
-    twist applied to the larger-min block); color moves supply |S| candidates
-    per block, silently dropping those whose zero coloring would be invalid.
+    The covers are distinct by construction, so none is deduplicated: a
+    merge of blocks i < j with twist g colors b = blocks[j]'s minimum by g,
+    a color move of a block along s puts s on that block's minimum, and a
+    merge keeps the zero block while a color move grows it.
+
+    The merged block keeps block i's minimum, so it takes block i's place
+    and the block tuple needs no re-sort.  A color move along s adds
+    len(b) points to the orbit of s and changes no other orbit, so the
+    orbit counts of elem.zero, taken once, decide every move before its
+    zero block is built; a move is kept exactly when its zero coloring is
+    valid, even if elem's own is not.
     """
-    mul = spec.group.mul
-    out = {}
-    blocks = elem.blocks
-    for i in range(len(blocks)):
+    mul, e = spec.group.mul, spec.group.identity
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple
+    new = tuple.__new__
+    out = []
+    blocks, zero = elem.blocks, elem.zero
+    # twisted[j][g]: block j with every color multiplied by g on the right;
+    # block 0 is never twisted
+    twisted = [()] + [[b if g == e else tuple([(x, mul[c][g]) for x, c in b])
+                       for g in range(spec.group.order)]
+                      for b in blocks[1:]]
+    for i, a in enumerate(blocks):
+        head = blocks[:i]
         for j in range(i + 1, len(blocks)):
-            # blocks are sorted by minimal element, so b has the larger minimum
-            a, b = blocks[i], blocks[j]
-            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
-            for g in range(spec.group.order):
-                merged = tuple(sorted(a + tuple((x, mul[c][g]) for x, c in b)))
-                new_blocks = tuple(sorted(rest + (merged,), key=lambda bl: bl[0][0]))
-                out[DowlingElement(blocks=new_blocks, zero=elem.zero)] = None
+            tail = blocks[i + 1 : j] + blocks[j + 1 :]
+            for b in twisted[j]:
+                merged = [*a, *b]
+                merged.sort()
+                out.append(new(DowlingElement, ((*head, tuple(merged), *tail), zero)))
+    orbit_id, in_t = spec._orbit_table
+    counts = [0] * len(in_t)
+    for _, s in zero:
+        counts[orbit_id[s]] += 1
+    # orbits hit exactly once outside T; a move must land in the only one
+    bad = [o for o, c in enumerate(counts) if c == 1 and not in_t[o]]
+    if len(bad) > 1:
+        return out
+    points = [s for s in range(spec.gset.size) if not bad or orbit_id[s] == bad[0]]
+    # a singleton block must not hit a new orbit outside T exactly once
+    single_points = [s for s in points if counts[orbit_id[s]] or in_t[orbit_id[s]]]
     action = spec.gset.action
     for i, b in enumerate(blocks):
         rest = blocks[:i] + blocks[i + 1 :]
-        for s in range(spec.gset.size):
-            zero = tuple(sorted(elem.zero + tuple((x, action[c][s]) for x, c in b)))
-            if _zero_valid(spec, zero):
-                out[DowlingElement(blocks=rest, zero=zero)] = None
-    return list(out)
+        for s in single_points if len(b) == 1 else points:
+            moved = [(x, action[c][s]) for x, c in b]
+            moved += zero
+            moved.sort()
+            out.append(new(DowlingElement, (rest, tuple(moved))))
+    return out
 
 
 def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
@@ -370,17 +406,25 @@ def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFac
 def wreath_act(spec: DowlingSpec, w: WreathElement, elem: DowlingElement) -> DowlingElement:
     """Act by a wreath element: positions move by w.perm and the attached
     group elements multiply colors on the left; zero colors move through the
-    G-action on S.  The result is re-canonicalized."""
+    G-action on S.  The result is re-canonicalized.
+
+    Raises:
+        InputError: if w has the wrong length or elem is not a valid
+            canonical element.
+    """
     if w.n != spec.n:
         raise InputError("wreath element length must match the ground set")
     validate_element(spec, elem)
+    return _wreath_act(spec, w, elem)
+
+
+def _wreath_act(spec: DowlingSpec, w: WreathElement, elem: DowlingElement) -> DowlingElement:
+    """wreath_act on a w of length spec.n and an elem already known to be
+    valid, so nothing is checked."""
     mul = spec.group.mul
     action = spec.gset.action
-    blocks = []
-    for b in elem.blocks:
-        entries = [(w.perm[x], mul[w.colors[x]][c]) for x, c in b]
-        blocks.append(_canonical_block(spec, entries))
-    blocks.sort(key=lambda bl: bl[0][0])
+    blocks = sorted(_canonical_block(spec, [(w.perm[x], mul[w.colors[x]][c]) for x, c in b])
+                    for b in elem.blocks)
     zero = tuple(sorted((w.perm[x], action[w.colors[x]][s]) for x, s in elem.zero))
     return DowlingElement(blocks=tuple(blocks), zero=zero)
 

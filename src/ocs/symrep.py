@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .dowling import DowlingSpec, element_rank, wreath_act
+from .dowling import DowlingSpec, _wreath_act, element_rank
 from .errors import DomainError, InputError
 from .groups import WreathElement
 from .homology import interval_degree_table, lefschetz_character
@@ -196,15 +196,24 @@ def cycle_type_permutation(mu) -> tuple[int, ...]:
 def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     """For each cycle type of the degree-n symmetric group, the induced
     permutation of the poset's elements (restricting the wreath action to
-    identity colors)."""
+    identity colors).
+
+    The elements must be valid and canonical, as build_poset and
+    parse_element return them; they are not checked again.
+
+    Raises:
+        InputError: if an image of an element is not in elements.
+    """
     n = spec.n
     ident = (spec.group.identity,) * n
     index = {e: i for i, e in enumerate(elements)}
     out = {}
     for mu in partitions_of(n):
-        sigma = cycle_type_permutation(mu)
-        w = WreathElement(colors=ident, perm=sigma)
-        out[mu] = tuple(index[wreath_act(spec, w, e)] for e in elements)
+        w = WreathElement(colors=ident, perm=cycle_type_permutation(mu))
+        images = [index.get(_wreath_act(spec, w, e)) for e in elements]
+        if None in images:
+            raise InputError("the elements are not closed under the symmetric group action")
+        out[mu] = tuple(images)
     return out
 
 

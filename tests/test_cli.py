@@ -89,10 +89,10 @@ def test_orbit_spaces_reach_their_documented_caps(spec, cmd, capsys):
     assert rc == 0, err
 
 
-# typeA_R1 (the line) has no absolute step, so --verify builds no series there
-@pytest.mark.parametrize("spec", [spec for spec in SPACES if spec != "typeA_R1"])
+@pytest.mark.parametrize("spec", SPACES)
 def test_verify_keeps_the_config_truncation_cap(spec, capsys):
-    # ROADMAP D5: --verify used to build the quotient series to any --nmax
+    # ROADMAP D5: --verify used to build the quotient series to any --nmax;
+    # typeA_R1 (the line) has no absolute step, and used to exit 0
     assert run(["config", "e1", "--spec", spec, "--nmax", "13"]) == 1
     _, e1_err = capsys.readouterr()
     rc = run(["stability", "report", "--spec", spec, "--verify", "--nmax", "13"])
@@ -100,3 +100,33 @@ def test_verify_keeps_the_config_truncation_cap(spec, capsys):
     assert rc == 1 and out == ""
     assert _single_json_error(err) == _single_json_error(e1_err)
     assert _single_json_error(err)["type"] == "domain"
+
+
+def test_rep_rejects_duplicate_elements(tmp_path, capsys):
+    # used to escape as a KeyError traceback from the element index
+    path = tmp_path / "typeB-3.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
+    built = json.loads(path.read_text())
+    built["dowling"]["elements"][2] = built["dowling"]["elements"][1]
+    path.write_text(json.dumps(built))
+    capsys.readouterr()
+    rc = run(["rep", "decompose", "--rank", "1", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "'dowling' element strings must name distinct elements"}
+
+
+def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
+    # distinct valid elements whose S_n images leave the list
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "rank": [0, 1], "dowling": {
+        "spec": {**PARTITION_N2, "n": 3},
+        "elements": ["0:0|0:1|0:2|Z{}", "0:0,0:1|0:2|Z{}"],
+    }}))
+    rc = run(["rep", "decompose", "--rank", "1", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input",
+        "message": "the elements are not closed under the symmetric group action"}

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocs.dowling import (
+    DowlingElement,
     DowlingSpec,
+    _wreath_act,
+    _zero_valid,
     bottom_element,
     build_poset,
     count_elements_species,
@@ -118,6 +121,92 @@ def test_covers_of_bottom_counts():
     assert len(cov) == 3 * 2 + 3 * 1
 
 
+def covers_of_reference(spec, elem):
+    """covers_of as it was before it built each cover in canonical form:
+    every candidate is re-sorted, checked with _zero_valid and deduplicated
+    through a dict."""
+    mul = spec.group.mul
+    out = {}
+    blocks = elem.blocks
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            a, b = blocks[i], blocks[j]
+            rest = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :]
+            for g in range(spec.group.order):
+                merged = tuple(sorted(a + tuple((x, mul[c][g]) for x, c in b)))
+                new_blocks = tuple(sorted(rest + (merged,), key=lambda bl: bl[0][0]))
+                out[DowlingElement(blocks=new_blocks, zero=elem.zero)] = None
+    action = spec.gset.action
+    for i, b in enumerate(blocks):
+        rest = blocks[:i] + blocks[i + 1 :]
+        for s in range(spec.gset.size):
+            zero = tuple(sorted(elem.zero + tuple((x, action[c][s]) for x, c in b)))
+            if _zero_valid(spec, zero):
+                out[DowlingElement(blocks=rest, zero=zero)] = None
+    return list(out)
+
+
+def bundled_poset_specs(nmax):
+    return [spec_from_json(json.loads(res.read_text()), n=n)
+            for res in sorted(resources.files("ocs").joinpath("specs", "posets").iterdir(),
+                              key=lambda r: r.name)
+            if res.name.endswith(".json")
+            for n in range(nmax + 1)]
+
+
+def _check_covers_against_reference(spec, elem, valid=True):
+    got = covers_of(spec, elem)
+    assert got == covers_of_reference(spec, elem)
+    assert len(set(got)) == len(got)
+    assert all(type(c) is DowlingElement for c in got)
+    if valid:
+        for c in got:
+            validate_element(spec, c)
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(4) + [
+    spec_single_point(cyclic_group(2), 3, in_t=False),
+    spec_toric(3, []),
+    spec_toric(3, [0]),
+    spec_toric(3, [0, 1]),
+])
+def test_covers_of_matches_the_dedup_reference(spec):
+    for level in enumerate_levels(spec):
+        for e in level:
+            _check_covers_against_reference(spec, e)
+
+
+@pytest.mark.parametrize("strict,loose", [
+    (spec_single_point(cyclic_group(2), 3, in_t=False),
+     spec_single_point(cyclic_group(2), 3, in_t=True)),
+    (spec_toric(3, []), spec_toric(3, [0, 1])),
+    (spec_toric(3, [0]), spec_toric(3, [0, 1])),
+])
+def test_covers_of_matches_the_reference_on_invalid_zero_blocks(strict, loose):
+    # the elements of the loose spec include zero blocks that hit an orbit
+    # outside the strict spec's T exactly once (one such orbit or two)
+    invalid = 0
+    for level in enumerate_levels(loose):
+        for e in level:
+            invalid += not _zero_valid(strict, e.zero)
+            _check_covers_against_reference(strict, e, valid=False)
+    assert invalid
+
+
+def test_private_wreath_action_matches_wreath_act():
+    spec = spec_dowling(2, 3)
+    _, elems = build_poset(spec)
+    for w in all_wreath_elements(spec.group, spec.n):
+        for e in elems:
+            assert _wreath_act(spec, w, e) == wreath_act(spec, w, e)
+
+
+def test_elements_equal_plain_tuples():
+    e = parse_element(spec_dowling(2, 2), "0:0,1:1|Z{}")
+    assert e == ((((0, 0), (1, 1)),), ()) and hash(e) == hash(tuple(e))
+    assert e.blocks == (((0, 0), (1, 1)),) and e.zero == ()
+
+
 @pytest.mark.parametrize("name,n", [("dowling_z3", 4), ("partition", 5)])
 def test_build_poset_expands_each_element_once(monkeypatch, name, n):
     spec = spec_from_json(json.loads(
@@ -152,10 +241,7 @@ def test_counts_match_species_small_grid():
         spec_toric(3, [0, 1]),
         spec_toric(3, []),
     ]
-    for res in resources.files("ocs").joinpath("specs", "posets").iterdir():
-        if res.name.endswith(".json"):
-            specs += [spec_from_json(json.loads(res.read_text()), n=n) for n in range(5)]
-    for spec in specs:
+    for spec in specs + bundled_poset_specs(4):
         assert sum(len(l) for l in enumerate_levels(spec)) == count_elements_species(spec)
 
 
