@@ -67,24 +67,20 @@ __all__ = ["run", "main"]
 # serialization helpers -------------------------------------------------------
 
 def _rat(x):
-    """Exact JSON encoding: int stays int, non-integer Fraction -> 'p/q'."""
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, int):
-        return x
+    """Exact encoding of one scalar: a Fraction becomes an int or 'p/q',
+    and None, bools, ints and strings stay as they are."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, str):
+    if x is None or isinstance(x, (int, str)):
         return x
-    if isinstance(x, (list, tuple)):
-        return [_rat(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _rat(v) for k, v in x.items()}
     raise AssertionError(f"unserializable value {x!r}")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_rat(obj), sort_keys=True, indent=2) + "\n"
+    """obj as sorted, indented JSON, with `_rat` applied to every value json
+    cannot encode itself.  Every dict key must be a str: json.dumps sorts
+    the keys before it converts them, so int keys would sort as numbers."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_rat) + "\n"
 
 
 def _csv_text(header, rows) -> str:

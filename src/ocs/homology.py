@@ -5,9 +5,10 @@ Everything here is integer arithmetic, with one strategy per question:
     {-1, 0, 1}, reduced column by column by lowest row, the standard
     reduction of persistent homology (Edelsbrunner, Letscher and
     Zomorodian 2002), kept fraction-free, so the ranks are exact over Q.
-  * Euler characteristics and Lefschetz numbers: P. Hall's theorem (1936),
-    chi~(Delta(P)) = mu(0^, 1^) of P with a bottom and a top adjoined, one
-    Mobius pass with no chains enumerated.
+  * Euler characteristics, Lefschetz numbers and Whitney characters:
+    P. Hall's theorem (1936), chi~(Delta(P)) = mu(0^, 1^) of P with a bottom
+    and a top adjoined, one Mobius pass with no chains enumerated.  The one
+    Mobius recursion lives in `posets` (`_mobius_above`).
 
 Conventions, fixed globally:
   * The order complex carries an empty face in dimension -1 (reduced chain
@@ -23,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InputError
-from .posets import Poset, _bits, lower_interval, mobius, proper_part
+from .posets import Poset, _bits, _mobius_above, _mobius_row, lower_interval, proper_part
 
 __all__ = [
     "order_complex_chains",
@@ -44,7 +45,7 @@ def order_complex_chains(p: Poset) -> list[list[tuple[int, ...]]]:
     in lexicographic order of index tuples.
     """
     n = p.n_elems
-    ups = [sorted(y for y in range(n) if y != x and p.leq[x] >> y & 1) for x in range(n)]
+    ups = [list(_bits(p.leq[x] ^ (1 << x))) for x in range(n)]
     out: list[list[tuple[int, ...]]] = []
 
     def extend(chain: tuple[int, ...]):
@@ -163,22 +164,9 @@ def reduced_homology(p: Poset) -> dict[int, int]:
 
 def _hall_euler(p: Poset, elems) -> int:
     """Reduced Euler characteristic of the order complex of the subposet of p
-    on elems, by P. Hall's theorem (1936): chi~ equals mu(0^, 1^) once a
-    bottom 0^ and a top 1^ are adjoined.
-
-    With mu(0^, x) = -1 - sum of mu(0^, y) over the chosen y < x, taken in
-    order of decreasing up-set size (a linear extension), the value is
-    chi~ = mu(0^, 1^) = -1 - sum of mu(0^, x) over the chosen x.
-    """
-    chosen = sum(1 << x for x in elems)
-    below = dict.fromkeys(elems, 0)  # x -> sum of mu(0^, y) over chosen y < x
-    chi = -1
-    for x in sorted(elems, key=lambda x: -p.leq[x].bit_count()):
-        mu = -1 - below[x]
-        chi -= mu
-        for z in _bits((p.leq[x] & chosen) ^ (1 << x)):
-            below[z] += mu
-    return chi
+    on elems, by P. Hall's theorem (1936): with a bottom 0^ and a top 1^
+    adjoined, chi~ = mu(0^, 1^) = -1 - sum of mu(0^, x) over elems."""
+    return -1 - sum(_mobius_above(p, elems).values())
 
 
 def reduced_euler_characteristic(p: Poset) -> int:
@@ -209,7 +197,7 @@ def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
     there is cross-checked against the signless Whitney number
     sum |mu(bottom, x)| over rank-r elements.
     """
-    bottom = p.bottom()
+    row = _mobius_row(p, p.bottom())
     rk = p.rank if p.rank is not None else p.height()
     table: dict[tuple[int, int], int] = {}
     for x in range(p.n_elems):
@@ -221,7 +209,7 @@ def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
     for r in ranks_seen:
         degs = {k for (rr, k) in table if rr == r}
         if degs == {r}:
-            w = sum(abs(mobius(p, bottom, x)) for x in range(p.n_elems) if rk[x] == r)
+            w = sum(abs(row[x]) for x in range(p.n_elems) if rk[x] == r)
             if table[(r, r)] != w:
                 raise AssertionError(
                     f"whitney bucket ({r},{r}) = {table[(r, r)]} "
@@ -235,11 +223,9 @@ def _check_automorphism(p: Poset, perm) -> tuple[int, ...]:
     n = p.n_elems
     if len(f) != n or sorted(f) != list(range(n)):
         raise InputError("permutation is not a bijection on poset elements")
+    # covers onto covers: an automorphism of the Hasse diagram, so of the order
     for a in range(n):
-        fm = 0
-        for x in _bits(p.leq[a]):
-            fm |= 1 << f[x]
-        if fm != p.leq[f[a]]:
+        if sorted(f[b] for b in p.hasse[a]) != list(p.hasse[f[a]]):
             raise InputError("permutation is not order-preserving")
     return f
 

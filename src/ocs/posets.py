@@ -11,7 +11,7 @@ largest posets this package builds (thousands of elements).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 
@@ -38,13 +38,9 @@ class Poset:
     hasse: tuple[tuple[int, ...], ...]  # hasse[a] = sorted upper covers of a
     leq: tuple[int, ...]  # bitmask reachability, reflexive
     rank: tuple[int, ...] | None = None
-    _mobius_memo: dict = field(default_factory=dict, repr=False, compare=False)  # a -> row
 
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)
-
-    def down_set(self, b: int) -> list[int]:
-        return [x for x in range(self.n_elems) if self.leq[x] >> b & 1]
 
     def minimal_elements(self) -> list[int]:
         has_lower = [False] * self.n_elems
@@ -175,39 +171,43 @@ def from_covers(n: int, covers, rank=None) -> Poset:
     return Poset(n_elems=n, hasse=hasse, leq=leq, rank=rank)
 
 
-def _mobius_row(p: Poset, a: int) -> dict[int, int]:
-    """{d: mu(a, d)} for every d >= a, memoized on the poset.
+def _mobius_above(p: Poset, elems) -> dict[int, int]:
+    """{x: mu(0^, x)} for the subposet of p on elems with a new bottom 0^.
 
-    Rota's recursion mu(a, d) = -sum_{a <= c < d} mu(a, c), run over the
-    up-set of a in topological order: each mu(a, c) is pushed into the
-    running sums of the elements strictly above c, so the pass costs the
-    number of comparable pairs above a.
+    The package's one Mobius recursion: mu(0^, x) = -1 - sum of mu(0^, y)
+    over the chosen y < x, in order of decreasing up-set size (a linear
+    extension), each value pushed into the running sums of the chosen
+    elements above it.  The pass costs the comparable pairs among elems.
     """
-    row = p._mobius_memo.get(a)
-    if row is not None:
-        return row
-    up = p.leq[a]
+    order = sorted(elems, key=lambda x: -p.leq[x].bit_count())
+    chosen = sum(1 << x for x in order)
+    below = [0] * p.n_elems  # x -> sum of mu(0^, y) over chosen y < x so far
     row = {}
-    pending = [0] * p.n_elems  # d -> sum of mu(a, c) over a <= c < d so far
-    for d in _topo_order(p.n_elems, p.hasse):
-        if not up >> d & 1:
-            continue
-        mu = 1 if d == a else -pending[d]
-        row[d] = mu
+    for x in order:
+        mu = -1 - below[x]
+        row[x] = mu
         if mu:
-            for e in _bits(p.leq[d] ^ (1 << d)):
-                pending[e] += mu
-    p._mobius_memo[a] = row
+            for z in _bits((p.leq[x] & chosen) ^ (1 << x)):
+                below[z] += mu
+    return row
+
+
+def _mobius_row(p: Poset, a: int) -> dict[int, int]:
+    """{d: mu(a, d)} for every d >= a: `_mobius_above` on the strict up-set
+    of a, with a itself as the adjoined bottom."""
+    row = _mobius_above(p, _bits(p.leq[a] ^ (1 << a)))
+    row[a] = 1
     return row
 
 
 def mobius(p: Poset, a: int, b: int):
-    """Mobius function mu(a, b); the first call from a computes the whole
-    row mu(a, .) (see `_mobius_row`), later ones look it up.
+    """Mobius function mu(a, b), read off the row mu(a, .) (`_mobius_row`).
 
     Raises:
-        InputError: if a is not <= b.
+        InputError: if a or b is not an element, or a is not <= b.
     """
+    if not (0 <= a < p.n_elems and 0 <= b < p.n_elems):
+        raise InputError(f"mobius elements out of range: {a}, {b}")
     if not p.is_leq(a, b):
         raise InputError(f"mobius requires comparable pair, got {a} !<= {b}")
     return _mobius_row(p, a)[b]
@@ -325,13 +325,10 @@ def proper_part(p: Poset) -> Poset:
         DomainError: if some component lacks a unique minimal or unique
             maximal element.
     """
-    has_lower = [False] * p.n_elems
-    for a in range(p.n_elems):
-        for b in p.hasse[a]:
-            has_lower[b] = True
+    minimal = set(p.minimal_elements())
     drop = set()
     for comp in connected_components(p):
-        mins = [x for x in comp if not has_lower[x]]
+        mins = [x for x in comp if x in minimal]
         maxs = [x for x in comp if not p.hasse[x]]
         if len(mins) != 1:
             raise DomainError("component lacks a unique minimum")

@@ -3,9 +3,9 @@
 Characters are computed by the Murnaghan-Nakayama rule on beta-numbers,
 class functions are decomposed against them with exact rational inner
 products, and Whitney homology characters of a poset with a symmetric-group
-action are extracted through Lefschetz numbers on lower intervals (refusing
-whenever interval homology is not concentrated in its expected degree, so a
-character is never fabricated from an alternating sum).
+action are read off one Mobius row of each permutation's fixed points
+(refusing whenever interval homology is not concentrated in its expected
+degree, so a character is never fabricated from an alternating sum).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import factorial
 from .dowling import DowlingSpec, _wreath_act, element_rank
 from .errors import DomainError, InputError
 from .groups import WreathElement
-from .homology import interval_degree_table, lefschetz_character
-from .posets import Poset, induced_subposet
+from .homology import _check_automorphism, interval_degree_table
+from .posets import Poset, _mobius_above
 
 __all__ = [
     "check_partition",
@@ -217,31 +217,30 @@ def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     return out
 
 
-def _open_interval_action(p: Poset, bottom: int, x: int, perm) -> tuple[Poset, tuple[int, ...]]:
-    inside = [y for y in p.down_set(x) if y != x and y != bottom]
-    sub, elems = induced_subposet(p, inside)
-    local = {e: i for i, e in enumerate(elems)}
-    return sub, tuple(local[perm[e]] for e in elems)
-
-
 def whitney_character(
     p: Poset, class_perms: dict, r: int, m: int
 ) -> ClassFunction:
     """Character of the symmetric-group action on the rank-r Whitney
     homology of p.
 
-    Only elements fixed by a permutation contribute (the action permutes
-    the interval summands); a fixed element contributes the trace on the
-    concentrated interval homology, recovered from the Lefschetz number of
-    the restricted action on the open interval.
+    Only elements fixed by a permutation sigma contribute (the action
+    permutes the interval summands).  A fixed x contributes the trace on
+    the concentrated interval homology: (-1)^r times the Lefschetz number
+    of sigma on the open interval (bottom, x), which by Hall's theorem is
+    mu(0^, x) in the subposet F of sigma-fixed points other than the bottom,
+    with a new bottom 0^ (Stanley, *Some aspects of groups acting on finite
+    posets*, JCTA 1982).  So one Mobius row of F serves every fixed x.
 
     Raises:
+        InputError: if some permutation is not an automorphism of p.
         DomainError: if some rank-r lower interval has homology spread over
             several degrees, where a single Lefschetz number cannot be
             attributed to one of them.
     """
     if p.rank is None:
         raise InputError("whitney character needs a ranked poset")
+    for perm in class_perms.values():
+        _check_automorphism(p, perm)
     bottom = p.bottom()
     level = [x for x in range(p.n_elems) if p.rank[x] == r]
     for x in level:
@@ -255,15 +254,9 @@ def whitney_character(
     sign = (-1) ** r
     values = {}
     for mu, perm in class_perms.items():
-        total = 0
-        for x in level:
-            if perm[x] != x:
-                continue
-            if x == bottom:
-                total += 1
-                continue
-            sub, sub_perm = _open_interval_action(p, bottom, x, perm)
-            total += sign * lefschetz_character(sub, sub_perm)
+        fixed = [x for x in range(p.n_elems) if perm[x] == x and x != bottom]
+        row = _mobius_above(p, fixed)
+        total = sum(1 if x == bottom else sign * row[x] for x in level if perm[x] == x)
         values[mu] = Fraction(total)
     return ClassFunction.from_dict(m, values)
 

@@ -117,6 +117,41 @@ def test_rep_rejects_duplicate_elements(tmp_path, capsys):
         "type": "input", "message": "'dowling' element strings must name distinct elements"}
 
 
+@pytest.mark.parametrize("a,b", [(-7, 3), (7, 3), (0, -1), (0, 7)])
+def test_poset_mobius_rejects_elements_out_of_range(tmp_path, capsys, a, b):
+    # -7 used to read as element 0 and print 0, and the others to escape as
+    # IndexError or ValueError tracebacks
+    path = tmp_path / "typeB-2.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = run(["poset", "mobius", "--poset", str(path), "--a", str(a), "--b", str(b)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": f"mobius elements out of range: {a}, {b}"}
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_rep_rejects_covers_that_do_not_match_the_elements(tmp_path, capsys, rank):
+    # rank 1 used to print a character, and rank 2 to escape as a KeyError
+    # traceback from the open-interval action
+    path = tmp_path / "typeB-3.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
+    built = json.loads(path.read_text())
+    lower = {}
+    for a, b in built["covers"]:
+        lower.setdefault(b, []).append(a)
+    b = next(b for b, below in lower.items() if built["rank"][b] == 2 and len(below) >= 3)
+    built["covers"].remove([lower[b][0], b])
+    path.write_text(json.dumps(built))
+    capsys.readouterr()
+    rc = run(["rep", "decompose", "--rank", str(rank), "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "permutation is not order-preserving"}
+
+
 def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
     # distinct valid elements whose S_n images leave the list
     path = tmp_path / "poset.json"

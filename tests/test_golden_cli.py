@@ -15,11 +15,12 @@ A third set pins the Dowling layer: `dowling build` of every bundled poset
 spec at n=0..5, `dowling count` at n=6 (with and without a cap refusal),
 `dowling interval` at the first element of each rank of typeB and
 dowling_z3 at n=4, `poset mobius` on every built n=4 file and
-`rep stability` of typeA_R2 at ranks 1 to 3 on n=4..7 and at rank 1 on
-n=8 (4140 elements).  Its digests in `golden_dowling.json` also pin
-stderr.  They were recorded before the breadth-first enumeration kept each
-element's covers for `build_poset`, except the n=8 one, which was recorded
-before `covers_of` built its covers directly in canonical form.
+`rep stability` of typeA_R2 at ranks 1 to 3 on n=4..7 and on n=8 (4140
+elements).  Its digests in `golden_dowling.json` also pin stderr.  They
+were recorded before the breadth-first enumeration kept each element's
+covers for `build_poset`, except the n=8 ones: rank 1 was recorded before
+`covers_of` built its covers directly in canonical form, and ranks 2 and 3
+before the Whitney characters came from one fixed-point Möbius row.
 
 Re-record a set only for a deliberate output change, with
 
@@ -141,7 +142,8 @@ DOWLING_INVOCATIONS = (
        for r in range(5)]
     + [f"{spec} n=4: poset mobius" for spec in POSET_SPECS]
     + [f"rep stability --spec typeA_R2 --rank {r} --window 4..7" for r in (1, 2, 3)]
-    + ["rep stability --spec typeA_R2 --rank 1 --window 8..8 --cap 100000"]
+    + [f"rep stability --spec typeA_R2 --rank {r} --window 8..8 --cap 100000"
+       for r in (1, 2, 3)]
 )
 
 
@@ -164,7 +166,7 @@ def _dowling_digest(key: str, directory: Path) -> dict:
 
 def test_golden_dowling_covers_every_invocation():
     assert sorted(json.loads(GOLDEN_DOWLING.read_text())) == sorted(DOWLING_INVOCATIONS)
-    assert len(DOWLING_INVOCATIONS) == 60
+    assert len(DOWLING_INVOCATIONS) == 62
 
 
 @pytest.mark.parametrize("key", DOWLING_INVOCATIONS)

@@ -3,8 +3,11 @@ from math import comb, factorial
 
 import pytest
 
-from ocs.dowling import build_poset, spec_partition
+from ocs.dowling import build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError
+from ocs.groups import cyclic_group
+from ocs.homology import interval_degree_table, lefschetz_character
+from ocs.posets import induced_subposet
 from ocs.symrep import (
     ClassFunction,
     character_table,
@@ -14,6 +17,7 @@ from ocs.symrep import (
     sym_class_poset_perms,
     whitney_character,
 )
+from test_dowling import bundled_poset_specs
 
 
 def moebius(d: int) -> int:
@@ -78,3 +82,48 @@ def test_decompose_refuses_a_class_function_that_is_not_a_virtual_character():
     cf = ClassFunction.from_dict(2, {(1, 1): Fraction(1), (2,): Fraction(0)})
     with pytest.raises(DomainError):
         decompose(cf)
+
+
+def whitney_character_reference(p, class_perms, r, m):
+    """The per-element path: for each cycle type and each fixed x of rank r,
+    the Lefschetz number of the action on an induced subposet of the open
+    interval (bottom, x)."""
+    bottom = p.bottom()
+    level = [x for x in range(p.n_elems) if p.rank[x] == r]
+    for x in level:
+        if x != bottom and set(interval_degree_table(p, x)) - {r}:
+            raise DomainError("lower-interval homology is not concentrated; character refused")
+    values = {}
+    for mu, perm in class_perms.items():
+        total = 0
+        for x in level:
+            if perm[x] != x:
+                continue
+            if x == bottom:
+                total += 1
+                continue
+            inside = [y for y in range(p.n_elems) if p.leq[y] >> x & 1 and y not in (x, bottom)]
+            sub, elems = induced_subposet(p, inside)
+            local = {e: i for i, e in enumerate(elems)}
+            sub_perm = tuple(local[perm[e]] for e in elems)
+            total += (-1) ** r * lefschetz_character(sub, sub_perm)
+        values[mu] = Fraction(total)
+    return ClassFunction.from_dict(m, values)
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(4) + [
+    spec_partition(5),
+    spec_single_point(cyclic_group(2), 3, in_t=False),
+])
+def test_whitney_character_matches_the_per_element_reference(spec):
+    p, elements = build_poset(spec)
+    perms = sym_class_poset_perms(spec, elements)
+    for r in sorted(set(p.rank)):
+        try:
+            expected = whitney_character_reference(p, perms, r, spec.n)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as refused:
+                whitney_character(p, perms, r, spec.n)
+            assert str(refused.value) == str(exc)
+            continue
+        assert whitney_character(p, perms, r, spec.n) == expected
