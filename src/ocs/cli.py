@@ -1,21 +1,25 @@
 """Command-line front end.
 
+Every subcommand is declared once, in `COMMANDS`, and the parser is built
+from that table once per process, on the first `run`.
+
 Exit codes: 0 success, 1 domain error (a well-posed request whose answer
-does not exist or exceeds caps), 2 usage/input error.  Errors are emitted
-as one JSON object on stderr.  All numeric output is exact: integers, or
-"p/q" strings for non-integer rationals.  Output is buffered and written
-only on success, so error paths never leave partial files.
+does not exist or exceeds caps), 2 usage/input error.  Every error,
+usage errors included, is emitted as one JSON object on stderr.  All
+numeric output is exact: integers, or "p/q" strings for non-integer
+rationals.  Output is buffered and written only on success, so error
+paths never leave partial files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
-from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -105,19 +109,15 @@ def _load_descriptor(arg: str, kind: str) -> dict:
     """Read a JSON descriptor from a path, falling back to the bundled
     specs/<kind>/ directory for bare names."""
     path = Path(arg)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-    else:
+    if not path.is_file():
         name = arg if arg.endswith(".json") else arg + ".json"
-        res = resources.files("ocs").joinpath("specs", kind, name)
-        if not res.is_file():
+        path = resources.files("ocs").joinpath("specs", kind, name)
+        if not path.is_file():
             raise InputError(f"spec not found: {arg} (no file, no bundled {kind} spec)")
-        text = res.read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed JSON in {arg}: {exc}") from exc
-    return obj
 
 
 def _load_space(arg: str) -> SpaceInput:
@@ -439,120 +439,92 @@ def _cmd_rep_stability(args) -> str:
     return _json_text(obj)
 
 
-# parser -----------------------------------------------------------------------
+# command table ----------------------------------------------------------------
 
-def _add_out(sp):
-    sp.add_argument("--out", default="-", help="output path, or - for stdout")
+# Options that several commands share, as (flag, add_argument kwargs) pairs.
+SPEC = ("--spec", {"required": True})
+POSET = ("--poset", {"required": True})
+N = ("--n", {"type": int})
+NMAX = ("--nmax", {"type": int, "required": True})
+CAP = ("--cap", {"type": int, "default": DEFAULT_CAP})
+FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
+OUT = ("--out", {"default": "-", "help": "output path, or - for stdout"})
+FLAG = {"action": "store_true"}  # the kwargs of an on/off option
 
 
-def _add_format(sp):
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
+def _with(option, **kwargs):
+    """A shared option with some of its add_argument kwargs replaced."""
+    flag, base = option
+    return flag, {**base, **kwargs}
 
 
+# group -> (help, {command: (handler, help, options)}); every command also
+# takes --out, after its own options.
+COMMANDS = {
+    "dowling": ("Dowling poset enumeration", {
+        "build": (_cmd_dowling_build, "enumerate and emit the poset as JSON", [SPEC, N, CAP]),
+        "count": (_cmd_dowling_count, "BFS count vs species count", [SPEC, N, CAP]),
+        "interval": (_cmd_dowling_interval, "factor a lower interval",
+                     [SPEC, N, ("--element", {"required": True}), CAP]),
+    }),
+    "poset": ("poset invariants", {
+        "mobius": (_cmd_poset_mobius, "Mobius function value",
+                   [POSET, ("--a", {"type": int}), ("--b", {"type": int})]),
+        "homology": (_cmd_poset_homology, "reduced homology of the order complex",
+                     [POSET, ("--proper", FLAG), FORMAT]),
+        "whitney": (_cmd_poset_whitney, "bigraded Whitney homology table", [POSET, FORMAT]),
+    }),
+    "config": ("configuration-space series", {
+        "e1": (_cmd_config_e1, "first-page dimension table", [SPEC, NMAX, FORMAT]),
+        "betti": (_cmd_config_betti, "Borel-Moore Betti numbers (i-acyclic)",
+                  [SPEC, _with(N, required=True), FORMAT]),
+        "euler": (_cmd_config_euler, "compactly supported Euler characteristics",
+                  [SPEC, NMAX, ("--check-closed-form", FLAG)]),
+    }),
+    "stability": ("generation-locus analysis", {
+        "report": (_cmd_stability_report, "iterative stabilization report", [
+            SPEC,
+            ("--variant", {"choices": ["left", "right", "bottom"], "default": "left"}),
+            ("--steps", {"type": int, "default": 1}),
+            ("--verify", FLAG),
+            _with(NMAX, required=False, default=8),
+            ("--j", {"type": int, "default": 1}),
+        ]),
+    }),
+    "rep": ("symmetric-group representations", {
+        "decompose": (_cmd_rep_decompose, "decompose Whitney characters",
+                      [POSET, ("--action", {"choices": ["sym"], "default": "sym"}),
+                       ("--rank", {"type": int})]),
+        "stability": (_cmd_rep_stability, "multiplicity stability over a window",
+                      [SPEC, ("--rank", {"type": int, "required": True}),
+                       ("--window", {"required": True}), CAP]),
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as InputError instead of printing usage and
+    exiting; the subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ocs",
         description="Exact combinatorics of orbit configuration spaces: "
         "Dowling posets, Whitney homology, first-page series, stability.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    dow = top.add_parser("dowling", help="Dowling poset enumeration").add_subparsers(
-        dest="sub", required=True
-    )
-    b = dow.add_parser("build", help="enumerate and emit the poset as JSON")
-    b.add_argument("--spec", required=True)
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_out(b)
-    b.set_defaults(handler=_cmd_dowling_build)
-    c = dow.add_parser("count", help="BFS count vs species count")
-    c.add_argument("--spec", required=True)
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_out(c)
-    c.set_defaults(handler=_cmd_dowling_count)
-    i = dow.add_parser("interval", help="factor a lower interval")
-    i.add_argument("--spec", required=True)
-    i.add_argument("--n", type=int, default=None)
-    i.add_argument("--element", required=True)
-    i.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_out(i)
-    i.set_defaults(handler=_cmd_dowling_interval)
-
-    pos = top.add_parser("poset", help="poset invariants").add_subparsers(
-        dest="sub", required=True
-    )
-    m = pos.add_parser("mobius", help="Mobius function value")
-    m.add_argument("--poset", required=True)
-    m.add_argument("--a", type=int, default=None)
-    m.add_argument("--b", type=int, default=None)
-    _add_out(m)
-    m.set_defaults(handler=_cmd_poset_mobius)
-    h = pos.add_parser("homology", help="reduced homology of the order complex")
-    h.add_argument("--poset", required=True)
-    h.add_argument("--proper", action="store_true")
-    _add_format(h)
-    _add_out(h)
-    h.set_defaults(handler=_cmd_poset_homology)
-    w = pos.add_parser("whitney", help="bigraded Whitney homology table")
-    w.add_argument("--poset", required=True)
-    _add_format(w)
-    _add_out(w)
-    w.set_defaults(handler=_cmd_poset_whitney)
-
-    cfg = top.add_parser("config", help="configuration-space series").add_subparsers(
-        dest="sub", required=True
-    )
-    e1 = cfg.add_parser("e1", help="first-page dimension table")
-    e1.add_argument("--spec", required=True)
-    e1.add_argument("--nmax", type=int, required=True)
-    _add_format(e1)
-    _add_out(e1)
-    e1.set_defaults(handler=_cmd_config_e1)
-    bt = cfg.add_parser("betti", help="Borel-Moore Betti numbers (i-acyclic)")
-    bt.add_argument("--spec", required=True)
-    bt.add_argument("--n", type=int, required=True)
-    _add_format(bt)
-    _add_out(bt)
-    bt.set_defaults(handler=_cmd_config_betti)
-    eu = cfg.add_parser("euler", help="compactly supported Euler characteristics")
-    eu.add_argument("--spec", required=True)
-    eu.add_argument("--nmax", type=int, required=True)
-    eu.add_argument("--check-closed-form", action="store_true")
-    _add_out(eu)
-    eu.set_defaults(handler=_cmd_config_euler)
-
-    stab = top.add_parser("stability", help="generation-locus analysis").add_subparsers(
-        dest="sub", required=True
-    )
-    r = stab.add_parser("report", help="iterative stabilization report")
-    r.add_argument("--spec", required=True)
-    r.add_argument("--variant", choices=["left", "right", "bottom"], default="left")
-    r.add_argument("--steps", type=int, default=1)
-    r.add_argument("--verify", action="store_true")
-    r.add_argument("--nmax", type=int, default=8)
-    r.add_argument("--j", type=int, default=1)
-    _add_out(r)
-    r.set_defaults(handler=_cmd_stability_report)
-
-    rep = top.add_parser("rep", help="symmetric-group representations").add_subparsers(
-        dest="sub", required=True
-    )
-    d = rep.add_parser("decompose", help="decompose Whitney characters")
-    d.add_argument("--poset", required=True)
-    d.add_argument("--action", choices=["sym"], default="sym")
-    d.add_argument("--rank", type=int, default=None)
-    _add_out(d)
-    d.set_defaults(handler=_cmd_rep_decompose)
-    s = rep.add_parser("stability", help="multiplicity stability over a window")
-    s.add_argument("--spec", required=True)
-    s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--window", required=True)
-    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_out(s)
-    s.set_defaults(handler=_cmd_rep_stability)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (group_help, commands) in COMMANDS.items():
+        subs = groups.add_parser(group, help=group_help).add_subparsers(dest="sub", required=True)
+        for command, (handler, command_help, options) in commands.items():
+            sp = subs.add_parser(command, help=command_help)
+            for flag, kwargs in options + [OUT]:
+                sp.add_argument(flag, **kwargs)
+            sp.set_defaults(handler=handler)
     return parser
 
 
@@ -564,17 +536,12 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        text = args.handler(args)
-    except InputError as exc:
-        _emit_error("input", exc)
-        return 2
-    except FileNotFoundError as exc:
+        args = build_parser().parse_args(argv)
+        _write_output(args.handler(args), args.out)
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (InputError, OSError) as exc:
         _emit_error("input", exc)
         return 2
     except CapExceeded as exc:
@@ -583,7 +550,6 @@ def run(argv=None) -> int:
     except DomainError as exc:
         _emit_error("domain", exc)
         return 1
-    _write_output(text, args.out)
     return 0
 
 

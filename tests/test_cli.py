@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from ocs.cli import run
+import ocs
+from ocs.cli import COMMANDS, build_parser, run
 
 SPACES = sorted(
     res.name.removesuffix(".json")
@@ -165,3 +170,70 @@ def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
     assert _single_json_error(err) == {
         "type": "input",
         "message": "the elements are not closed under the symmetric group action"}
+
+
+USAGE_ERRORS = (
+    [[group, command] for group, (_, commands) in COMMANDS.items() for command in commands]
+    + [[], ["nope"], ["config"], ["config", "e1", "--spec", "toricB", "--nmax", "x"]]
+)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_one_json_input_error(argv, capsys):
+    # missing options, a bad int, an unknown or missing command used to
+    # print argparse's usage text instead of a JSON error
+    rc = run(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err)["type"] == "input"
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_an_input_error(where, tmp_path, capsys):
+    # ROADMAP D6: a missing directory or a directory as --out used to
+    # escape as FileNotFoundError or IsADirectoryError
+    rc = run(["config", "e1", "--spec", "rp2free", "--nmax", "2", "--out", str(tmp_path / where)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err)["type"] == "input"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", [
+    ["poset", "mobius", "--poset"],
+    ["rep", "decompose", "--poset"],
+    ["config", "e1", "--nmax", "2", "--spec"],
+    ["dowling", "build", "--spec"],
+])
+def test_undecodable_descriptor_is_an_input_error(cmd, tmp_path, capsys):
+    # ROADMAP D7: bytes that are not UTF-8 used to escape as UnicodeDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    rc = run(cmd + [str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    error = _single_json_error(err)
+    assert error["type"] == "input"
+    assert error["message"].startswith(f"malformed JSON in {path}: ")
+
+
+def test_one_parser_serves_every_run(capsys):
+    # a default must not keep the value that an earlier call parsed
+    assert build_parser() is build_parser()
+    assert run(["stability", "report", "--spec", "toricB", "--variant", "bottom"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "bottom"
+    assert run(["stability", "report", "--spec", "toricB"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "left"
+
+
+def test_import_builds_no_parser_and_three_runs_build_one():
+    script = (
+        "import ocs.cli\n"
+        "assert ocs.cli.build_parser.cache_info().currsize == 0\n"
+        "for _ in range(3):\n"
+        "    assert ocs.cli.run(['config', 'e1', '--spec', 'rp2free', '--nmax', '2']) == 0\n"
+        "assert ocs.cli.build_parser.cache_info().misses == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,10 @@ covers for `build_poset`, except the n=8 ones: rank 1 was recorded before
 `covers_of` built its covers directly in canonical form, and ranks 2 and 3
 before the Whitney characters came from one fixed-point Möbius row.
 
+A fourth set pins `--help` of all 18 parsers (the top level, every group
+and every command) at 80 columns.  Its digests in `golden_help.json` were
+recorded before the parser was built from the `COMMANDS` table.
+
 Re-record a set only for a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -31,16 +35,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from ocs.cli import run
+from ocs.cli import COMMANDS, run
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_HOMOLOGY = Path(__file__).with_name("golden_homology.json")
 GOLDEN_DOWLING = Path(__file__).with_name("golden_dowling.json")
+GOLDEN_HELP = Path(__file__).with_name("golden_help.json")
 
 
 def _invocations():
@@ -174,6 +180,25 @@ def test_dowling_output_matches_golden(key, built_dir):
     assert _dowling_digest(key, built_dir) == json.loads(GOLDEN_DOWLING.read_text())[key]
 
 
+HELP_INVOCATIONS = (
+    ["--help"]
+    + [f"{group} --help" for group in COMMANDS]
+    + [f"{group} {command} --help" for group, (_, commands) in COMMANDS.items()
+       for command in commands]
+)
+
+
+def test_golden_help_covers_every_parser():
+    assert sorted(json.loads(GOLDEN_HELP.read_text())) == sorted(HELP_INVOCATIONS)
+    assert len(HELP_INVOCATIONS) == 18
+
+
+@pytest.mark.parametrize("cmd", HELP_INVOCATIONS)
+def test_help_matches_golden(cmd, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(cmd.split()) == json.loads(GOLDEN_HELP.read_text())[cmd]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -186,3 +211,6 @@ if __name__ == "__main__":
         GOLDEN_DOWLING.write_text(json.dumps(
             {key: _dowling_digest(key, Path(tmp)) for key in DOWLING_INVOCATIONS},
             indent=1, sort_keys=True) + "\n")
+    os.environ["COLUMNS"] = "80"
+    GOLDEN_HELP.write_text(json.dumps({cmd: _digest(cmd.split()) for cmd in HELP_INVOCATIONS},
+                                      indent=1, sort_keys=True) + "\n")
