@@ -378,7 +378,6 @@ class IntervalFactor:
     kind: str  # "partition" or "orbit"
     ground: tuple[int, ...]  # original ground-set labels
     spec: DowlingSpec
-    orbit_rep: int | None = None
 
 
 def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFactor]:
@@ -395,10 +394,10 @@ def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFac
                               spec=spec_partition(len(b)))
                for b in elem.blocks]
     orbit_id = spec._orbit_table[0]
-    for i, _orbit, rep, stab, in_t in spec.orbit_info():
+    for i, _orbit, _rep, stab, in_t in spec.orbit_info():
         ground = tuple(x for x, s in elem.zero if orbit_id[s] == i)
         stab_group, _ = subgroup_table(spec.group, stab)
-        factors.append(IntervalFactor(kind="orbit", ground=ground, orbit_rep=rep,
+        factors.append(IntervalFactor(kind="orbit", ground=ground,
                                       spec=spec_single_point(stab_group, len(ground), in_t)))
     return factors
 

@@ -29,3 +29,9 @@ class CapExceeded(DomainError):
     def __init__(self, message: str, partial_count: int):
         super().__init__(message)
         self.partial_count = partial_count
+
+
+def is_int_list(obj, length: int | None = None) -> bool:
+    """Whether a parsed JSON value is a list of integers (of the given length)."""
+    return (isinstance(obj, list) and all(isinstance(v, int) for v in obj)
+            and (length is None or len(obj) == length))

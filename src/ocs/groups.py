@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, is_int_list
 
 __all__ = [
     "GroupTable",
@@ -288,8 +288,8 @@ def group_from_json(obj) -> GroupTable:
         return cyclic_group(order)
     if kind == "table":
         mul = obj.get("mul")
-        if not isinstance(mul, list):
-            raise InputError("table group descriptor needs 'mul' table")
+        if not isinstance(mul, list) or not all(is_int_list(row, len(mul)) for row in mul):
+            raise InputError("table group descriptor needs a square integer table 'mul'")
         extra = set(obj) - {"kind", "mul"}
         if extra:
             raise InputError(f"unknown group descriptor fields: {sorted(extra)}")
@@ -307,8 +307,10 @@ def gset_from_json(group: GroupTable, obj) -> GSetSpec:
     size = obj.get("size")
     action = obj.get("action")
     t = obj.get("T", [])
-    if not isinstance(size, int) or not isinstance(action, list) or not isinstance(t, list):
-        raise InputError("gset descriptor needs integer 'size', table 'action', list 'T'")
+    if (not isinstance(size, int) or not isinstance(action, list)
+            or not all(is_int_list(row) for row in action) or not is_int_list(t)):
+        raise InputError(
+            "gset descriptor needs integer 'size', integer table 'action', integer list 'T'")
     return GSetSpec(
         group=group,
         size=size,

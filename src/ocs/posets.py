@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_int_list
 
 __all__ = [
     "Poset",
@@ -469,9 +469,14 @@ def poset_from_json(obj) -> Poset:
         raise InputError(f"unknown poset descriptor fields: {sorted(extra)}")
     n = obj.get("n")
     covers = obj.get("covers")
+    rank = obj.get("rank")
     if not isinstance(n, int) or not isinstance(covers, list):
         raise InputError("poset descriptor needs integer 'n' and list 'covers'")
-    return from_covers(n, covers, rank=obj.get("rank"))
+    if not all(is_int_list(c, 2) for c in covers):
+        raise InputError("each poset cover must be an integer pair [a, b]")
+    if rank is not None and not is_int_list(rank):
+        raise InputError("poset 'rank' must be a list of integers")
+    return from_covers(n, covers, rank=rank)
 
 
 def canonical_poset_bytes(p: Poset) -> bytes:

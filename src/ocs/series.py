@@ -23,6 +23,10 @@ which multiplies the factor by (1 - u/c) and gives h_k - k h_{k-1}.  That
 these posets have homology only in the top degree k - 2, so that the
 Mobius number is the homology rank, is pinned by the brute-force oracle in
 the tests, not recomputed here.
+
+Each diagonal factor is the exp of one packet of the summed argument, so
+dividing generator factors out (stability.quotient_series) subtracts their
+packets from that argument before the one exp.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_int_list
 from .dowling import DowlingSpec, build_poset
 from .groups import GroupTable, group_from_json, subgroup_table
 from .homology import whitney_homology
@@ -127,19 +131,23 @@ def series_one(w: int, trunc: int) -> WeightedSeries:
     return WeightedSeries(w, trunc, {(0, 0, 0): Fraction(1)})
 
 
+def _power_sum(u: WeightedSeries, coeff, out: WeightedSeries) -> WeightedSeries:
+    """out + sum_{k >= 1} coeff(k) u^k, for u with zero constant term."""
+    term = series_one(u.w, u.trunc)
+    for k in range(1, u.trunc + 1):
+        term = term * u
+        if not term.coeffs:
+            break
+        out = out + term.scale(coeff(k))
+    return out
+
+
 def series_exp(arg: WeightedSeries) -> WeightedSeries:
     """exp of a series with zero constant term (every term has n >= 1, so
     the sum truncates after trunc powers)."""
     if any(n == 0 for (n, _, _) in arg.coeffs):
         raise InputError("exp requires zero constant term")
-    out = series_one(arg.w, arg.trunc)
-    term = series_one(arg.w, arg.trunc)
-    for k in range(1, arg.trunc + 1):
-        term = term * arg
-        if not term.coeffs:
-            break
-        out = out + term.scale(Fraction(1, factorial(k)))
-    return out
+    return _power_sum(arg, lambda k: Fraction(1, factorial(k)), series_one(arg.w, arg.trunc))
 
 
 def series_log(s: WeightedSeries) -> WeightedSeries:
@@ -149,14 +157,7 @@ def series_log(s: WeightedSeries) -> WeightedSeries:
     u = s - series_one(s.w, s.trunc)
     if any(n == 0 for (n, _, _) in u.coeffs):
         raise InputError("log requires constant coefficient exactly 1")
-    out = WeightedSeries(s.w, s.trunc, {})
-    term = series_one(s.w, s.trunc)
-    for k in range(1, s.trunc + 1):
-        term = term * u
-        if not term.coeffs:
-            break
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return _power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), WeightedSeries(s.w, s.trunc, {}))
 
 
 @dataclass(frozen=True)
@@ -245,14 +246,19 @@ def orbit_factor(space: SpaceInput, orbit_index: int, trunc: int) -> WeightedSer
     return WeightedSeries(space.group.order, trunc, coeffs)
 
 
+def _first_page(space: SpaceInput, arg: WeightedSeries) -> WeightedSeries:
+    """exp of a diagonal argument times every zero-block factor."""
+    s = series_exp(arg)
+    for i in range(len(space.orbit_data)):
+        s = s * orbit_factor(space, i, arg.trunc)
+    return s
+
+
 def e1_series(space: SpaceInput, trunc: int) -> WeightedSeries:
     """The full weighted first-page series: the product of all diagonal
     factors with n <= trunc, taken as the exp of their summed arguments,
     and all zero-block factors."""
-    s = series_exp(_diagonal_argument(space, range(1, trunc + 1), trunc))
-    for i in range(len(space.orbit_data)):
-        s = s * orbit_factor(space, i, trunc)
-    return s
+    return _first_page(space, _diagonal_argument(space, range(1, trunc + 1), trunc))
 
 
 def _table_from_series(space: SpaceInput, s: WeightedSeries, nmax: int):
@@ -385,7 +391,7 @@ def space_from_json(obj, name: str = "") -> SpaceInput:
     if extra:
         raise InputError(f"unknown space descriptor fields: {sorted(extra)}")
     betti = obj.get("betti")
-    if not isinstance(betti, list) or not all(isinstance(b, int) for b in betti):
+    if not is_int_list(betti):
         raise InputError("space descriptor needs an integer list 'betti'")
     group = group_from_json(obj.get("group"))
     orbits = obj.get("orbits", [])

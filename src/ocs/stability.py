@@ -21,6 +21,9 @@ the closing step is terminal.  All geometry is exact rational arithmetic;
 the infinite families are handled by closed-form monotonicity, never by
 truncation.
 
+A step's bound is checked on the first page with the chosen generators
+divided out (`quotient_series`): their packets leave the diagonal exponent.
+
 PAPER.md holds only the abstract, which does not say how the sweep ends.
 The closing step and its terminal mark are this module's rule; the tests
 pin it for the plane (one corner, then the closing step at (1/2, 1)) and
@@ -39,9 +42,7 @@ from .series import (
     WeightedSeries,
     _check_nmax_cap,
     _diagonal_argument,
-    e1_series,
-    series_exp,
-    series_one,
+    _first_page,
 )
 
 __all__ = [
@@ -300,10 +301,8 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
     if LIMIT in reps:
         return _make_step(LIMIT, "truncated", maxnorm, Fraction(1), True, Fraction(-2), True)
     if has_tail:
-        if not locus.limit_present:
-            raise DomainError("rightmost tie has no attained maximal point")
-        # unreachable: the limit would have tied at norm 1
-        raise DomainError("rightmost tie inconsistent with limit bookkeeping")
+        # only without the limit point, which would have tied at norm 1
+        raise DomainError("rightmost tie has no attained maximal point")
     v0 = max(reps, key=lambda p: (point_xy(p)[0], point_factor_id(p)))
     x0 = point_xy(v0)[0]
     ratios = []
@@ -476,28 +475,32 @@ def iterate_report(
 
 
 def _factor_argument(space: SpaceInput, pt, trunc: int) -> WeightedSeries:
+    """The packet b_i x^(n-1) t^n / (w n) that ("family", i, n) names."""
     if pt == LIMIT:
         raise InputError("the limit point does not name a single series factor")
     _, i, n = pt
-    b = space.betti[i] if i < len(space.betti) else 0
+    b = space.betti[i] if 0 <= i < len(space.betti) else 0
     if not b:
         raise InputError(f"space has no generators in homology degree {i}")
-    arg = _diagonal_argument(space, (n,), trunc)
-    return WeightedSeries(arg.w, trunc, {key: c for key, c in arg.coeffs.items() if key[2] == i})
+    if n < 1:
+        raise InputError(f"generator size must be >= 1, got {n}")
+    w = space.group.order
+    return WeightedSeries(w, trunc, {(n, n - 1, i): Fraction(b, w * n)} if n <= trunc else {})
 
 
 def quotient_series(space: SpaceInput, points, trunc: int) -> WeightedSeries:
-    """The full first-page series with the named generator factors divided
-    out (exactly: multiplied by exp of the negated arguments).
+    """The first-page series with the named generator factors divided out:
+    each point's packet leaves the diagonal argument, then one exp.
 
     Raises:
+        InputError: for the limit point, or a point outside the families.
         DomainError: past the truncation cap that e1_table also keeps.
     """
     _check_nmax_cap(trunc)
-    s = e1_series(space, trunc)
+    arg = _diagonal_argument(space, range(1, trunc + 1), trunc)
     for pt in points:
-        s = s * series_exp(-_factor_argument(space, pt, trunc))
-    return s
+        arg = arg - _factor_argument(space, pt, trunc)
+    return _first_page(space, arg)
 
 
 def verify_generator_bound(
@@ -511,32 +514,30 @@ def verify_generator_bound(
     bound(j, 0).  Returns (ok, info).
 
     Raises:
+        InputError: if step_index is not the index of a step in the report.
         DomainError: if the quotient has a negative dimension (the factors
             would not have been free) or the step is not absolute.
     """
-    steps = report.steps[: step_index + 1]
-    if len(steps) != step_index + 1:
-        raise InputError("step index beyond the report")
-    step = steps[-1]
+    if not 0 <= step_index < len(report.steps):
+        raise InputError(f"step index {step_index} is outside the report")
+    step = report.steps[step_index]
     if step.classification != "absolute" or not step.epsilon:
         raise DomainError("bound verification requires an absolute step")
-    q = quotient_series(space, [s.point for s in steps], n_max)
+    q = quotient_series(space, [s.point for s in report.steps[: step_index + 1]], n_max)
     w = space.group.order
+    diagonals: dict[tuple[int, int], Fraction] = {}  # (size, p + q) -> dim
     for (n, p, qq), c in sorted(q.coeffs.items()):
         dim = c * w**n * factorial(n)
         if dim < 0:
             raise DomainError(f"negative dimension {dim} at {(n, p, qq)} after division")
+        diagonals[n, p + qq] = diagonals.get((n, p + qq), 0) + dim
     bound = step.bound(j, 0)
     violations = []
     for size in range(1, n_max + 1):
         diag = step.norm * size - j
         if diag.denominator != 1 or diag < 0:
             continue
-        total = sum(
-            c * w**size * factorial(size)
-            for (n, p, qq), c in q.coeffs.items()
-            if n == size and p + qq == diag
-        )
+        total = diagonals.get((size, int(diag)), 0)
         if size > bound and total != 0:
             violations.append({"size": size, "diagonal": int(diag), "dim": int(total)})
     return (not violations), {

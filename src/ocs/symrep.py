@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .dowling import DowlingSpec, _wreath_act, element_rank
+from .dowling import DowlingSpec, _wreath_act
 from .errors import DomainError, InputError
 from .groups import WreathElement
 from .homology import _check_automorphism, interval_degree_table
@@ -138,13 +138,6 @@ class ClassFunction:
             sorted((check_partition(mu), Fraction(v)) for mu, v in values.items())
         )
         return ClassFunction(m=m, values=items)
-
-    def value(self, mu) -> Fraction:
-        mu = check_partition(mu)
-        for cls, v in self.values:
-            if cls == mu:
-                return v
-        raise InputError(f"{mu} is not a partition of {self.m}")
 
 
 def decompose(cf: ClassFunction) -> dict[tuple[int, ...], int]:

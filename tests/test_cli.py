@@ -237,3 +237,74 @@ def test_import_builds_no_parser_and_three_runs_build_one():
     env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag,descriptor", [
+    ("--poset", {"n": 3, "covers": [[0, 1, 2]]}),
+    ("--poset", {"n": 3, "covers": [["a", 1]]}),
+    ("--poset", {"n": 3, "covers": [5]}),
+    ("--poset", {"n": 2, "covers": [[0, 1]], "rank": 5}),
+    ("--poset", {"n": 2, "covers": [[0, 1]], "rank": [0, "x"]}),
+    ("--spec", {**PARTITION_N2, "group": {"kind": "table", "mul": [[0, 1], [1]]}}),
+    ("--spec", {**PARTITION_N2, "group": {"kind": "table", "mul": [1, 2]}}),
+    ("--spec", {**PARTITION_N2, "gset": {"size": 1, "action": ["x"], "T": []}}),
+    ("--spec", {**PARTITION_N2, "gset": {"size": 1, "action": [[0]], "T": ["a"]}}),
+    ("--spec", {**PARTITION_N2, "gset": {"size": 1, "action": [[0]], "T": [[0]]}}),
+], ids=["cover-triple", "cover-string", "cover-int", "rank-int", "rank-string",
+        "mul-ragged", "mul-flat", "action-string", "T-string", "T-nested"])
+def test_malformed_descriptor_is_one_json_input_error(flag, descriptor, tmp_path, capsys):
+    # these used to escape as ValueError, TypeError or IndexError tracebacks;
+    # a non-integer rank used to pass the parser and fail in `poset whitney`
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(descriptor))
+    cmd = ["poset", "whitney"] if flag == "--poset" else ["dowling", "build"]
+    rc = run(cmd + [flag, str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err)["type"] == "input"
+
+
+@pytest.fixture
+def posets(tmp_path):
+    """Poset files that load but have no bottom (ANTICHAIN), or do not load
+    (CYCLE)."""
+    paths = {}
+    for name, covers in [("ANTICHAIN", []), ("CYCLE", [[0, 1], [1, 0]])]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"n": 2, "covers": covers}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+FAILING_RUNS = {
+    ("dowling", "build"): ["--spec", "partition", "--n", "6", "--cap", "10"],
+    ("dowling", "count"): ["--spec", "partition", "--n", "6", "--cap", "10"],
+    ("dowling", "interval"): ["--spec", "partition", "--n", "3", "--element", "bogus"],
+    ("poset", "mobius"): ["--poset", "ANTICHAIN", "--a", "0", "--b", "9"],
+    ("poset", "homology"): ["--poset", "CYCLE"],
+    ("poset", "whitney"): ["--poset", "ANTICHAIN"],
+    ("config", "e1"): ["--spec", "toricB", "--nmax", "13"],
+    ("config", "betti"): ["--spec", "toricB", "--n", "13"],
+    ("config", "euler"): ["--spec", "toricB", "--nmax", "13"],
+    ("stability", "report"): ["--spec", "toricB", "--verify", "--nmax", "13"],
+    ("rep", "decompose"): ["--poset", "ANTICHAIN"],
+    ("rep", "stability"): ["--spec", "typeA_R2", "--rank", "1", "--window", "4..5", "--cap", "10"],
+}
+
+
+def test_failing_runs_cover_every_command():
+    assert set(FAILING_RUNS) == {
+        (group, command) for group, (_, commands) in COMMANDS.items() for command in commands
+    }
+
+
+@pytest.mark.parametrize("cmd", sorted(FAILING_RUNS), ids=" ".join)
+def test_a_failing_run_leaves_no_out_file(cmd, posets, tmp_path, capsys):
+    # the output is written only after the command has succeeded
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [posets.get(a, a) for a in FAILING_RUNS[cmd]]
+    rc = run(list(cmd) + argv + ["--out", str(out_dir / "result.json")])
+    out, err = capsys.readouterr()
+    assert rc in (1, 2) and out == ""
+    assert _single_json_error(err)["type"] in ("input", "domain", "cap")
+    assert list(out_dir.iterdir()) == []

@@ -1,11 +1,23 @@
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocs.errors import DomainError, InputError
 from ocs.groups import cyclic_group
-from ocs.series import SpaceInput
+import ocs.series
+import ocs.stability
+from ocs.series import (
+    SpaceInput,
+    WeightedSeries,
+    _diagonal_argument,
+    e1_series,
+    series_exp,
+    space_from_json,
+)
 from ocs.stability import (
     LIMIT,
     bottom_step,
@@ -267,3 +279,69 @@ def test_verify_requires_absolute_step():
     rep = iterate_report(space([1, 1]), "left", 1)
     with pytest.raises(DomainError):
         verify_generator_bound(space([1, 1]), rep, 0, 1, 6)
+
+
+BUNDLED = {
+    res.name.removesuffix(".json"): space_from_json(json.loads(res.read_text()))
+    for res in resources.files("ocs").joinpath("specs", "spaces").iterdir()
+    if res.name.endswith(".json")
+}
+
+
+def quotient_as_product(sp, points, trunc):
+    """The product form that quotient_series replaced: e1_series times
+    exp(-packet) per point, each packet filtered out of a size-n diagonal."""
+    s = e1_series(sp, trunc)
+    for _, i, n in points:
+        arg = _diagonal_argument(sp, (n,), trunc)
+        packet = WeightedSeries(arg.w, trunc, {k: c for k, c in arg.coeffs.items() if k[2] == i})
+        s = s * series_exp(-packet)
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_quotient_equals_the_product_form(name):
+    assert len(BUNDLED) == 10
+    sp = BUNDLED[name]
+    degrees = [i for i, b in enumerate(sp.betti) if b]
+    rng = random.Random(name)
+    for trunc in range(13):
+        for _ in range(2):
+            pts = [("family", rng.choice(degrees), rng.randint(1, trunc + 2))
+                   for _ in range(rng.randint(1, 4))]
+            # a repeated point, and one above the truncation order
+            pts += [pts[0], ("family", rng.choice(degrees), trunc + 1)]
+            rng.shuffle(pts)
+            got = quotient_series(sp, pts, trunc)
+            assert got.coeffs == quotient_as_product(sp, pts, trunc).coeffs, (trunc, pts)
+        assert quotient_series(sp, [], trunc).coeffs == e1_series(sp, trunc).coeffs
+
+
+def test_quotient_takes_one_exp(monkeypatch):
+    calls = []
+    real = ocs.series.series_exp
+    for module in (ocs.series, ocs.stability):
+        monkeypatch.setattr(module, "series_exp", lambda arg: calls.append(arg) or real(arg),
+                            raising=False)
+    for sp in BUNDLED.values():
+        calls.clear()
+        degree = next(i for i, b in enumerate(sp.betti) if b)
+        quotient_series(sp, [("family", degree, n) for n in (1, 1, 3, 9)], 8)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pt", [("family", -1, 2), ("family", 3, 2), ("family", 2, 0),
+                                ("family", 2, -1)])
+def test_quotient_rejects_points_off_the_families(pt):
+    # degree -1 used to read betti[-1] and divide by 1, and size 0 to raise
+    # ZeroDivisionError
+    with pytest.raises(InputError):
+        quotient_series(R2, [pt], 4)
+
+
+@pytest.mark.parametrize("index", [-2, -1, 1, 5])
+def test_verify_rejects_step_indices_outside_the_report(index):
+    # -1 used to raise IndexError
+    rep = iterate_report(R2, "left", 1)
+    with pytest.raises(InputError):
+        verify_generator_bound(R2, rep, index, 1, 6)
