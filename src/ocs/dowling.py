@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import factorial
 from typing import NamedTuple
 
 from .errors import CapExceeded, InputError
@@ -350,27 +348,25 @@ def count_elements_species(spec: DowlingSpec) -> int:
 
     In the weighted convention (tau^n coefficient = count / (w^n n!), with
     w = |G|), the poset's element species factors as exp over block sizes
-    times one zero-block factor per orbit of S; the orbit factor's degree-1
-    term is present exactly when the orbit lies in T.  The count is the
-    x = y = 0 case of a WeightedSeries.
+    (w^(m-1) colorings of an m-block) times one zero-block factor per orbit
+    of S ((w/|G_s|)^k colorings of a k-point zero block); the orbit factor's
+    degree-1 term is present exactly when the orbit lies in T.  The count is
+    the x = y = 0 case of a WeightedSeries.
     """
     # imported here because series imports this module
     from .series import WeightedSeries, series_exp
 
     n, w = spec.n, spec.group.order
-    f = series_exp(
-        WeightedSeries(w, n, {(m, 0, 0): Fraction(1, w * factorial(m)) for m in range(1, n + 1)})
-    )
+    f = series_exp(WeightedSeries._of(w, n, [{(0, 0): w ** (m - 1)} if m else {}
+                                             for m in range(n + 1)]))
     for _i, _orbit, _rep, stab, in_t in spec.orbit_info():
         c = len(stab)
-        f = f * WeightedSeries(
-            w,
-            n,
-            {(k, 0, 0): Fraction(1, c**k * factorial(k)) for k in range(n + 1) if k != 1 or in_t},
+        f = f * WeightedSeries._of(
+            w, n, [{(0, 0): (w // c) ** k} if k != 1 or in_t else {} for k in range(n + 1)]
         )
     total = f.unweighted_dim(n, 0, 0)
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+    assert type(total) is int and total >= 0
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Weighted exponential generating functions in three variables and the
 first-page product factorization for orbit configuration spaces.
 
-A series tracks coefficients of t^n x^p y^q with exact rational values,
-where t counts configuration size, x the stratification rank, and y the
-geometric homology degree.  The weight convention divides the dimension at
-size n by w^n n! (w the group order), which turns induction products into
-literal series multiplication and free generators into exponentials.
+A series tracks coefficients c of t^n x^p y^q, where t counts configuration
+size, x the stratification rank, and y the geometric homology degree.  The
+weight convention divides the dimension at size n by w^n n! (w the group
+order), which turns induction products into literal series multiplication
+and free generators into exponentials.  Series are stored as those
+dimensions d = c w^n n!, so a product is the binomial convolution
+D_n = sum_k C(n, k) A_k B_(n-k) and exp the recurrence E_n = sum_{k=1..n}
+C(n-1, k-1) A_k E_(n-k) of the exponential formula (Stanley, EC2 5.1),
+which log inverts.  No step divides, so first-page series stay in ints.
 
 The first page of the collision spectral sequence for a space X with
 Borel-Moore Betti numbers b_q factors as a product of
@@ -31,9 +35,9 @@ packets from that argument before the one exp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import DomainError, InputError, is_int_list
 from .dowling import DowlingSpec, build_poset
@@ -60,104 +64,132 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
+def _clean(poly: dict) -> dict:
+    """poly without its zero entries, with integral Fractions as ints."""
+    return {k: (v.numerator if type(v) is Fraction and v.denominator == 1 else v)
+            for k, v in poly.items() if v}
+
+
+def _convolve(out: dict, a: list, b: list, n: int, shift: int = 0, sign: int = 1) -> dict:
+    """out + sign * sum_k C(n - shift, k - shift) A_k B_(n-k), cleaned, over
+    shift <= k <= n with A_k given: the t^n part of a binomial convolution
+    of t-graded lists of polynomials {(p, q): d} in x and y."""
+    for k in range(shift, min(n + 1, len(a))):
+        scale = sign * comb(n - shift, k - shift)
+        for (p1, q1), x in a[k].items():
+            x *= scale
+            for (p2, q2), y in b[n - k].items():
+                key = (p1 + p2, q1 + q2)
+                out[key] = out.get(key, 0) + x * y
+    return _clean(out)
+
+
+@dataclass(init=False, slots=True)
 class WeightedSeries:
-    """Truncated series sum c_{n,p,q} t^n x^p y^q with exact rational
-    coefficients; the unweighted dimension at (n,p,q) is c * w^n * n!."""
+    """Truncated series sum c_{n,p,q} t^n x^p y^q, built from its exact
+    weighted coefficients c and stored as the dimensions d = c * w^n * n!:
+    per t-degree n <= trunc a map (p, q) -> d, an int wherever d is
+    integral."""
 
     w: int
     trunc: int
-    coeffs: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
+    _dims: list[dict]
 
-    def __post_init__(self):
-        if self.w < 1:
+    def __init__(self, w: int, trunc: int, coeffs: dict | None = None):
+        if w < 1:
             raise InputError("weight must be a positive group order")
-        if self.trunc < 0:
+        if trunc < 0:
             raise InputError("truncation order must be nonnegative")
-        for (n, p, q), c in list(self.coeffs.items()):
-            if n > self.trunc:
+        graded: list[dict] = [{} for _ in range(trunc + 1)]
+        for (n, p, q), c in (coeffs or {}).items():
+            if n > trunc:
                 raise InputError("coefficient beyond truncation order")
             if n < 0 or p < 0 or q < 0:
                 raise InputError("negative exponent")
-            if c == 0:
-                del self.coeffs[(n, p, q)]
+            graded[n][p, q] = c * w**n * factorial(n)
+        self.w, self.trunc, self._dims = w, trunc, [_clean(poly) for poly in graded]
+
+    @classmethod
+    def _of(cls, w: int, trunc: int, graded: list[dict]) -> WeightedSeries:
+        """The series whose t^n part has the nonzero dimensions graded[n]."""
+        s = cls.__new__(cls)
+        s.w, s.trunc, s._dims = w, trunc, graded
+        return s
+
+    def _entries(self):
+        for n, poly in enumerate(self._dims):
+            for (p, q), d in poly.items():
+                yield (n, p, q), d
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int, int], Fraction]:
+        """The weighted coefficients, derived from the dimensions on read."""
+        return {k: Fraction(d, self.w ** k[0] * factorial(k[0])) for k, d in self._entries()}
 
     def coeff(self, n: int, p: int, q: int) -> Fraction:
-        return self.coeffs.get((n, p, q), Fraction(0))
+        d = self.unweighted_dim(n, p, q)
+        return Fraction(d, self.w**n * factorial(n)) if d else Fraction(0)
 
-    def _compat(self, other: "WeightedSeries"):
+    def unweighted_dim(self, n: int, p: int, q: int):
+        return self._dims[n].get((p, q), 0) if 0 <= n <= self.trunc else 0
+
+    def _compat(self, other: WeightedSeries):
         if self.w != other.w:
             raise InputError("series weight mismatch")
         if self.trunc != other.trunc:
             raise InputError("series truncation mismatch")
 
-    def __add__(self, other: "WeightedSeries") -> "WeightedSeries":
+    def __add__(self, other: WeightedSeries) -> WeightedSeries:
         self._compat(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return WeightedSeries(self.w, self.trunc, out)
+        graded = [_clean({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+                  for a, b in zip(self._dims, other._dims)]
+        return WeightedSeries._of(self.w, self.trunc, graded)
 
-    def __neg__(self) -> "WeightedSeries":
-        return WeightedSeries(self.w, self.trunc, {k: -v for k, v in self.coeffs.items()})
+    def __neg__(self) -> WeightedSeries:
+        graded = [{k: -v for k, v in poly.items()} for poly in self._dims]
+        return WeightedSeries._of(self.w, self.trunc, graded)
 
-    def __sub__(self, other: "WeightedSeries") -> "WeightedSeries":
+    def __sub__(self, other: WeightedSeries) -> WeightedSeries:
         return self + (-other)
 
-    def __mul__(self, other: "WeightedSeries") -> "WeightedSeries":
+    def __mul__(self, other: WeightedSeries) -> WeightedSeries:
+        """The binomial convolution D_n = sum_k C(n, k) A_k B_(n-k)."""
         self._compat(other)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (n1, p1, q1), c1 in self.coeffs.items():
-            for (n2, p2, q2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > self.trunc:
-                    continue
-                k = (n, p1 + p2, q1 + q2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return WeightedSeries(self.w, self.trunc, out)
-
-    def scale(self, r) -> "WeightedSeries":
-        r = Fraction(r)
-        return WeightedSeries(self.w, self.trunc, {k: v * r for k, v in self.coeffs.items()})
-
-    def unweighted_dim(self, n: int, p: int, q: int) -> Fraction:
-        return self.coeff(n, p, q) * self.w**n * factorial(n)
+        graded = [_convolve({}, self._dims, other._dims, n) for n in range(self.trunc + 1)]
+        return WeightedSeries._of(self.w, self.trunc, graded)
 
     def is_one(self) -> bool:
-        return self.coeffs == {(0, 0, 0): Fraction(1)}
+        return self._dims[0] == {(0, 0): 1} and not any(self._dims[1:])
 
 
 def series_one(w: int, trunc: int) -> WeightedSeries:
     return WeightedSeries(w, trunc, {(0, 0, 0): Fraction(1)})
 
 
-def _power_sum(u: WeightedSeries, coeff, out: WeightedSeries) -> WeightedSeries:
-    """out + sum_{k >= 1} coeff(k) u^k, for u with zero constant term."""
-    term = series_one(u.w, u.trunc)
-    for k in range(1, u.trunc + 1):
-        term = term * u
-        if not term.coeffs:
-            break
-        out = out + term.scale(coeff(k))
-    return out
-
-
 def series_exp(arg: WeightedSeries) -> WeightedSeries:
-    """exp of a series with zero constant term (every term has n >= 1, so
-    the sum truncates after trunc powers)."""
-    if any(n == 0 for (n, _, _) in arg.coeffs):
+    """exp of a series with zero constant term, by the exponential formula
+    E_0 = 1, E_n = sum_{k=1..n} C(n-1, k-1) A_k E_(n-k)."""
+    a = arg._dims
+    if a[0]:
         raise InputError("exp requires zero constant term")
-    return _power_sum(arg, lambda k: Fraction(1, factorial(k)), series_one(arg.w, arg.trunc))
+    e = [{(0, 0): 1}]
+    for n in range(1, arg.trunc + 1):
+        e.append(_convolve({}, a, e, n, 1))
+    return WeightedSeries._of(arg.w, arg.trunc, e)
 
 
 def series_log(s: WeightedSeries) -> WeightedSeries:
-    """log of a series with constant term 1; round-trips with series_exp."""
-    if s.coeff(0, 0, 0) != 1:
+    """log of a series with constant term 1: the exp recurrence solved for
+    A_n = E_n - sum_{k<n} C(n-1, k-1) A_k E_(n-k)."""
+    e = s._dims
+    if e[0].get((0, 0)) != 1:
         raise InputError("log requires constant term 1")
-    u = s - series_one(s.w, s.trunc)
-    if any(n == 0 for (n, _, _) in u.coeffs):
+    if len(e[0]) != 1:
         raise InputError("log requires constant coefficient exactly 1")
-    return _power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), WeightedSeries(s.w, s.trunc, {}))
+    a: list[dict] = [{}]
+    for n in range(1, s.trunc + 1):
+        a.append(_convolve(dict(e[n]), a, e, n, 1, -1))
+    return WeightedSeries._of(s.w, s.trunc, a)
 
 
 @dataclass(frozen=True)
@@ -192,19 +224,14 @@ class SpaceInput:
 
 
 def _diagonal_argument(space: SpaceInput, sizes, trunc: int) -> WeightedSeries:
-    """Sum over n in sizes of the diagonal exponents P_b(y) x^(n-1) t^n / (w n)."""
+    """Sum over n in sizes of the diagonal exponents P_b(y) x^(n-1) t^n / (w n),
+    whose packets have the dimensions b_q (n-1)! w^(n-1)."""
     w = space.group.order
-    return WeightedSeries(
-        w,
-        trunc,
-        {
-            (n, n - 1, q): Fraction(b, w * n)
-            for n in sizes
-            if n <= trunc
-            for q, b in enumerate(space.betti)
-            if b
-        },
-    )
+    return WeightedSeries._of(w, trunc, [
+        {(n - 1, q): b * factorial(n - 1) * w ** (n - 1) for q, b in enumerate(space.betti) if b}
+        if n in sizes else {}
+        for n in range(trunc + 1)
+    ])
 
 
 def main_factor(space: SpaceInput, n: int, trunc: int) -> WeightedSeries:
@@ -235,15 +262,12 @@ def orbit_generator_dim(stab: GroupTable, in_t: bool, k: int) -> int:
 def orbit_factor(space: SpaceInput, orbit_index: int, trunc: int) -> WeightedSeries:
     """The zero-block factor for one orbit: sum_k h_k x^k t^k/(|G_s|^k k!)
     with h_k = orbit_generator_dim; the group-change induction cancels
-    against the weight, leaving |G_s| in place of |G|."""
+    against the weight, leaving |G_s| in place of |G|.  Its dimensions are
+    h_k (w/|G_s|)^k."""
     stab, in_t = space.orbit_data[orbit_index]
-    c = stab.order
-    coeffs = {}
-    for k in range(trunc + 1):
-        h = orbit_generator_dim(stab, in_t, k)
-        if h:
-            coeffs[(k, k, 0)] = Fraction(h, c**k * factorial(k))
-    return WeightedSeries(space.group.order, trunc, coeffs)
+    w = space.group.order
+    dims = [orbit_generator_dim(stab, in_t, k) * (w // stab.order) ** k for k in range(trunc + 1)]
+    return WeightedSeries._of(w, trunc, [{(k, 0): d} if d else {} for k, d in enumerate(dims)])
 
 
 def _first_page(space: SpaceInput, arg: WeightedSeries) -> WeightedSeries:
@@ -261,24 +285,19 @@ def e1_series(space: SpaceInput, trunc: int) -> WeightedSeries:
     return _first_page(space, _diagonal_argument(space, range(1, trunc + 1), trunc))
 
 
-def _table_from_series(space: SpaceInput, s: WeightedSeries, nmax: int):
-    w = space.group.order
+def _table_from_series(space: SpaceInput, s: WeightedSeries):
     d = space.top_degree
     has_orbits = bool(space.orbit_data)
-    table: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(nmax + 1)}
-    for (n, p, q), c in s.coeffs.items():
-        if n > nmax:
-            continue
-        dim = c * w**n * factorial(n)
-        assert dim.denominator == 1 and dim >= 0, (
+    table: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(s.trunc + 1)}
+    for (n, p, q), dim in s._entries():
+        assert type(dim) is int and dim >= 0, (
             f"non-integer or negative dimension {dim} at {(n, p, q)}"
         )
         assert p <= n, f"entry at p={p} > n={n}"
         if not has_orbits and n >= 1:
             assert p <= n - 1, f"diagonal-only entry at p={p} >= n={n}"
         assert q <= d * n, f"entry at q={q} > d*n={d * n}"
-        if dim:
-            table[n][(p, q)] = int(dim)
+        table[n][(p, q)] = dim
     return table
 
 
@@ -300,7 +319,7 @@ def e1_table(space: SpaceInput, nmax: int) -> dict[int, dict[tuple[int, int], in
     if nmax < 0:
         raise InputError("nmax must be nonnegative")
     _check_nmax_cap(nmax)
-    return _table_from_series(space, e1_series(space, nmax), nmax)
+    return _table_from_series(space, e1_series(space, nmax))
 
 
 def bm_betti(space: SpaceInput, n: int) -> dict[int, int]:
@@ -371,11 +390,11 @@ def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
             )
     for r in range(n + 1):
         series_val = s.unweighted_dim(n, r, 0)
-        assert series_val.denominator == 1
+        assert type(series_val) is int
         poset_val = table.get((r, r), 0)
-        if int(series_val) != poset_val:
+        if series_val != poset_val:
             mismatches.append(
-                {"rank": r, "degree": r, "poset": poset_val, "series": int(series_val)}
+                {"rank": r, "degree": r, "poset": poset_val, "series": series_val}
             )
     return (not mismatches), mismatches
 

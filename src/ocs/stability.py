@@ -475,7 +475,8 @@ def iterate_report(
 
 
 def _factor_argument(space: SpaceInput, pt, trunc: int) -> WeightedSeries:
-    """The packet b_i x^(n-1) t^n / (w n) that ("family", i, n) names."""
+    """The packet b_i x^(n-1) t^n / (w n) that ("family", i, n) names, of
+    dimension b_i (n-1)! w^(n-1)."""
     if pt == LIMIT:
         raise InputError("the limit point does not name a single series factor")
     _, i, n = pt
@@ -485,7 +486,8 @@ def _factor_argument(space: SpaceInput, pt, trunc: int) -> WeightedSeries:
     if n < 1:
         raise InputError(f"generator size must be >= 1, got {n}")
     w = space.group.order
-    return WeightedSeries(w, trunc, {(n, n - 1, i): Fraction(b, w * n)} if n <= trunc else {})
+    packet = {(n - 1, i): b * factorial(n - 1) * w ** (n - 1)}
+    return WeightedSeries._of(w, trunc, [packet if m == n else {} for m in range(trunc + 1)])
 
 
 def quotient_series(space: SpaceInput, points, trunc: int) -> WeightedSeries:
@@ -514,20 +516,21 @@ def verify_generator_bound(
     bound(j, 0).  Returns (ok, info).
 
     Raises:
-        InputError: if step_index is not the index of a step in the report.
+        InputError: if step_index is not the index of a step in the report,
+            or j is negative.
         DomainError: if the quotient has a negative dimension (the factors
             would not have been free) or the step is not absolute.
     """
+    if j < 0:
+        raise InputError(f"defect j must be nonnegative, got {j}")
     if not 0 <= step_index < len(report.steps):
         raise InputError(f"step index {step_index} is outside the report")
     step = report.steps[step_index]
     if step.classification != "absolute" or not step.epsilon:
         raise DomainError("bound verification requires an absolute step")
     q = quotient_series(space, [s.point for s in report.steps[: step_index + 1]], n_max)
-    w = space.group.order
-    diagonals: dict[tuple[int, int], Fraction] = {}  # (size, p + q) -> dim
-    for (n, p, qq), c in sorted(q.coeffs.items()):
-        dim = c * w**n * factorial(n)
+    diagonals: dict[tuple[int, int], int] = {}  # (size, p + q) -> dim
+    for (n, p, qq), dim in sorted(q._entries()):
         if dim < 0:
             raise DomainError(f"negative dimension {dim} at {(n, p, qq)} after division")
         diagonals[n, p + qq] = diagonals.get((n, p + qq), 0) + dim

@@ -107,6 +107,28 @@ def test_verify_keeps_the_config_truncation_cap(spec, capsys):
     assert _single_json_error(err)["type"] == "domain"
 
 
+def test_verify_rejects_a_negative_defect(capsys):
+    # ROADMAP D8: --j -1 used to exit 0 with "generatorBound": -2 and
+    # "verified": true
+    rc = run(["stability", "report", "--spec", "typeA_R2", "--verify", "--j", "-1",
+              "--nmax", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "defect j must be nonnegative, got -1"}
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["dowling", "count", "--spec", "partition", "--n", "4"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ocs", *argv], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
 def test_rep_rejects_duplicate_elements(tmp_path, capsys):
     # used to escape as a KeyError traceback from the element index
     path = tmp_path / "typeB-3.json"

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from importlib import resources
 from math import comb, factorial
 
 import pytest
@@ -89,6 +91,92 @@ def test_exp_log_roundtrip_random(data):
     assert series_log(series_exp(arg)).coeffs == arg.coeffs
 
 
+# Oracles: the Fraction-dict engine that the dimension storage replaced, on
+# weighted coefficient dicts {(n, p, q): c}.
+
+def _nonzero(coeffs):
+    return {k: v for k, v in coeffs.items() if v}
+
+
+def oracle_add(a, b):
+    return _nonzero({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+
+
+def oracle_mul(a, b, trunc):
+    out = {}
+    for (n1, p1, q1), c1 in a.items():
+        for (n2, p2, q2), c2 in b.items():
+            if n1 + n2 <= trunc:
+                k = (n1 + n2, p1 + p2, q1 + q2)
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def oracle_power_sum(u, trunc, coeff, out):
+    """out + sum_{k >= 1} coeff(k) u^k, for u with zero constant term."""
+    term = {(0, 0, 0): Fraction(1)}
+    for k in range(1, trunc + 1):
+        term = oracle_mul(term, u, trunc)
+        if not term:
+            break
+        out = oracle_add(out, {key: v * coeff(k) for key, v in term.items()})
+    return out
+
+
+def oracle_exp(arg, trunc):
+    one = {(0, 0, 0): Fraction(1)}
+    return oracle_power_sum(arg, trunc, lambda k: Fraction(1, factorial(k)), one)
+
+
+def oracle_log(s, trunc):
+    u = oracle_add(s, {(0, 0, 0): Fraction(-1)})
+    return oracle_power_sum(u, trunc, lambda k: Fraction((-1) ** (k + 1), k), {})
+
+
+def random_coeffs(data, w, trunc, n_min):
+    """Weighted coefficients at t-degrees n_min..trunc: some with integral
+    unweighted values c w^n n!, some arbitrary fractions."""
+    coeffs = {}
+    for _ in range(data.draw(st.integers(0, 5)) if trunc >= n_min else 0):
+        n = data.draw(st.integers(n_min, trunc))
+        key = (n, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        num = data.draw(st.integers(-6, 6))
+        den = data.draw(st.sampled_from([w**n * factorial(n), 1, 2, 3, 5, 7]))
+        coeffs[key] = Fraction(num, den)
+    return coeffs
+
+
+def stored_values(s):
+    return [s.unweighted_dim(*k) for k in s.coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_engine_matches_the_fraction_oracles(data):
+    w = data.draw(st.sampled_from([1, 2, 3]))
+    trunc = data.draw(st.integers(0, 5))
+    a, b = (random_coeffs(data, w, trunc, 0) for _ in range(2))
+    arg = random_coeffs(data, w, trunc, 1)
+    sa, sb, sarg = (WeightedSeries(w, trunc, c) for c in (a, b, arg))
+    one_plus = oracle_add(arg, {(0, 0, 0): Fraction(1)})
+    results = {
+        "+": (sa + sb, oracle_add(a, b)),
+        "-": (sa - sb, oracle_add(a, {k: -v for k, v in b.items()})),
+        "*": (sa * sb, oracle_mul(a, b, trunc)),
+        "exp": (series_exp(sarg), oracle_exp(arg, trunc)),
+        "log": (series_log(WeightedSeries(w, trunc, one_plus)), oracle_log(one_plus, trunc)),
+    }
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        assert got == WeightedSeries(w, trunc, want), op
+        for key, c in want.items():
+            assert got.coeff(*key) == c
+            assert got.unweighted_dim(*key) == c * w ** key[0] * factorial(key[0])
+        # a stored value is an int exactly when it is integral
+        for d in stored_values(got):
+            assert type(d) is int or d.denominator != 1, (op, d)
+
+
 def test_exp_requires_zero_constant_term():
     with pytest.raises(InputError):
         series_exp(WeightedSeries(1, 2, {(0, 0, 0): Fraction(1)}))
@@ -173,6 +261,32 @@ def test_e1_invariants_p_bounds():
     for n, entries in table.items():
         if n >= 1:
             assert all(p <= n - 1 for p, q in entries)
+
+
+BUNDLED = {
+    res.name.removesuffix(".json"): space_from_json(json.loads(res.read_text()))
+    for res in resources.files("ocs").joinpath("specs", "spaces").iterdir()
+    if res.name.endswith(".json")
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_e1_series_stores_ints(name):
+    assert len(BUNDLED) == 10
+    for trunc in range(13):
+        values = stored_values(e1_series(BUNDLED[name], trunc))
+        assert values and all(type(d) is int and d > 0 for d in values), trunc
+
+
+@pytest.mark.parametrize("name", sorted(n for n, sp in BUNDLED.items() if not sp.orbit_data))
+def test_euler_past_the_cap_matches_the_closed_form(name):
+    # e1_series itself keeps no cap: the alternating sums at size 24
+    sp = BUNDLED[name]
+    s = e1_series(sp, 24)
+    sums = [0] * 25
+    for n, p, q in s.coeffs:
+        sums[n] += (-1) ** (p + q) * s.unweighted_dim(n, p, q)
+    assert sums == closed_form_euler(sp, 24)
 
 
 def test_e1_table_nmax_cap():

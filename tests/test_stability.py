@@ -275,6 +275,13 @@ def test_quotient_rejects_limit_point():
         quotient_series(R2, [LIMIT], 4)
 
 
+def test_verify_rejects_a_negative_defect():
+    # ROADMAP D8: j = -1 used to check a diagonal above every entry and pass
+    rep = iterate_report(R2, "left", 1)
+    with pytest.raises(InputError):
+        verify_generator_bound(R2, rep, 0, -1, 6)
+
+
 def test_verify_requires_absolute_step():
     rep = iterate_report(space([1, 1]), "left", 1)
     with pytest.raises(DomainError):
@@ -314,6 +321,8 @@ def test_quotient_equals_the_product_form(name):
             rng.shuffle(pts)
             got = quotient_series(sp, pts, trunc)
             assert got.coeffs == quotient_as_product(sp, pts, trunc).coeffs, (trunc, pts)
+            # the stored dimensions of a quotient stay ints
+            assert all(type(got.unweighted_dim(*k)) is int for k in got.coeffs), (trunc, pts)
         assert quotient_series(sp, [], trunc).coeffs == e1_series(sp, trunc).coeffs
 
 
