@@ -59,6 +59,7 @@ from .series import (
 )
 from .stability import iterate_report, verify_generator_bound
 from .symrep import (
+    _whitney_characters,
     decompose,
     stable_multiplicity_check,
     sym_class_poset_perms,
@@ -107,17 +108,22 @@ def _write_output(text: str, out: str) -> None:
 
 def _load_descriptor(arg: str, kind: str) -> dict:
     """Read a JSON descriptor from a path, falling back to the bundled
-    specs/<kind>/ directory for bare names."""
-    path = Path(arg)
-    if not path.is_file():
-        name = arg if arg.endswith(".json") else arg + ".json"
-        path = resources.files("ocs").joinpath("specs", kind, name)
-        if not path.is_file():
-            raise InputError(f"spec not found: {arg} (no file, no bundled {kind} spec)")
+    specs/<kind>/ directory when no file is at that path."""
+    # a ValueError is a name with a NUL byte, which no file can have
+    no_file = (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed JSON in {arg}: {exc}") from exc
+        fh = open(arg, encoding="utf-8")
+    except no_file:
+        name = arg if arg.endswith(".json") else arg + ".json"
+        try:
+            fh = resources.files("ocs").joinpath("specs", kind, name).open(encoding="utf-8")
+        except no_file:
+            raise InputError(f"spec not found: {arg} (no file, no bundled {kind} spec)") from None
+    with fh:
+        try:
+            return json.loads(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"malformed JSON in {arg}: {exc}") from exc
 
 
 def _load_space(arg: str) -> SpaceInput:
@@ -342,10 +348,9 @@ def _built_dowling_poset(arg: str):
 def _cmd_rep_decompose(args) -> str:
     p, spec, elements = _built_dowling_poset(args.poset)
     perms = sym_class_poset_perms(spec, elements)
-    ranks = [args.rank] if args.rank is not None else sorted(set(p.rank))
+    ranks = [args.rank] if args.rank is not None else None
     out = []
-    for r in ranks:
-        cf = whitney_character(p, perms, r, spec.n)
+    for r, cf in _whitney_characters(p, perms, ranks, spec.n).items():
         mult = decompose(cf)
         out.append(
             {

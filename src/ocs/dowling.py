@@ -153,10 +153,11 @@ def _canonical_block(spec: DowlingSpec, entries) -> tuple[tuple[int, int], ...]:
     """Sort by element and right-translate so the minimal element carries
     the identity."""
     entries = sorted(entries)
-    g0 = entries[0][1]
-    ginv = spec.group.inv[g0]
+    ginv = spec.group.inv[entries[0][1]]
+    if ginv == spec.group.identity:
+        return tuple(entries)
     mul = spec.group.mul
-    return tuple((x, mul[c][ginv]) for x, c in entries)
+    return tuple([(x, mul[c][ginv]) for x, c in entries])
 
 
 def _zero_valid(spec: DowlingSpec, zero) -> bool:
@@ -416,11 +417,10 @@ def wreath_act(spec: DowlingSpec, w: WreathElement, elem: DowlingElement) -> Dow
 def _wreath_act(spec: DowlingSpec, w: WreathElement, elem: DowlingElement) -> DowlingElement:
     """wreath_act on a w of length spec.n and an elem already known to be
     valid, so nothing is checked."""
-    mul = spec.group.mul
-    action = spec.gset.action
-    blocks = sorted(_canonical_block(spec, [(w.perm[x], mul[w.colors[x]][c]) for x, c in b])
-                    for b in elem.blocks)
-    zero = tuple(sorted((w.perm[x], action[w.colors[x]][s]) for x, s in elem.zero))
+    mul, action, perm, colors = spec.group.mul, spec.gset.action, w.perm, w.colors
+    blocks = sorted([_canonical_block(spec, [(perm[x], mul[colors[x]][c]) for x, c in b])
+                     for b in elem.blocks])
+    zero = tuple(sorted([(perm[x], action[colors[x]][s]) for x, s in elem.zero]))
     return DowlingElement(blocks=tuple(blocks), zero=zero)
 
 

@@ -2,16 +2,18 @@
 
 Elements are integer indices ``0..n_elems-1``.  The order relation is stored
 as a bit-packed reachability table: ``leq[a]`` is an int whose bit ``b`` is
-set iff a <= b.  The closure, the Hasse-diagram checks and the Mobius rows
-are bitset passes: one big-int OR per cover, and one pass per Mobius source
-whose cost is the number of comparable pairs above it.  That covers the
-largest posets this package builds (thousands of elements).
+set iff a <= b.  Its transpose ``geq``, built on first use, gives each
+lower interval without a scan.  The closures, the Hasse-diagram checks and
+the Mobius rows are bitset passes: one big-int OR per cover, and one pass per
+Mobius source whose cost is the number of comparable pairs above it.  That
+covers the largest posets this package builds (thousands of elements).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InputError, is_int_list
 
@@ -41,6 +43,16 @@ class Poset:
 
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)
+
+    @cached_property
+    def geq(self) -> tuple[int, ...]:
+        """geq[b]: bitset of the elements a <= b, the transpose of leq.
+        Built once, by one big-int OR per cover in topological order."""
+        geq = [1 << x for x in range(self.n_elems)]
+        for a in _topo_order(self.n_elems, self.hasse):
+            for b in self.hasse[a]:
+                geq[b] |= geq[a]
+        return tuple(geq)
 
     def minimal_elements(self) -> list[int]:
         has_lower = [False] * self.n_elems
@@ -252,7 +264,7 @@ def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
     """
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
-    elems = tuple(x for x in range(p.n_elems) if p.leq[x] >> b & 1)
+    elems = tuple(_bits(p.geq[b]))
     leq, pos = _restricted_leq(p, elems)
     hasse = tuple(
         tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems
@@ -349,13 +361,9 @@ def _refine_invariants(p: Poset) -> tuple[int, ...]:
         for b in p.hasse[a]:
             down_hasse[b].append(a)
     height = p.height()
-    below = []
-    above = []
-    for x in range(p.n_elems):
-        above.append(bin(p.leq[x]).count("1") - 1)
-        below.append(sum(1 for y in range(p.n_elems) if p.leq[y] >> x & 1) - 1)
     labels = [
-        (height[x], below[x], above[x], len(p.hasse[x]), len(down_hasse[x]))
+        (height[x], p.geq[x].bit_count() - 1, p.leq[x].bit_count() - 1,
+         len(p.hasse[x]), len(down_hasse[x]))
         for x in range(p.n_elems)
     ]
     canon = {lab: i for i, lab in enumerate(sorted(set(labels)))}

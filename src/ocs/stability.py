@@ -200,7 +200,10 @@ class StabilityStep:
     def bound(self, j: int, m: int = 0) -> Fraction:
         """Largest size in which generators (m = 0) or relations of an
         m-generated presentation can appear, in degree-j defect from the
-        stabilized diagonal: (m * norm + j) / epsilon."""
+        stabilized diagonal: (m * norm + j) / epsilon.  A negative j is an
+        InputError, a step that is not absolute a DomainError."""
+        if j < 0:
+            raise InputError(f"defect j must be nonnegative, got {j}")
         if self.classification != "absolute" or not self.epsilon:
             raise DomainError("quantitative bound requires an absolute step")
         return (m * self.norm + j) / self.epsilon

@@ -189,7 +189,12 @@ def cycle_type_permutation(mu) -> tuple[int, ...]:
 def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     """For each cycle type of the degree-n symmetric group, the induced
     permutation of the poset's elements (restricting the wreath action to
-    identity colors).
+    identity colors), as a tuple: element i goes to element perm[i].
+
+    Only the n-1 adjacent transpositions act on the elements, one
+    `_wreath_act` sweep each; they generate the group, so they check its
+    closure.  The cycle (s ... s+k-1) of a `cycle_type_permutation` is
+    (s s+1)(s+1 s+2)...(s+k-2 s+k-1), one list lookup per element each.
 
     The elements must be valid and canonical, as build_poset and
     parse_element return them; they are not checked again.
@@ -200,13 +205,22 @@ def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     n = spec.n
     ident = (spec.group.identity,) * n
     index = {e: i for i, e in enumerate(elements)}
-    out = {}
-    for mu in partitions_of(n):
-        w = WreathElement(colors=ident, perm=cycle_type_permutation(mu))
+    swaps = []  # swaps[i]: the element permutation of (i i+1)
+    for i in range(n - 1):
+        w = WreathElement(colors=ident, perm=(*range(i), i + 1, i, *range(i + 2, n)))
         images = [index.get(_wreath_act(spec, w, e)) for e in elements]
         if None in images:
             raise InputError("the elements are not closed under the symmetric group action")
-        out[mu] = tuple(images)
+        swaps.append(images)
+    out = {}
+    for mu in partitions_of(n):
+        perm = list(range(len(elements)))
+        start = 0
+        for part in mu:
+            for swap in reversed(swaps[start:start + part - 1]):
+                perm = [swap[x] for x in perm]
+            start += part
+        out[mu] = tuple(perm)
     return out
 
 
@@ -230,28 +244,37 @@ def whitney_character(
             several degrees, where a single Lefschetz number cannot be
             attributed to one of them.
     """
+    return _whitney_characters(p, class_perms, [r], m)[r]
+
+
+def _whitney_characters(p: Poset, class_perms: dict, ranks, m: int) -> dict[int, ClassFunction]:
+    """{r: `whitney_character(p, class_perms, r, m)`} for r in ranks (None: all
+    ranks of p), with one check and one Mobius row per permutation."""
     if p.rank is None:
         raise InputError("whitney character needs a ranked poset")
     for perm in class_perms.values():
         _check_automorphism(p, perm)
     bottom = p.bottom()
-    level = [x for x in range(p.n_elems) if p.rank[x] == r]
-    for x in level:
-        if x == bottom:
-            continue
-        table = interval_degree_table(p, x)
-        if set(table) - {r}:
-            raise DomainError(
-                "lower-interval homology is not concentrated; character refused"
-            )
-    sign = (-1) ** r
-    values = {}
-    for mu, perm in class_perms.items():
-        fixed = [x for x in range(p.n_elems) if perm[x] == x and x != bottom]
-        row = _mobius_above(p, fixed)
-        total = sum(1 if x == bottom else sign * row[x] for x in level if perm[x] == x)
-        values[mu] = Fraction(total)
-    return ClassFunction.from_dict(m, values)
+    rows = {
+        mu: _mobius_above(p, [x for x in range(p.n_elems) if perm[x] == x and x != bottom])
+        for mu, perm in class_perms.items()
+    }
+    out = {}
+    for r in sorted(set(p.rank)) if ranks is None else ranks:
+        level = [x for x in range(p.n_elems) if p.rank[x] == r]
+        for x in level:
+            if x != bottom and set(interval_degree_table(p, x)) - {r}:
+                raise DomainError(
+                    "lower-interval homology is not concentrated; character refused"
+                )
+        sign = (-1) ** r
+        values = {
+            mu: Fraction(sum(1 if x == bottom else sign * rows[mu][x]
+                             for x in level if perm[x] == x))
+            for mu, perm in class_perms.items()
+        }
+        out[r] = ClassFunction.from_dict(m, values)
+    return out
 
 
 def stable_multiplicity_check(

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import ocs
+import ocs.symrep
 from ocs.cli import COMMANDS, build_parser, run
+from ocs.symrep import partitions_of
 
 SPACES = sorted(
     res.name.removesuffix(".json")
@@ -118,6 +120,15 @@ def test_verify_rejects_a_negative_defect(capsys):
         "type": "input", "message": "defect j must be nonnegative, got -1"}
 
 
+def test_report_rejects_a_negative_defect(capsys):
+    # without --verify, --j -1 used to exit 0 with "generatorBound": -2
+    rc = run(["stability", "report", "--spec", "typeA_R2", "--j", "-1", "--nmax", "6"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "defect j must be nonnegative, got -1"}
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["dowling", "count", "--spec", "partition", "--n", "4"]
     assert run(argv) == 0
@@ -177,6 +188,36 @@ def test_rep_rejects_covers_that_do_not_match_the_elements(tmp_path, capsys, ran
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {
         "type": "input", "message": "permutation is not order-preserving"}
+
+
+def test_rep_decompose_checks_each_class_permutation_once(tmp_path, capsys, monkeypatch):
+    # every rank used to check every permutation again
+    path = tmp_path / "typeB-3.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    checked = []
+    check = ocs.symrep._check_automorphism
+    monkeypatch.setattr(ocs.symrep, "_check_automorphism",
+                        lambda p, perm: checked.append(perm) or check(p, perm))
+    assert run(["rep", "decompose", "--poset", str(path)]) == 0
+    ranks = json.loads(capsys.readouterr().out)["ranks"]
+    assert [r["rank"] for r in ranks] == [0, 1, 2, 3]
+    assert len(checked) == len(partitions_of(3))
+
+
+def test_rep_decompose_of_an_unranked_poset_is_an_input_error(tmp_path, capsys):
+    # without --rank, a poset file with no "rank" used to escape as a TypeError
+    path = tmp_path / "typeB-2.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "2", "--out", str(path)]) == 0
+    built = json.loads(path.read_text())
+    del built["rank"]
+    path.write_text(json.dumps(built))
+    capsys.readouterr()
+    rc = run(["rep", "decompose", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "whitney character needs a ranked poset"}
 
 
 def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):

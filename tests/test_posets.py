@@ -22,6 +22,7 @@ from ocs.posets import (
     poset_to_json,
     proper_part,
 )
+from ocs.posets import _refine_invariants, _restricted_leq
 
 
 def diamond():
@@ -349,6 +350,77 @@ def test_subposet_tables_match_scans(p, data):
             sum(1 << j for j, y in enumerate(es) if p.is_leq(x, y)) for x in es
         )
         assert q.hasse == old_hasse_from_leq(q.n_elems, q.leq)
+
+
+def old_lower_interval(p, b):
+    """The O(n) scan of every element's up-set, before the `geq` table."""
+    elems = tuple(x for x in range(p.n_elems) if p.leq[x] >> b & 1)
+    leq, pos = _restricted_leq(p, elems)
+    hasse = tuple(tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems)
+    rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
+    return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
+
+
+def old_refine_invariants(p):
+    """`_refine_invariants` with the O(n^2) below-count scan, before `geq`."""
+    down_hasse = [[] for _ in range(p.n_elems)]
+    for a in range(p.n_elems):
+        for b in p.hasse[a]:
+            down_hasse[b].append(a)
+    height = p.height()
+    below = []
+    above = []
+    for x in range(p.n_elems):
+        above.append(bin(p.leq[x]).count("1") - 1)
+        below.append(sum(1 for y in range(p.n_elems) if p.leq[y] >> x & 1) - 1)
+    labels = [
+        (height[x], below[x], above[x], len(p.hasse[x]), len(down_hasse[x]))
+        for x in range(p.n_elems)
+    ]
+    canon = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    cur = [canon[lab] for lab in labels]
+    for _ in range(p.n_elems):
+        nxt_labels = [
+            (
+                cur[x],
+                tuple(sorted(cur[y] for y in p.hasse[x])),
+                tuple(sorted(cur[y] for y in down_hasse[x])),
+            )
+            for x in range(p.n_elems)
+        ]
+        canon = {lab: i for i, lab in enumerate(sorted(set(nxt_labels)))}
+        nxt = [canon[lab] for lab in nxt_labels]
+        if nxt == cur:
+            break
+        cur = nxt
+    return tuple(cur)
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets())
+def test_down_sets_match_the_scans(p):
+    n = p.n_elems
+    assert p.geq == tuple(
+        sum(1 << a for a in range(n) if p.leq[a] >> b & 1) for b in range(n)
+    )
+    for b in range(n):
+        assert lower_interval(p, b) == old_lower_interval(p, b)
+        interval, _ = lower_interval(p, b)
+        assert _refine_invariants(interval) == old_refine_invariants(interval)
+    assert _refine_invariants(p) == old_refine_invariants(p)
+
+
+def test_down_sets_of_a_product_and_a_dowling_lattice():
+    # posets not built by from_covers: a product, and intervals of intervals
+    p, _ = build_poset(spec_single_point(cyclic_group(2), 3, in_t=True))
+    x = next(x for x in range(p.n_elems) if p.rank[x] == 2)
+    for q in (direct_product(p, chain_poset(3)), lower_interval(p, x)[0]):
+        assert q.geq == tuple(
+            sum(1 << a for a in range(q.n_elems) if q.is_leq(a, b)) for b in range(q.n_elems)
+        )
+        for b in range(q.n_elems):
+            assert lower_interval(q, b) == old_lower_interval(q, b)
+        assert _refine_invariants(q) == old_refine_invariants(q)
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -282,6 +282,14 @@ def test_verify_rejects_a_negative_defect():
         verify_generator_bound(R2, rep, 0, -1, 6)
 
 
+def test_bound_rejects_a_negative_defect():
+    # without --verify, j = -1 used to give a generator bound of -2
+    step = iterate_report(R2, "left", 1).steps[0]
+    assert step.bound(0) == 0
+    with pytest.raises(InputError, match="^defect j must be nonnegative, got -1$"):
+        step.bound(-1)
+
+
 def test_verify_requires_absolute_step():
     rep = iterate_report(space([1, 1]), "left", 1)
     with pytest.raises(DomainError):

@@ -3,15 +3,17 @@ from math import comb, factorial
 
 import pytest
 
-from ocs.dowling import build_poset, spec_partition, spec_single_point
-from ocs.errors import DomainError
-from ocs.groups import cyclic_group
+import ocs.symrep
+from ocs.dowling import _wreath_act, build_poset, spec_partition, spec_single_point
+from ocs.errors import DomainError, InputError
+from ocs.groups import WreathElement, cyclic_group
 from ocs.homology import interval_degree_table, lefschetz_character
 from ocs.posets import induced_subposet
 from ocs.symrep import (
     ClassFunction,
     character_table,
     conjugacy_class_size,
+    cycle_type_permutation,
     decompose,
     partitions_of,
     sym_class_poset_perms,
@@ -127,3 +129,63 @@ def test_whitney_character_matches_the_per_element_reference(spec):
             assert str(refused.value) == str(exc)
             continue
         assert whitney_character(p, perms, r, spec.n) == expected
+
+
+def sym_class_poset_perms_reference(spec, elements):
+    """One `_wreath_act` sweep per cycle type, by its class representative."""
+    ident = (spec.group.identity,) * spec.n
+    index = {e: i for i, e in enumerate(elements)}
+    out = {}
+    for mu in partitions_of(spec.n):
+        w = WreathElement(colors=ident, perm=cycle_type_permutation(mu))
+        images = [index.get(_wreath_act(spec, w, e)) for e in elements]
+        if None in images:
+            raise InputError("the elements are not closed under the symmetric group action")
+        out[mu] = tuple(images)
+    return out
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(4) + [
+    spec_partition(n, "partition-lattice") for n in range(5, 8)
+], ids=lambda spec: f"{spec.name}-{spec.n}")
+def test_class_perms_match_the_per_class_sweep(spec):
+    _, elements = build_poset(spec)
+    got = sym_class_poset_perms(spec, elements)
+    expected = sym_class_poset_perms_reference(spec, elements)
+    assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("spec", [
+    spec_partition(1, "partition-lattice"),
+    spec_partition(5, "partition-lattice"),
+    spec_single_point(cyclic_group(3), 4, in_t=True, name="dowling-lattice-z3"),
+], ids=lambda spec: f"{spec.name}-{spec.n}")
+def test_class_perms_act_by_the_adjacent_transpositions_only(spec, monkeypatch):
+    _, elements = build_poset(spec)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _wreath_act(*args)
+
+    monkeypatch.setattr(ocs.symrep, "_wreath_act", counted)
+    sym_class_poset_perms(spec, elements)
+    assert calls == (spec.n - 1) * len(elements)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_class_perms_refuse_the_same_element_lists_as_the_sweep(n):
+    # drop each element in turn: the closure check must fire exactly when
+    # the per-class sweep's does
+    spec = spec_partition(n)
+    _, elements = build_poset(spec)
+    for i in range(len(elements)):
+        kept = elements[:i] + elements[i + 1:]
+        try:
+            expected = sym_class_poset_perms_reference(spec, kept)
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                sym_class_poset_perms(spec, kept)
+            continue
+        assert sym_class_poset_perms(spec, kept) == expected
