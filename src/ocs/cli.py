@@ -108,17 +108,21 @@ def _write_output(text: str, out: str) -> None:
 
 def _load_descriptor(arg: str, kind: str) -> dict:
     """Read a JSON descriptor from a path, falling back to the bundled
-    specs/<kind>/ directory when no file is at that path."""
+    specs/<kind>/ directory when no file is at that path and the argument
+    is a bare name (no directory part), so no argument reaches outside it."""
     # a ValueError is a name with a NUL byte, which no file can have
     no_file = (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError)
+    not_found = InputError(f"spec not found: {arg} (no file, no bundled {kind} spec)")
     try:
         fh = open(arg, encoding="utf-8")
     except no_file:
+        if Path(arg).name != arg:
+            raise not_found from None
         name = arg if arg.endswith(".json") else arg + ".json"
         try:
             fh = resources.files("ocs").joinpath("specs", kind, name).open(encoding="utf-8")
         except no_file:
-            raise InputError(f"spec not found: {arg} (no file, no bundled {kind} spec)") from None
+            raise not_found from None
     with fh:
         try:
             return json.loads(fh.read())

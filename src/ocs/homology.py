@@ -5,6 +5,13 @@ Everything here is integer arithmetic, with one strategy per question:
     {-1, 0, 1}, reduced column by column by lowest row, the standard
     reduction of persistent homology (Edelsbrunner, Letscher and
     Zomorodian 2002), kept fraction-free, so the ranks are exact over Q.
+    The matrices are reduced from the top dimension down with clearing
+    (Chen and Kerber, *Persistent homology computation with a twist*,
+    2011): a chain that is already the lowest row of a kept column one
+    dimension up is not reduced as a column.
+  * Whitney homology: one reduction per distinct lower interval.  An
+    interval is keyed by its re-indexed Hasse diagram, so equal keys are
+    equal posets and the reuse is exact.
   * Euler characteristics, Lefschetz numbers and Whitney characters:
     P. Hall's theorem (1936), chi~(Delta(P)) = mu(0^, 1^) of P with a bottom
     and a top adjoined, one Mobius pass with no chains enumerated.  The one
@@ -99,7 +106,7 @@ def _boundary_matrices(chains: list[list[tuple[int, ...]]]):
     return bnd
 
 
-def sparse_rank(columns: list[dict[int, int]]) -> int:
+def sparse_rank(columns: list[dict[int, int]], *, lows: list[int] | None = None) -> int:
     """Exact rank of an integer matrix given as columns {row: nonzero value}.
 
     The standard column reduction by lowest row (Edelsbrunner, Letscher and
@@ -109,7 +116,8 @@ def sparse_rank(columns: list[dict[int, int]]) -> int:
     is kept.  The rank is the number of kept columns.  Each step is
     fraction-free: col -= (b/a)*kept when the kept pivot a divides the
     column's entry b (always, for unit pivots), col := a*col - b*kept
-    otherwise, and then the integer content of col is stripped.
+    otherwise, and then the integer content of col is stripped.  When
+    `lows` is given, the rows owned by the kept columns are appended to it.
     """
     owner: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -134,7 +142,31 @@ def sparse_rank(columns: list[dict[int, int]]) -> int:
             g = gcd(*col.values())
             if g > 1:
                 col = {r: v // g for r, v in col.items()}
+    if lows is not None:
+        lows.extend(owner)
     return len(owner)
+
+
+def _boundary_ranks(bnd: list[list[dict[int, int]]]) -> list[int]:
+    """The rank of each boundary matrix, with clearing (Chen and Kerber,
+    *Persistent homology computation with a twist*, 2011).
+
+    The matrices are reduced from the top dimension down.  A k-chain that
+    a kept column of bnd[k+1] owns as its lowest row is skipped as a column
+    of bnd[k]: that kept column is a cycle whose lowest row is the chain, so
+    the chain's boundary lies in the span of the boundaries of the chains
+    before it and would reduce to zero.  The ranks are unchanged.
+    """
+    ranks = [0] * len(bnd)
+    # the owned rows become a set only after their reduction has ended, so
+    # the set does not add to the peak memory of the largest reduction
+    lows: list[int] = []
+    for k in reversed(range(len(bnd))):
+        cleared = set(lows)
+        lows = []
+        cols = [col for i, col in enumerate(bnd[k]) if i not in cleared]
+        ranks[k] = sparse_rank(cols, lows=lows)
+    return ranks
 
 
 def reduced_homology(p: Poset) -> dict[int, int]:
@@ -147,8 +179,7 @@ def reduced_homology(p: Poset) -> dict[int, int]:
     if p.n_elems == 0:
         return {-1: 1}
     chains = order_complex_chains(p)
-    bnd = _boundary_matrices(chains)
-    ranks = [sparse_rank(cols) for cols in bnd]
+    ranks = _boundary_ranks(_boundary_matrices(chains))
     ranks.append(0)
     betti: dict[int, int] = {}
     # dim C_{-1} = 1; rank of the (empty) map into C_{-2} is 0.
@@ -174,25 +205,48 @@ def reduced_euler_characteristic(p: Poset) -> int:
     return _hall_euler(p, range(p.n_elems))
 
 
+def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
+    """{x: Whitney degree table of the interval below x} for x in xs.
+
+    Each lower interval is keyed by the Hasse diagram of its re-indexed
+    copy (`lower_interval`).  The Hasse diagram determines the poset, so
+    two intervals with equal keys are the same poset, and one reduction
+    serves all of them with no isomorphism search.  The memo lives for this
+    call only; the tables it hands out are shared between the x of one key.
+    """
+    memo: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
+    out = {}
+    for x in xs:
+        interval, _ = lower_interval(p, x)
+        table = memo.get(interval.hasse)
+        if table is None:
+            if interval.n_elems == 1:
+                table = {0: 1}
+            else:
+                betti = reduced_homology(proper_part(interval))
+                table = {deg + 2: rank for deg, rank in betti.items()}
+            memo[interval.hasse] = table
+        out[x] = table
+    return out
+
+
 def interval_degree_table(p: Poset, x: int) -> dict[int, int]:
     """Whitney degrees contributed by the interval below x.
 
     Returns {k: rank} where the interval contributes H-tilde_{k-2} of the
     proper part of the interval; the one-element interval contributes
-    {0: 1} by the degenerate convention.
+    {0: 1} by the degenerate convention.  The same body as every other
+    interval table (`_interval_tables`), for one x.
     """
-    interval, _ = lower_interval(p, x)
-    if interval.n_elems == 1:
-        return {0: 1}
-    betti = reduced_homology(proper_part(interval))
-    return {deg + 2: rank for deg, rank in betti.items()}
+    return _interval_tables(p, [x])[x]
 
 
 def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
     """Whitney homology table {(rank r, degree k): rank}.
 
-    Sums interval_degree_table over all x, bucketed by rank of x (the
-    poset's rank labels when present, longest-chain height otherwise).
+    Sums the interval degree tables over all x, bucketed by rank of x (the
+    poset's rank labels when present, longest-chain height otherwise), with
+    one reduction per distinct lower interval (`_interval_tables`).
     When all contributions at some rank r land at degree k = r, the total
     there is cross-checked against the signless Whitney number
     sum |mu(bottom, x)| over rank-r elements.
@@ -200,8 +254,8 @@ def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
     row = _mobius_row(p, p.bottom())
     rk = p.rank if p.rank is not None else p.height()
     table: dict[tuple[int, int], int] = {}
-    for x in range(p.n_elems):
-        for k, rank in interval_degree_table(p, x).items():
+    for x, degrees in _interval_tables(p, range(p.n_elems)).items():
+        for k, rank in degrees.items():
             key = (rk[x], k)
             table[key] = table.get(key, 0) + rank
     # Cross-check concentrated ranks against Mobius.

@@ -18,7 +18,7 @@ from math import factorial
 from .dowling import DowlingSpec, _wreath_act
 from .errors import DomainError, InputError
 from .groups import WreathElement
-from .homology import _check_automorphism, interval_degree_table
+from .homology import _check_automorphism, _interval_tables
 from .posets import Poset, _mobius_above
 
 __all__ = [
@@ -259,11 +259,14 @@ def _whitney_characters(p: Poset, class_perms: dict, ranks, m: int) -> dict[int,
         mu: _mobius_above(p, [x for x in range(p.n_elems) if perm[x] == x and x != bottom])
         for mu, perm in class_perms.items()
     }
+    ranks = sorted(set(p.rank)) if ranks is None else ranks
+    levels = {r: [x for x in range(p.n_elems) if p.rank[x] == r] for r in ranks}
+    tables = _interval_tables(
+        p, [x for level in levels.values() for x in level if x != bottom])
     out = {}
-    for r in sorted(set(p.rank)) if ranks is None else ranks:
-        level = [x for x in range(p.n_elems) if p.rank[x] == r]
+    for r, level in levels.items():
         for x in level:
-            if x != bottom and set(interval_degree_table(p, x)) - {r}:
+            if x != bottom and set(tables[x]) - {r}:
                 raise DomainError(
                     "lower-interval homology is not concentrated; character refused"
                 )

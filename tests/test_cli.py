@@ -9,7 +9,7 @@ import pytest
 
 import ocs
 import ocs.symrep
-from ocs.cli import COMMANDS, build_parser, run
+from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
 from ocs.symrep import partitions_of
 
 SPACES = sorted(
@@ -278,6 +278,44 @@ def test_undecodable_descriptor_is_an_input_error(cmd, tmp_path, capsys):
     error = _single_json_error(err)
     assert error["type"] == "input"
     assert error["message"].startswith(f"malformed JSON in {path}: ")
+
+
+BUNDLED = [
+    (kind, res.name)
+    for kind in ("posets", "spaces")
+    for res in sorted(resources.files("ocs").joinpath("specs", kind).iterdir(), key=lambda r: r.name)
+    if res.name.endswith(".json")
+]
+
+
+@pytest.mark.parametrize("kind, name", BUNDLED)
+def test_every_bundled_name_resolves(kind, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(resources.files("ocs").joinpath("specs", kind, name).read_text())
+    assert _load_descriptor(name, kind) == expected
+    assert _load_descriptor(name.removesuffix(".json"), kind) == expected
+
+
+@pytest.mark.parametrize("arg", [
+    "{tmp}/r2file",
+    "{tmp}/sub/../r2file",
+    "../spaces/typeA_R2",
+    "./typeA_R2",
+    "specs/spaces/typeA_R2",
+])
+def test_a_path_never_falls_back_to_a_bundled_spec(arg, tmp_path, monkeypatch, capsys):
+    # the bundled fallback used to join any argument onto specs/<kind>/, so
+    # an absolute name read <name>.json outside it
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "r2file.json").write_text(
+        resources.files("ocs").joinpath("specs", "spaces", "typeA_R2.json").read_text())
+    monkeypatch.chdir(tmp_path / "sub")
+    arg = arg.format(tmp=tmp_path)
+    rc = run(["config", "euler", "--spec", arg, "--nmax", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "message": f"spec not found: {arg} (no file, no bundled spaces spec)", "type": "input"}
 
 
 def test_one_parser_serves_every_run(capsys):

@@ -1,12 +1,18 @@
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ocs.dowling import build_poset, spec_single_point
+import ocs.homology
+from ocs.dowling import build_poset, spec_from_json, spec_partition, spec_single_point
 from ocs.errors import DomainError
 from ocs.groups import cyclic_group
 from ocs.homology import (
+    _boundary_matrices,
+    _boundary_ranks,
+    _interval_tables,
     interval_degree_table,
     lefschetz_character,
     order_complex_chains,
@@ -21,6 +27,7 @@ from ocs.posets import (
     chain_poset,
     from_covers,
     induced_subposet,
+    lower_interval,
     mobius,
     proper_part,
 )
@@ -287,3 +294,145 @@ def test_lefschetz_rejects_non_automorphism():
     p = chain_poset(2)
     with pytest.raises(Exception):
         lefschetz_character(p, (1, 0))
+
+
+def bundled_poset(name: str, n: int) -> Poset:
+    spec = spec_from_json(json.loads(
+        resources.files("ocs").joinpath("specs", "posets", f"{name}.json").read_text()), n=n)
+    return build_poset(spec)[0]
+
+
+def q3_z3() -> Poset:
+    return build_poset(spec_single_point(cyclic_group(3), 3, in_t=True))[0]
+
+
+@st.composite
+def posets_with_bottom(draw, max_n=9):
+    """A random poset with a bottom on at most max_n elements, labelled in no
+    particular order, with rank labels (its heights) or without."""
+    q, _ = draw(posets_with_automorphism(max_n - 1))
+    n = q.n_elems + 1
+    label = draw(st.permutations(range(n)))  # q's element i becomes label[i]; n-1 is the bottom
+    covers = [(label[a], label[b]) for a in range(q.n_elems) for b in q.hasse[a]]
+    covers += [(label[n - 1], label[m]) for m in q.minimal_elements()]
+    p = from_covers(n, covers)
+    return from_covers(n, covers, rank=p.height()) if draw(st.booleans()) else p
+
+
+def betti_from_ranks(chains, ranks) -> dict[int, int]:
+    """Reduced Betti numbers from the chains of each dimension and the rank
+    of each boundary matrix; dimension -1 holds the empty face."""
+    dims = [1] + [len(level) for level in chains]
+    r = [0, *ranks, 0]
+    betti = {k - 1: dims[k] - r[k] - r[k + 1] for k in range(len(dims))}
+    return {d: b for d, b in betti.items() if b}
+
+
+def reduced_homology_reference(p: Poset) -> dict[int, int]:
+    """Reduced Betti numbers with every boundary matrix reduced in full
+    (no clearing)."""
+    chains = order_complex_chains(p)
+    return betti_from_ranks(chains, [sparse_rank(cols) for cols in _boundary_matrices(chains)])
+
+
+def dense_reduced_homology(p: Poset) -> dict[int, int]:
+    """Reduced Betti numbers from `dense_rank` of each boundary matrix."""
+    chains = order_complex_chains(p)
+    ranks = []
+    for k, cols in enumerate(_boundary_matrices(chains)):
+        n_rows = len(chains[k - 1]) if k else 1
+        ranks.append(dense_rank([[col.get(r, 0) for col in cols] for r in range(n_rows)]))
+    return betti_from_ranks(chains, ranks)
+
+
+def whitney_homology_reference(p: Poset) -> dict[tuple[int, int], int]:
+    """The per-element loop: the order complex of every lower interval built
+    and reduced on its own, with no memo and no clearing."""
+    rk = p.rank if p.rank is not None else p.height()
+    table: dict[tuple[int, int], int] = {}
+    for x in range(p.n_elems):
+        interval, _ = lower_interval(p, x)
+        if interval.n_elems == 1:
+            degrees = {0: 1}
+        else:
+            betti = reduced_homology_reference(proper_part(interval))
+            degrees = {deg + 2: rank for deg, rank in betti.items()}
+        for k, rank in degrees.items():
+            table[rk[x], k] = table.get((rk[x], k), 0) + rank
+    return table
+
+
+PI5_AND_TYPEB4 = pytest.mark.parametrize("poset", [
+    lambda: build_poset(spec_partition(5))[0],
+    lambda: bundled_poset("typeB", 4),
+], ids=["partition-5", "typeB-4"])
+
+
+def _check_interval_tables(p: Poset, xs) -> None:
+    tables = _interval_tables(p, xs)
+    assert list(tables) == list(dict.fromkeys(xs))
+    for x in xs:
+        assert tables[x] == interval_degree_table(p, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_bottom(), st.data())
+def test_whitney_homology_matches_the_per_element_reference(p, data):
+    assert whitney_homology(p) == whitney_homology_reference(p)
+    xs = data.draw(st.lists(st.integers(0, p.n_elems - 1), max_size=2 * p.n_elems))
+    _check_interval_tables(p, xs)
+
+
+@PI5_AND_TYPEB4
+def test_whitney_homology_matches_the_per_element_reference_on_dowling_posets(poset):
+    p = poset()
+    assert whitney_homology(p) == whitney_homology_reference(p)
+    _check_interval_tables(p, range(p.n_elems))
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_automorphism())
+def test_clearing_keeps_every_rank_on_random_posets(case):
+    p, _ = case
+    bnd = _boundary_matrices(order_complex_chains(p))
+    assert _boundary_ranks(bnd) == [sparse_rank(cols) for cols in bnd]
+    assert reduced_homology(p) == dense_reduced_homology(p)
+
+
+@pytest.mark.parametrize("poset", [
+    lambda: build_poset(spec_partition(5))[0], q3_z3,
+], ids=["partition-5", "Q3-Z3"])
+def test_clearing_keeps_every_rank_on_dowling_proper_parts(poset, monkeypatch):
+    pp = proper_part(poset())
+    bnd = _boundary_matrices(order_complex_chains(pp))
+    full = [sparse_rank(cols) for cols in bnd]
+    reduced_columns = []
+    real = ocs.homology.sparse_rank
+
+    def counting(cols, **kwargs):
+        reduced_columns.append(len(cols))
+        return real(cols, **kwargs)
+
+    monkeypatch.setattr(ocs.homology, "sparse_rank", counting)
+    assert _boundary_ranks(bnd) == full
+    # clearing skips columns, and still reduces one matrix per dimension
+    assert len(reduced_columns) == len(bnd)
+    assert sum(reduced_columns) < sum(len(cols) for cols in bnd)
+    assert reduced_homology(pp) == reduced_homology_reference(pp)
+
+
+@PI5_AND_TYPEB4
+def test_whitney_homology_reduces_once_per_distinct_interval(poset, monkeypatch):
+    p = poset()
+    # the distinct lower intervals with at least two elements, as re-indexed
+    # Hasse diagrams recomputed from the order relation
+    shapes = set()
+    for x in range(p.n_elems):
+        below = [y for y in range(p.n_elems) if p.leq[y] >> x & 1]
+        if len(below) >= 2:
+            shapes.add(induced_subposet(p, below)[0].hasse)
+    calls = []
+    real = ocs.homology.reduced_homology
+    monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: calls.append(q) or real(q))
+    assert whitney_homology(p) == whitney_homology_reference(p)
+    assert len(calls) == len(shapes) < p.n_elems - 1

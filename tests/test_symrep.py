@@ -3,12 +3,13 @@ from math import comb, factorial
 
 import pytest
 
+import ocs.homology
 import ocs.symrep
 from ocs.dowling import _wreath_act, build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError, InputError
 from ocs.groups import WreathElement, cyclic_group
 from ocs.homology import interval_degree_table, lefschetz_character
-from ocs.posets import induced_subposet
+from ocs.posets import from_covers, induced_subposet
 from ocs.symrep import (
     ClassFunction,
     character_table,
@@ -129,6 +130,24 @@ def test_whitney_character_matches_the_per_element_reference(spec):
             assert str(refused.value) == str(exc)
             continue
         assert whitney_character(p, perms, r, spec.n) == expected
+
+
+def test_a_memo_hit_is_still_checked_against_its_own_rank(monkeypatch):
+    # a bottom 0 under a crown (1, 2 below 3, 4), and 5, 6 above the crown:
+    # the intervals below 5 and 6 are one shape, whose homology sits in
+    # degree 3 only; 6 carries the rank label 2, so it is refused there
+    p = from_covers(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                        (3, 5), (4, 5), (3, 6), (4, 6)], rank=(0, 1, 1, 2, 2, 3, 2))
+    perms = {(1,): tuple(range(7))}
+    calls = []
+    real = ocs.homology.reduced_homology
+    monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: calls.append(q) or real(q))
+    assert ocs.symrep._whitney_characters(p, perms, [3], 1)[3].values == (((1,), Fraction(1)),)
+    calls.clear()
+    with pytest.raises(DomainError):
+        ocs.symrep._whitney_characters(p, perms, [3, 2], 1)
+    # one reduction below 5 and one below 3 and 4: 6 is a memo hit
+    assert len(calls) == 2
 
 
 def sym_class_poset_perms_reference(spec, elements):
