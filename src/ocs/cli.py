@@ -26,6 +26,7 @@ from pathlib import Path
 from .dowling import (
     DEFAULT_CAP,
     DowlingSpec,
+    _check_cap,
     build_poset,
     count_elements_species,
     element_to_string,
@@ -61,6 +62,7 @@ from .stability import iterate_report, verify_generator_bound
 from .symrep import (
     _whitney_characters,
     decompose,
+    partition_lattice_whitney_characters,
     stable_multiplicity_check,
     sym_class_poset_perms,
     whitney_character,
@@ -349,7 +351,13 @@ def _built_dowling_poset(arg: str):
     return p, spec, elements
 
 
+def _check_rank(rank: int | None) -> None:
+    if rank is not None and rank < 0:
+        raise InputError(f"rank must be nonnegative, got {rank}")
+
+
 def _cmd_rep_decompose(args) -> str:
+    _check_rank(args.rank)
     p, spec, elements = _built_dowling_poset(args.poset)
     perms = sym_class_poset_perms(spec, elements)
     ranks = [args.rank] if args.rank is not None else None
@@ -416,16 +424,49 @@ def _parse_window(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _cmd_rep_stability(args) -> str:
-    space = _load_space(args.spec)
-    window = _parse_window(args.window)
+def _poset_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
+    """{n: rank-Whitney character} over the window, from each built poset."""
     gset = _gset_from_orbit_data(space.group, space.orbit_data)
     chars = {}
     for n in window:
         spec = DowlingSpec(group=space.group, gset=gset, n=n, name=space.name)
-        p, elements = build_poset(spec, cap=args.cap)
+        p, elements = build_poset(spec, cap=cap)
         perms = sym_class_poset_perms(spec, elements)
-        chars[n] = whitney_character(p, perms, args.rank, n)
+        chars[n] = whitney_character(p, perms, rank, n)
+    return chars
+
+
+def _series_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
+    """`_poset_characters` for a space whose poset is the partition lattice
+    Pi_n, with no poset: the characters come from the plethystic
+    exponential, and the cap is checked as `build_poset` checks it, against
+    the rank levels of Pi_n, which have S(n, n - r) elements (Stirling
+    numbers of the second kind).  The space is not read; it is taken so
+    that both paths have one signature."""
+    stirling = [1]  # stirling[k] = S(m, k)
+    for m in range(1, window[-1] + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m)] + [1]
+        if m >= window[0]:
+            total = 1
+            for r in range(1, m):
+                total += stirling[m - r]
+                _check_cap(cap, r, total)
+    chars = partition_lattice_whitney_characters(rank, window[-1])
+    return {n: chars[n] for n in window}
+
+
+def _cmd_rep_stability(args) -> str:
+    """Multiplicity stability of the rank-r Whitney characters over a window
+    of n.  A space with the trivial group and no orbits (the typeA_* specs)
+    has the partition lattice Pi_n as its poset, and takes its characters
+    from the plethystic exponential (`_series_characters`); every other
+    space builds its poset for each n (`_poset_characters`)."""
+    _check_rank(args.rank)
+    space = _load_space(args.spec)
+    window = _parse_window(args.window)
+    partition_lattice = space.group.order == 1 and not space.orbit_data
+    characters = _series_characters if partition_lattice else _poset_characters
+    chars = characters(space, args.rank, window, args.cap)
     epsilon = None
     primary = iterate_report(space, "left", 1).steps[0]
     if primary.classification == "absolute" and primary.epsilon:

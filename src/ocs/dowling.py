@@ -293,6 +293,15 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     return out
 
 
+def _check_cap(cap: int, rank: int, total: int) -> None:
+    """Refuse an enumeration that has found total elements up to rank."""
+    if total > cap:
+        raise CapExceeded(
+            f"element cap {cap} exceeded while enumerating rank {rank}",
+            partial_count=total,
+        )
+
+
 def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
     """The one pass behind enumerate_levels and build_poset: it expands
     every element by covers_of once, and appends each element's covers, in
@@ -309,11 +318,7 @@ def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
         if not found:
             return levels
         total += len(found)
-        if total > cap:
-            raise CapExceeded(
-                f"element cap {cap} exceeded while enumerating rank {len(levels)}",
-                partial_count=total,
-            )
+        _check_cap(cap, len(levels), total)
         levels.append(sorted(found, key=element_to_string))
 
 

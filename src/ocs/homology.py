@@ -31,7 +31,15 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InputError
-from .posets import Poset, _bits, _mobius_above, _mobius_row, lower_interval, proper_part
+from .posets import (
+    Poset,
+    _bits,
+    _lower_hasse,
+    _mobius_above,
+    _mobius_row,
+    lower_interval,
+    proper_part,
+)
 
 __all__ = [
     "order_complex_chains",
@@ -209,23 +217,25 @@ def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
     """{x: Whitney degree table of the interval below x} for x in xs.
 
     Each lower interval is keyed by the Hasse diagram of its re-indexed
-    copy (`lower_interval`).  The Hasse diagram determines the poset, so
-    two intervals with equal keys are the same poset, and one reduction
-    serves all of them with no isomorphism search.  The memo lives for this
-    call only; the tables it hands out are shared between the x of one key.
+    copy (`_lower_hasse`, read off `p.geq` and `p.hasse` alone).  The Hasse
+    diagram determines the poset, so two intervals with equal keys are the
+    same poset, and one reduction serves all of them with no isomorphism
+    search; the interval itself, with its leq, is built only on a miss.
+    The memo lives for this call only; the tables it hands out are shared
+    between the x of one key.
     """
     memo: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
     out = {}
     for x in xs:
-        interval, _ = lower_interval(p, x)
-        table = memo.get(interval.hasse)
+        _, key = _lower_hasse(p, x)
+        table = memo.get(key)
         if table is None:
-            if interval.n_elems == 1:
+            if len(key) == 1:
                 table = {0: 1}
             else:
-                betti = reduced_homology(proper_part(interval))
+                betti = reduced_homology(proper_part(lower_interval(p, x)[0]))
                 table = {deg + 2: rank for deg, rank in betti.items()}
-            memo[interval.hasse] = table
+            memo[key] = table
         out[x] = table
     return out
 

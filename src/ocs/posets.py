@@ -254,21 +254,25 @@ def induced_subposet(p: Poset, elements) -> tuple[Poset, tuple[int, ...]]:
     return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
 
 
-def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
-    """The induced subposet on {x : x <= b}.
+def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The sorted elements x <= b and the Hasse diagram of the interval they
+    form, re-indexed so that elems[i] becomes i; no leq is built.  A
+    down-closed subset inherits its Hasse diagram by restriction."""
+    elems = tuple(_bits(p.geq[b]))
+    pos = {e: i for i, e in enumerate(elems)}
+    return elems, tuple(tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems)
 
-    A down-closed subset inherits its Hasse diagram by restriction, so no
-    cover recomputation is needed.
+
+def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
+    """The induced subposet on {x : x <= b}, with the Hasse diagram of
+    `_lower_hasse`.
 
     Returns (interval, sorted tuple of original indices).
     """
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
-    elems = tuple(_bits(p.geq[b]))
-    leq, pos = _restricted_leq(p, elems)
-    hasse = tuple(
-        tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems
-    )
+    elems, hasse = _lower_hasse(p, b)
+    leq, _ = _restricted_leq(p, elems)
     rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
     return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
 

@@ -6,10 +6,20 @@ products, and Whitney homology characters of a poset with a symmetric-group
 action are read off one Mobius row of each permutation's fixed points
 (refusing whenever interval homology is not concentrated in its expected
 degree, so a character is never fabricated from an alternating sum).
+
+For the partition lattice Pi_n, the Whitney characters also come with no
+poset at all (`partition_lattice_whitney_characters`): they are the
+degree-(n, r) parts of the plethystic exponential
+Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)], over power-sum monomials, with
+ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d) (Reutenauer 1993), the sign
+twist p_lam -> (-1)^(|lam| - len(lam)) p_lam, and the sign (-1)^((k-1) e)
+on a generator of odd t-degree e in p_k (Lehrer-Solomon 1986; Wachs 2007).
+The poset path is the oracle of this one.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +43,7 @@ __all__ = [
     "cycle_type_permutation",
     "sym_class_poset_perms",
     "whitney_character",
+    "partition_lattice_whitney_characters",
     "stable_multiplicity_check",
 ]
 
@@ -278,6 +289,77 @@ def _whitney_characters(p: Poset, class_perms: dict, ranks, m: int) -> dict[int,
         }
         out[r] = ClassFunction.from_dict(m, values)
     return out
+
+
+def _moebius(d: int) -> int:
+    """The number-theoretic Mobius function, by trial division."""
+    out, k = 1, 2
+    while k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if d > 1 else out
+
+
+def partition_lattice_whitney_characters(r: int, nmax: int) -> dict[int, ClassFunction]:
+    """{n: character of S_n on the rank-r Whitney homology of the partition
+    lattice Pi_n} for 1 <= n <= nmax, from the plethystic exponential, with
+    no poset.
+
+    The Frobenius characteristic of the rank-r Whitney homology of Pi_n is
+    the degree-(n, r) part of Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)]: the
+    interval below a set partition is the product of the partition lattices
+    of its blocks, a block of size b contributes the top homology
+    sgn (x) Lie_b of Pi_b in degree b - 1, and the blocks of equal size
+    are permuted with the Koszul sign of their degrees (Lehrer-Solomon, *On
+    the action of the symmetric group on the cohomology of the complement
+    of its reflecting hyperplanes*, 1986; Wachs, *Poset topology: tools and
+    applications*, 2007).  Over power-sum monomials, with exact
+    coefficients:
+
+    - ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d), mu the number-theoretic
+      Mobius function (Reutenauer, *Free Lie algebras*, 1993);
+    - the sign twist multiplies p_lam by (-1)^(|lam| - len(lam));
+    - Exp[G] = exp(sum_k p_k[G] / k), where p_k[G] replaces every p_j by
+      p_(jk) and t by t^k, and a generator of odd t-degree e takes the
+      sign (-1)^((k-1) e), as in an exterior power;
+    - the character value at cycle type lam is z_lam times the coefficient
+      of p_lam t^r.
+
+    Ranks r < 0 and r >= n give the zero character.  t-degrees above r are
+    dropped as they appear, so a low rank costs less than the top one.
+    """
+    # gens[m]: the symmetric-degree-m part of sum_k p_k[G] / k, as
+    # {(lam, t-degree): coefficient}
+    gens = [defaultdict(Fraction) for _ in range(nmax + 1)]
+    for b in range(1, nmax + 1):
+        for k in range(1, nmax // b + 1):
+            e = k * (b - 1)
+            if e > r:
+                break
+            for d in range(1, b + 1):
+                mu = _moebius(d) if b % d == 0 else 0
+                if mu:
+                    sign = (-1) ** ((k - 1) * (b - 1) + b - b // d)
+                    gens[k * b][((k * d,) * (b // d), e)] += Fraction(sign * mu, k * b)
+    # exp by the degree recurrence m E_m = sum_(k=1..m) k G_k E_(m-k)
+    exp = [{((), 0): Fraction(1)}]
+    for m in range(1, nmax + 1):
+        acc: dict = defaultdict(Fraction)
+        for k in range(1, m + 1):
+            for (lam, e), c in gens[k].items():
+                for (rest, f), c2 in exp[m - k].items():
+                    if e + f <= r:
+                        acc[tuple(sorted(lam + rest, reverse=True)), e + f] += k * c * c2
+        exp.append({key: c / m for key, c in acc.items() if c})
+    return {
+        n: ClassFunction.from_dict(
+            n, {mu: _z_order(mu) * exp[n].get((mu, r), 0) for mu in partitions_of(n)})
+        for n in range(1, nmax + 1)
+    }
 
 
 def stable_multiplicity_check(

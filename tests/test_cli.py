@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import ocs
+import ocs.cli
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
+from ocs.dowling import enumerate_levels, spec_partition
 from ocs.symrep import partitions_of
 
 SPACES = sorted(
@@ -153,6 +155,130 @@ def test_rep_rejects_duplicate_elements(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {
         "type": "input", "message": "'dowling' element strings must name distinct elements"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "stability", "--spec", "typeA_R2", "--window", "4..5"],
+    ["rep", "stability", "--spec", "toricB", "--window", "2..3"],
+    ["rep", "decompose", "--poset", "BUILT"],
+])
+def test_rep_rejects_a_negative_rank(argv, tmp_path, capsys):
+    # --rank -1 used to exit 0 with all-zero characters ("sizeBound": -2
+    # in rep stability)
+    path = tmp_path / "partition-3.json"
+    assert run(["dowling", "build", "--spec", "partition", "--n", "3", "--out", str(path)]) == 0
+    rc = run([str(path) if a == "BUILT" else a for a in argv] + ["--rank", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "rank must be nonnegative, got -1"}
+
+
+def _space_json(spec: str) -> dict:
+    path = resources.files("ocs").joinpath("specs", "spaces", spec + ".json")
+    return json.loads(path.read_text())
+
+
+# the spaces whose Dowling poset is the partition lattice Pi_n
+PARTITION_LATTICE_SPACES = [
+    spec for spec in SPACES
+    if _space_json(spec)["group"]["order"] == 1 and not _space_json(spec)["orbits"]
+]
+
+
+def _rep_stability_both_paths(argv, capsys, monkeypatch):
+    """(rc, stdout, stderr) of `rep stability` on the series path and on the
+    poset path."""
+    results = []
+    for path in ("_series_characters", "_poset_characters"):
+        with monkeypatch.context() as m:
+            m.setattr(ocs.cli, "_series_characters", getattr(ocs.cli, path))
+            rc = run(["rep", "stability", *argv])
+            results.append((rc, *capsys.readouterr()))
+    return results
+
+
+def test_partition_lattice_spaces_are_the_type_a_specs():
+    assert PARTITION_LATTICE_SPACES == ["typeA_C", "typeA_R1", "typeA_R2", "typeA_R3"]
+
+
+def test_rep_stability_builds_a_poset_only_off_the_partition_lattice(monkeypatch, capsys):
+    built = []
+    real = ocs.cli.build_poset
+    monkeypatch.setattr(ocs.cli, "build_poset",
+                        lambda spec, cap: built.append(spec.n) or real(spec, cap))
+    for spec in PARTITION_LATTICE_SPACES:
+        assert run(["rep", "stability", "--spec", spec, "--rank", "2", "--window", "4..8",
+                    "--cap", "5000"]) == 0
+    assert built == []
+    assert run(["rep", "stability", "--spec", "typeA_R2_punctured", "--rank", "1",
+                "--window", "2..3"]) == 0
+    assert built == [2, 3]
+
+
+@pytest.mark.parametrize("spec", PARTITION_LATTICE_SPACES)
+def test_series_path_matches_the_poset_path(spec, capsys, monkeypatch):
+    for rank in range(5):
+        series, poset = _rep_stability_both_paths(
+            ["--spec", spec, "--rank", str(rank), "--window", "1..6"], capsys, monkeypatch)
+        assert series == poset and series[0] == 0
+
+
+def _cap_thresholds(n: int) -> list[int]:
+    """The element counts after each rank level of the built Pi_n."""
+    counts = [len(level) for level in enumerate_levels(spec_partition(n), cap=10**6)]
+    return [sum(counts[:r + 1]) for r in range(len(counts))]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_series_path_keeps_the_cap_contract(n, capsys, monkeypatch):
+    # the same exit code and the same stderr (rank and partialCount) as
+    # build_poset gives, at every cap around a refusal threshold
+    caps = {0, 10000} | {t + d for t in _cap_thresholds(n) for d in (-1, 0)}
+    for cap in sorted(caps):
+        series, poset = _rep_stability_both_paths(
+            ["--spec", "typeA_R2", "--rank", "2", "--window", f"{n}..{n}", "--cap", str(cap)],
+            capsys, monkeypatch)
+        assert series == poset
+    if n == 1:
+        assert series[0] == 0  # the bottom alone never refuses
+
+
+def test_series_path_refuses_the_first_n_over_the_cap(capsys, monkeypatch):
+    # around the sizes of Pi_1 .. Pi_7, the Bell numbers 1 .. 877
+    bell = [_cap_thresholds(n)[-1] for n in range(1, 8)]
+    for cap in sorted({0} | {b + d for b in bell for d in (-1, 0)}):
+        series, poset = _rep_stability_both_paths(
+            ["--spec", "typeA_R2", "--rank", "1", "--window", "1..7", "--cap", str(cap)],
+            capsys, monkeypatch)
+        assert series == poset
+    assert series[0] == 0
+    series, _ = _rep_stability_both_paths(
+        ["--spec", "typeA_R2", "--rank", "1", "--window", "4..5", "--cap", "0"],
+        capsys, monkeypatch)
+    assert series[0] == 1 and _single_json_error(series[2]) == {
+        "type": "cap", "message": "element cap 0 exceeded while enumerating rank 1",
+        "partialCount": 7}
+
+
+def _rep_stability_report(rank: int, window: str, capsys) -> dict:
+    assert run(["rep", "stability", "--spec", "typeA_R2", "--rank", str(rank),
+                "--window", window, "--cap", "5000000"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_rep_stability_on_pi_n_is_stable_from_3r_plus_1(rank, capsys):
+    # past the Bell(10) = 115975 elements the poset path cannot reach
+    stable = _rep_stability_report(rank, f"{3 * rank + 1}..12", capsys)
+    assert stable["stable"] is True and stable["firstViolation"] is None
+    early = _rep_stability_report(rank, f"{3 * rank}..12", capsys)
+    assert early["stable"] is False and early["firstViolation"] == 3 * rank + 1
+
+
+def test_rank_three_multiplicities_are_constant_from_n_10(capsys):
+    names = _rep_stability_report(3, "4..12", capsys)["names"]
+    assert names["9"] != names["10"] == names["11"] == names["12"]
 
 
 @pytest.mark.parametrize("a,b", [(-7, 3), (7, 3), (0, -1), (0, 7)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ocs.homology
+import ocs.posets
 from ocs.dowling import build_poset, spec_from_json, spec_partition, spec_single_point
 from ocs.errors import DomainError
 from ocs.groups import cyclic_group
@@ -23,6 +24,7 @@ from ocs.homology import (
 )
 from ocs.posets import (
     Poset,
+    _lower_hasse,
     boolean_lattice,
     chain_poset,
     from_covers,
@@ -436,3 +438,31 @@ def test_whitney_homology_reduces_once_per_distinct_interval(poset, monkeypatch)
     monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: calls.append(q) or real(q))
     assert whitney_homology(p) == whitney_homology_reference(p)
     assert len(calls) == len(shapes) < p.n_elems - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_bottom())
+def test_memo_key_is_the_hasse_diagram_of_the_lower_interval(p):
+    for x in range(p.n_elems):
+        interval, elems = lower_interval(p, x)
+        assert _lower_hasse(p, x) == (elems, interval.hasse)
+
+
+@PI5_AND_TYPEB4
+def test_interval_tables_build_a_leq_only_on_a_memo_miss(poset, monkeypatch):
+    p = poset()
+    misses = []
+    real = ocs.homology.reduced_homology
+    monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: misses.append(q) or real(q))
+    built = []
+    extract = ocs.homology.lower_interval
+    monkeypatch.setattr(ocs.homology, "lower_interval",
+                        lambda q, x: built.append(x) or extract(q, x))
+    restricted = []
+    restrict = ocs.posets._restricted_leq
+    monkeypatch.setattr(ocs.posets, "_restricted_leq",
+                        lambda q, elems: restricted.append(elems) or restrict(q, elems))
+    _interval_tables(p, range(p.n_elems))
+    assert len(built) == len(misses) < p.n_elems - 1
+    # one restricted leq for each interval built, and one for its proper part
+    assert len(restricted) == 2 * len(misses)

@@ -15,7 +15,9 @@ from ocs.symrep import (
     character_table,
     conjugacy_class_size,
     cycle_type_permutation,
+    _whitney_characters,
     decompose,
+    partition_lattice_whitney_characters,
     partitions_of,
     sym_class_poset_perms,
     whitney_character,
@@ -208,3 +210,65 @@ def test_class_perms_refuse_the_same_element_lists_as_the_sweep(n):
                 sym_class_poset_perms(spec, kept)
             continue
         assert sym_class_poset_perms(spec, kept) == expected
+
+
+def poset_path_characters(n: int, ranks) -> dict:
+    """{r: Whitney character of the built partition lattice Pi_n}."""
+    spec = spec_partition(n)
+    p, elements = build_poset(spec, cap=10**6)
+    return _whitney_characters(p, sym_class_poset_perms(spec, elements), ranks, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_series_characters_match_the_poset_path_at_every_rank(n):
+    expected = poset_path_characters(n, None)
+    assert sorted(expected) == list(range(n))
+    for r, cf in expected.items():
+        assert partition_lattice_whitney_characters(r, n)[n] == cf
+
+
+def test_series_characters_match_the_poset_path_on_pi_8_low_ranks():
+    ranks = range(5)
+    expected = poset_path_characters(8, list(ranks))
+    for r in ranks:
+        assert partition_lattice_whitney_characters(r, 8)[8] == expected[r]
+
+
+@pytest.mark.parametrize("r", [-3, -1, 7, 8, 12])
+def test_out_of_range_ranks_give_zero_characters_on_both_paths(r):
+    chars = partition_lattice_whitney_characters(r, 7)
+    assert sorted(chars) == list(range(1, 8))
+    for n, cf in chars.items():
+        if 0 <= r < n:
+            continue
+        assert cf.m == n and all(v == 0 for _, v in cf.values)
+        if n <= 5:
+            assert poset_path_characters(n, [r])[r] == cf
+
+
+def unsigned_stirling_first(n: int, k: int) -> int:
+    """|s(n, k)|: permutations of n points with k cycles."""
+    if n == 0:
+        return int(k == 0)
+    if k == 0:
+        return 0
+    return unsigned_stirling_first(n - 1, k - 1) + (n - 1) * unsigned_stirling_first(n - 1, k)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_series_characters_have_the_whitney_numbers_as_degrees(r):
+    # WH_r(Pi_n) has dimension |s(n, n - r)|, the rank-r Whitney number of
+    # the first kind; checked past the sizes the poset path reaches
+    for n, cf in partition_lattice_whitney_characters(r, 12).items():
+        assert dict(cf.values)[(1,) * n] == (unsigned_stirling_first(n, n - r) if r < n else 0)
+
+
+def test_series_characters_have_the_closed_forms_at_rank_one_and_the_top():
+    chars = partition_lattice_whitney_characters(1, 10)
+    for n in range(2, 11):
+        expected = {mu: comb(mu.count(1), 2) + mu.count(2) for mu in partitions_of(n)}
+        assert dict(chars[n].values) == expected
+    for n in range(2, 11):
+        top = partition_lattice_whitney_characters(n - 1, n)[n]
+        assert dict(top.values) == {mu: sign(mu) * lie_character(mu) for mu in partitions_of(n)}
+
