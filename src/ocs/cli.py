@@ -438,11 +438,11 @@ def _poset_characters(space: SpaceInput, rank: int, window: list[int], cap: int)
 
 def _series_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
     """`_poset_characters` for a space whose poset is the partition lattice
-    Pi_n, with no poset: the characters come from the plethystic
-    exponential, and the cap is checked as `build_poset` checks it, against
-    the rank levels of Pi_n, which have S(n, n - r) elements (Stirling
-    numbers of the second kind).  The space is not read; it is taken so
-    that both paths have one signature."""
+    Pi_n, with no poset: the characters come from Lehrer's product formula
+    (`partition_lattice_whitney_characters`), and the cap is checked as
+    `build_poset` checks it, against the rank levels of Pi_n, which have
+    S(n, n - r) elements (Stirling numbers of the second kind).  The space
+    is not read; it is taken so that both paths have one signature."""
     stirling = [1]  # stirling[k] = S(m, k)
     for m in range(1, window[-1] + 1):
         stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m)] + [1]
@@ -459,8 +459,8 @@ def _cmd_rep_stability(args) -> str:
     """Multiplicity stability of the rank-r Whitney characters over a window
     of n.  A space with the trivial group and no orbits (the typeA_* specs)
     has the partition lattice Pi_n as its poset, and takes its characters
-    from the plethystic exponential (`_series_characters`); every other
-    space builds its poset for each n (`_poset_characters`)."""
+    from Lehrer's product formula, with no poset (`_series_characters`);
+    every other space builds its poset for each n (`_poset_characters`)."""
     _check_rank(args.rank)
     space = _load_space(args.spec)
     window = _parse_window(args.window)

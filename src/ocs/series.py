@@ -306,6 +306,8 @@ NMAX_CAP = 12
 
 
 def _check_nmax_cap(nmax: int) -> None:
+    if nmax < 0:
+        raise InputError("nmax must be nonnegative")
     if nmax > NMAX_CAP:
         raise DomainError(f"truncation cap is {NMAX_CAP}, got {nmax}")
 
@@ -316,8 +318,6 @@ def e1_table(space: SpaceInput, nmax: int) -> dict[int, dict[tuple[int, int], in
     Every dimension is asserted to be a nonnegative integer after
     unweighting; size 0 is the single entry (0,0) -> 1.
     """
-    if nmax < 0:
-        raise InputError("nmax must be nonnegative")
     _check_nmax_cap(nmax)
     return _table_from_series(space, e1_series(space, nmax))
 

@@ -71,7 +71,6 @@ class Family:
     """The generator family {((n-1)/n, degree/n) : n >= 1, n not removed}."""
 
     degree: int
-    coeff: int
     removed: frozenset[int] = frozenset()
 
     def allows(self, n: int) -> bool:
@@ -103,9 +102,7 @@ class GenerationLocus:
 
 
 def locus_from_space(space: SpaceInput) -> GenerationLocus:
-    families = tuple(
-        Family(degree=i, coeff=b) for i, b in enumerate(space.betti) if b
-    )
+    families = tuple(Family(degree=i) for i, b in enumerate(space.betti) if b)
     return GenerationLocus(
         families=families,
         limit_present=True,
@@ -498,7 +495,8 @@ def quotient_series(space: SpaceInput, points, trunc: int) -> WeightedSeries:
     each point's packet leaves the diagonal argument, then one exp.
 
     Raises:
-        InputError: for the limit point, or a point outside the families.
+        InputError: for a negative trunc, the limit point, or a point
+            outside the families.
         DomainError: past the truncation cap that e1_table also keeps.
     """
     _check_nmax_cap(trunc)

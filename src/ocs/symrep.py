@@ -8,18 +8,18 @@ action are read off one Mobius row of each permutation's fixed points
 degree, so a character is never fabricated from an alternating sum).
 
 For the partition lattice Pi_n, the Whitney characters also come with no
-poset at all (`partition_lattice_whitney_characters`): they are the
-degree-(n, r) parts of the plethystic exponential
-Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)], over power-sum monomials, with
-ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d) (Reutenauer 1993), the sign
-twist p_lam -> (-1)^(|lam| - len(lam)) p_lam, and the sign (-1)^((k-1) e)
-on a generator of odd t-degree e in p_k (Lehrer-Solomon 1986; Wachs 2007).
-The poset path is the oracle of this one.
+poset at all (`partition_lattice_whitney_characters`).  Their Frobenius
+characteristics are the degree-(n, r) parts of the plethystic exponential
+Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)] (Lehrer-Solomon 1986; Wachs 2007),
+with ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d) (Reutenauer 1993).  Read
+at one permutation, that exponential factors by cycle length into binomial
+series, and the character value is the t^r coefficient of Lehrer's integer
+product (Lehrer 1987), which is what is computed.  The poset path is the
+oracle of this one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,17 +158,14 @@ def decompose(cf: ClassFunction) -> dict[tuple[int, ...], int]:
         DomainError: if any multiplicity is not an integer (the input was
             not a virtual character).
     """
-    m = cf.m
-    table = character_table(m)
-    order = factorial(m)
+    table = character_table(cf.m)
     vals = dict(cf.values)
+    # <cf, chi> = sum_mu cf(mu) chi(mu) / z_mu, the class of mu having
+    # m!/z_mu elements
+    weights = {mu: Fraction(v, _z_order(mu)) for mu, v in vals.items()}
     out: dict[tuple[int, ...], int] = {}
     for lam, row in table.items():
-        inner = sum(
-            Fraction(conjugacy_class_size(mu)) * vals[mu] * row[mu]
-            for mu in vals
-        )
-        mult = inner / order
+        mult = sum(w * row[mu] for mu, w in weights.items())
         if mult.denominator != 1:
             raise DomainError(
                 f"non-integer multiplicity {mult} at {lam}: not a virtual character"
@@ -306,7 +303,7 @@ def _moebius(d: int) -> int:
 
 def partition_lattice_whitney_characters(r: int, nmax: int) -> dict[int, ClassFunction]:
     """{n: character of S_n on the rank-r Whitney homology of the partition
-    lattice Pi_n} for 1 <= n <= nmax, from the plethystic exponential, with
+    lattice Pi_n} for 1 <= n <= nmax, from Lehrer's product formula, with
     no poset.
 
     The Frobenius characteristic of the rank-r Whitney homology of Pi_n is
@@ -317,49 +314,49 @@ def partition_lattice_whitney_characters(r: int, nmax: int) -> dict[int, ClassFu
     are permuted with the Koszul sign of their degrees (Lehrer-Solomon, *On
     the action of the symmetric group on the cohomology of the complement
     of its reflecting hyperplanes*, 1986; Wachs, *Poset topology: tools and
-    applications*, 2007).  Over power-sum monomials, with exact
-    coefficients:
+    applications*, 2007).  Here ch Lie_b = (1/b) sum_(d | b) mu(d)
+    p_d^(b/d), mu the number-theoretic Mobius function (Reutenauer, *Free
+    Lie algebras*, 1993), the twist by sgn multiplies p_lam by
+    (-1)^(|lam| - len(lam)), and a generator of odd t-degree e enters p_k
+    with the sign (-1)^((k-1) e), as in an exterior power.
 
-    - ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d), mu the number-theoretic
-      Mobius function (Reutenauer, *Free Lie algebras*, 1993);
-    - the sign twist multiplies p_lam by (-1)^(|lam| - len(lam));
-    - Exp[G] = exp(sum_k p_k[G] / k), where p_k[G] replaces every p_j by
-      p_(jk) and t by t^k, and a generator of odd t-degree e takes the
-      sign (-1)^((k-1) e), as in an exterior power;
-    - the character value at cycle type lam is z_lam times the coefficient
-      of p_lam t^r.
+    The character value at a cycle type lam is z_lam times the coefficient
+    of p_lam.  Every term of the plethysm p_k[ch(sgn (x) Lie_b) t^(b-1)]
+    is a power of the single p_(kd), so the exponential splits into one
+    factor per cycle length j, and that factor is the binomial series
+    (1 - (-1)^(j-1) t^j p_j)^(-a_j(t) / (j t^j)), with
+    a_j(t) = sum_(d | j) mu(d) (-1)^(j/d - 1) t^(j - j/d).  Read at lam,
+    with m_j parts equal to j, the character value is the t^r coefficient
+    of
 
-    Ranks r < 0 and r >= n give the zero character.  t-degrees above r are
-    dropped as they appear, so a low rank costs less than the top one.
+        prod_j prod_(s < m_j) (-1)^(j-1) (a_j(t) + s j t^j)
+
+    (Lehrer, *On the Poincare series associated with Coxeter group actions
+    on complements of hyperplanes*, 1987).  The product has degree n - 1,
+    so ranks r < 0 and r >= n give the zero character, and every
+    polynomial is cut at t^r.
     """
-    # gens[m]: the symmetric-degree-m part of sum_k p_k[G] / k, as
-    # {(lam, t-degree): coefficient}
-    gens = [defaultdict(Fraction) for _ in range(nmax + 1)]
-    for b in range(1, nmax + 1):
-        for k in range(1, nmax // b + 1):
-            e = k * (b - 1)
-            if e > r:
-                break
-            for d in range(1, b + 1):
-                mu = _moebius(d) if b % d == 0 else 0
-                if mu:
-                    sign = (-1) ** ((k - 1) * (b - 1) + b - b // d)
-                    gens[k * b][((k * d,) * (b // d), e)] += Fraction(sign * mu, k * b)
-    # exp by the degree recurrence m E_m = sum_(k=1..m) k G_k E_(m-k)
-    exp = [{((), 0): Fraction(1)}]
-    for m in range(1, nmax + 1):
-        acc: dict = defaultdict(Fraction)
-        for k in range(1, m + 1):
-            for (lam, e), c in gens[k].items():
-                for (rest, f), c2 in exp[m - k].items():
-                    if e + f <= r:
-                        acc[tuple(sorted(lam + rest, reverse=True)), e + f] += k * c * c2
-        exp.append({key: c / m for key, c in acc.items() if c})
-    return {
-        n: ClassFunction.from_dict(
-            n, {mu: _z_order(mu) * exp[n].get((mu, r), 0) for mu in partitions_of(n)})
-        for n in range(1, nmax + 1)
-    }
+    out = {}
+    for n in range(1, nmax + 1):
+        values = dict.fromkeys(partitions_of(n), 0)
+        if 0 <= r < n:
+            for lam in values:
+                poly = [1] + [0] * r
+                for j in set(lam):
+                    a = [0] * (r + 1)
+                    for d in range(1, j + 1):
+                        if j % d == 0 and j - j // d <= r:
+                            a[j - j // d] += _moebius(d) * (-1) ** (j // d - 1)
+                    sign = (-1) ** (j - 1)
+                    for s in range(lam.count(j)):
+                        f = a.copy()
+                        if j <= r:
+                            f[j] += s * j
+                        poly = [sign * sum(poly[i] * f[k - i] for i in range(k + 1))
+                                for k in range(r + 1)]
+                values[lam] = poly[r]
+        out[n] = ClassFunction.from_dict(n, values)
+    return out
 
 
 def stable_multiplicity_check(

@@ -111,6 +111,16 @@ def test_verify_keeps_the_config_truncation_cap(spec, capsys):
     assert _single_json_error(err)["type"] == "domain"
 
 
+@pytest.mark.parametrize("spec", SPACES)
+def test_verify_rejects_a_negative_nmax(spec, capsys):
+    # toricB, typeA_R2 and rp2free used to escape from series_exp with an
+    # IndexError traceback (exit 1); typeA_R1 used to exit 0
+    rc = run(["stability", "report", "--spec", spec, "--verify", "--nmax", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {"type": "input", "message": "nmax must be nonnegative"}
+
+
 def test_verify_rejects_a_negative_defect(capsys):
     # ROADMAP D8: --j -1 used to exit 0 with "generatorBound": -2 and
     # "verified": true
@@ -274,6 +284,15 @@ def test_rep_stability_on_pi_n_is_stable_from_3r_plus_1(rank, capsys):
     assert stable["stable"] is True and stable["firstViolation"] is None
     early = _rep_stability_report(rank, f"{3 * rank}..12", capsys)
     assert early["stable"] is False and early["firstViolation"] == 3 * rank + 1
+
+
+def test_rep_stability_at_a_huge_rank_is_empty(capsys):
+    # every rank >= n gives the zero character, with nothing of size r built
+    rc = run(["rep", "stability", "--spec", "typeA_R2", "--rank", "1000000000",
+              "--window", "4..5"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["names"] == {"4": [], "5": []}
 
 
 def test_rank_three_multiplicities_are_constant_from_n_10(capsys):

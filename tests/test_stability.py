@@ -347,6 +347,13 @@ def test_quotient_takes_one_exp(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_quotient_rejects_a_negative_truncation(name):
+    # used to escape from series_exp as IndexError
+    with pytest.raises(InputError, match="nmax must be nonnegative"):
+        quotient_series(BUNDLED[name], [], -1)
+
+
 @pytest.mark.parametrize("pt", [("family", -1, 2), ("family", 3, 2), ("family", 2, 0),
                                 ("family", 2, -1)])
 def test_quotient_rejects_points_off_the_families(pt):

@@ -1,3 +1,5 @@
+import time
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,6 +20,7 @@ from ocs.symrep import (
     _whitney_characters,
     decompose,
     partition_lattice_whitney_characters,
+    _z_order,
     partitions_of,
     sym_class_poset_perms,
     whitney_character,
@@ -272,3 +275,55 @@ def test_series_characters_have_the_closed_forms_at_rank_one_and_the_top():
         top = partition_lattice_whitney_characters(n - 1, n)[n]
         assert dict(top.values) == {mu: sign(mu) * lie_character(mu) for mu in partitions_of(n)}
 
+
+
+def plethystic_reference(r: int, nmax: int) -> dict:
+    """{n: rank-r Whitney character of Pi_n}, as the degree-(n, r) parts of
+    Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)] over power-sum monomials with
+    exact coefficients: Exp[G] = exp(sum_k p_k[G] / k), with a generator of
+    odd t-degree e signed (-1)^((k-1) e) in p_k, and the character value at
+    lam is z_lam times the coefficient of p_lam t^r."""
+    # gens[m]: the symmetric-degree-m part of sum_k p_k[G] / k, as
+    # {(lam, t-degree): coefficient}
+    gens = [defaultdict(Fraction) for _ in range(nmax + 1)]
+    for b in range(1, nmax + 1):
+        for k in range(1, nmax // b + 1):
+            e = k * (b - 1)
+            if e > r:
+                break
+            for d in range(1, b + 1):
+                mu = moebius(d) if b % d == 0 else 0
+                if mu:
+                    sign = (-1) ** ((k - 1) * (b - 1) + b - b // d)
+                    gens[k * b][((k * d,) * (b // d), e)] += Fraction(sign * mu, k * b)
+    # exp by the degree recurrence m E_m = sum_(k=1..m) k G_k E_(m-k)
+    exp = [{((), 0): Fraction(1)}]
+    for m in range(1, nmax + 1):
+        acc: dict = defaultdict(Fraction)
+        for k in range(1, m + 1):
+            for (lam, e), c in gens[k].items():
+                for (rest, f), c2 in exp[m - k].items():
+                    if e + f <= r:
+                        acc[tuple(sorted(lam + rest, reverse=True)), e + f] += k * c * c2
+        exp.append({key: c / m for key, c in acc.items() if c})
+    return {
+        n: ClassFunction.from_dict(
+            n, {mu: _z_order(mu) * exp[n].get((mu, r), 0) for mu in partitions_of(n)})
+        for n in range(1, nmax + 1)
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_product_formula_matches_the_plethystic_exponential(n):
+    for r in range(-2, n + 2):
+        assert partition_lattice_whitney_characters(r, n) == plethystic_reference(r, n)
+
+
+def test_a_huge_rank_allocates_nothing_of_its_size():
+    # the product has degree n - 1, so no polynomial is cut at t^r
+    start = time.perf_counter()
+    chars = partition_lattice_whitney_characters(10**9, 8)
+    assert time.perf_counter() - start < 1
+    assert sorted(chars) == list(range(1, 9))
+    for n, cf in chars.items():
+        assert cf.m == n and all(v == 0 for _, v in cf.values)
