@@ -18,6 +18,9 @@ Everything here is integer arithmetic, with one strategy per question:
     Mobius recursion lives in `posets` (`_mobius_above`).
 
 Conventions, fixed globally:
+  * A subposet is a subset of p's elements (a bitset, as `p.geq` gives, for
+    chains and homology), never a re-indexed copy.  Sorted indices re-index
+    monotonically, so the bases and reductions are the copy's, up to labels.
   * The order complex carries an empty face in dimension -1 (reduced chain
     complex), so the empty poset has reduced Betti table {-1: 1}.
   * Whitney homology buckets the interval below x at (rank x, k) where the
@@ -37,8 +40,6 @@ from .posets import (
     _lower_hasse,
     _mobius_above,
     _mobius_row,
-    lower_interval,
-    proper_part,
 )
 
 __all__ = [
@@ -52,15 +53,16 @@ __all__ = [
 ]
 
 
-def order_complex_chains(p: Poset) -> list[list[tuple[int, ...]]]:
-    """All chains of the poset, grouped by dimension.
+def order_complex_chains(p: Poset, mask: int | None = None) -> list[list[tuple[int, ...]]]:
+    """All chains of p, or of its subposet on the bitset mask, by dimension.
 
     Returns ``chains`` with ``chains[k]`` the dimension-k simplices, i.e. the
-    (k+1)-element chains, each a tuple in increasing poset order.  Bases are
-    in lexicographic order of index tuples.
+    (k+1)-element chains, each a tuple of p's indices in increasing poset
+    order.  Bases are in lexicographic order of index tuples.
     """
-    n = p.n_elems
-    ups = [list(_bits(p.leq[x] ^ (1 << x))) for x in range(n)]
+    if mask is None:
+        mask = (1 << p.n_elems) - 1
+    ups = {x: list(_bits((p.leq[x] & mask) ^ (1 << x))) for x in _bits(mask)}
     out: list[list[tuple[int, ...]]] = []
 
     def extend(chain: tuple[int, ...]):
@@ -71,7 +73,7 @@ def order_complex_chains(p: Poset) -> list[list[tuple[int, ...]]]:
         for y in ups[chain[-1]]:
             extend(chain + (y,))
 
-    for x in range(n):
+    for x in ups:
         extend((x,))
     return out
 
@@ -177,16 +179,13 @@ def _boundary_ranks(bnd: list[list[dict[int, int]]]) -> list[int]:
     return ranks
 
 
-def reduced_homology(p: Poset) -> dict[int, int]:
-    """Reduced Betti numbers of the order complex of p (rational ranks).
+def reduced_homology(p: Poset, mask: int | None = None) -> dict[int, int]:
+    """Reduced Betti numbers of the order complex of p, or of its subposet
+    on the bitset mask (rational ranks).
 
-    The caller is expected to pass the poset whose order complex is wanted
-    (for interval homology, apply proper_part first).  The empty poset
-    returns {-1: 1}.
+    The empty poset returns {-1: 1}.
     """
-    if p.n_elems == 0:
-        return {-1: 1}
-    chains = order_complex_chains(p)
+    chains = order_complex_chains(p, mask)
     ranks = _boundary_ranks(_boundary_matrices(chains))
     ranks.append(0)
     betti: dict[int, int] = {}
@@ -220,20 +219,22 @@ def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
     copy (`_lower_hasse`, read off `p.geq` and `p.hasse` alone).  The Hasse
     diagram determines the poset, so two intervals with equal keys are the
     same poset, and one reduction serves all of them with no isomorphism
-    search; the interval itself, with its leq, is built only on a miss.
-    The memo lives for this call only; the tables it hands out are shared
-    between the x of one key.
+    search.  On a miss, the open interval (bottom, x) is reduced as the
+    bitset p.geq[x] less x and the bottom; no subposet is built, and p
+    needs a unique minimum.  The memo lives for this call only; the tables
+    it hands out are shared between the x of one key.
     """
+    bottom = p.bottom()
     memo: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
     out = {}
     for x in xs:
         _, key = _lower_hasse(p, x)
         table = memo.get(key)
         if table is None:
-            if len(key) == 1:
+            if x == bottom:
                 table = {0: 1}
             else:
-                betti = reduced_homology(proper_part(lower_interval(p, x)[0]))
+                betti = reduced_homology(p, p.geq[x] ^ (1 << x | 1 << bottom))
                 table = {deg + 2: rank for deg, rank in betti.items()}
             memo[key] = table
         out[x] = table
@@ -248,6 +249,8 @@ def interval_degree_table(p: Poset, x: int) -> dict[int, int]:
     {0: 1} by the degenerate convention.  The same body as every other
     interval table (`_interval_tables`), for one x.
     """
+    if not 0 <= x < p.n_elems:
+        raise InputError("interval top out of range")
     return _interval_tables(p, [x])[x]
 
 

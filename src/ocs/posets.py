@@ -264,17 +264,13 @@ def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ..
 
 
 def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
-    """The induced subposet on {x : x <= b}, with the Hasse diagram of
-    `_lower_hasse`.
+    """The induced subposet on {x : x <= b}, read off `p.geq`.
 
     Returns (interval, sorted tuple of original indices).
     """
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
-    elems, hasse = _lower_hasse(p, b)
-    leq, _ = _restricted_leq(p, elems)
-    rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
-    return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
+    return induced_subposet(p, _bits(p.geq[b]))
 
 
 def direct_product(p: Poset, q: Poset) -> Poset:

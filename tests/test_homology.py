@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import ocs.homology
 import ocs.posets
 from ocs.dowling import build_poset, spec_from_json, spec_partition, spec_single_point
-from ocs.errors import DomainError
+from ocs.errors import DomainError, InputError
 from ocs.groups import cyclic_group
 from ocs.homology import (
     _boundary_matrices,
@@ -161,6 +161,18 @@ def test_interval_degree_table_buckets():
     atom = 0b001
     assert interval_degree_table(b, atom) == {1: 1}
     assert interval_degree_table(b, 0b111) == {3: 1}
+
+
+@pytest.mark.parametrize("x", [-1, 3])
+def test_interval_degree_table_refuses_a_top_out_of_range(x):
+    # -1 would otherwise read element 2 through a negative index
+    with pytest.raises(InputError, match="interval top out of range"):
+        interval_degree_table(from_covers(3, [(0, 1)]), x)
+
+
+def test_interval_degree_table_requires_bottom():
+    with pytest.raises(DomainError):
+        interval_degree_table(from_covers(3, [(0, 1)]), 1)
 
 
 def test_whitney_homology_boolean():
@@ -435,7 +447,8 @@ def test_whitney_homology_reduces_once_per_distinct_interval(poset, monkeypatch)
             shapes.add(induced_subposet(p, below)[0].hasse)
     calls = []
     real = ocs.homology.reduced_homology
-    monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: calls.append(q) or real(q))
+    monkeypatch.setattr(ocs.homology, "reduced_homology",
+                        lambda q, mask=None: calls.append(mask) or real(q, mask))
     assert whitney_homology(p) == whitney_homology_reference(p)
     assert len(calls) == len(shapes) < p.n_elems - 1
 
@@ -453,16 +466,50 @@ def test_interval_tables_build_a_leq_only_on_a_memo_miss(poset, monkeypatch):
     p = poset()
     misses = []
     real = ocs.homology.reduced_homology
-    monkeypatch.setattr(ocs.homology, "reduced_homology", lambda q: misses.append(q) or real(q))
+    monkeypatch.setattr(ocs.homology, "reduced_homology",
+                        lambda q, mask=None: misses.append((q, mask)) or real(q, mask))
     built = []
-    extract = ocs.homology.lower_interval
-    monkeypatch.setattr(ocs.homology, "lower_interval",
-                        lambda q, x: built.append(x) or extract(q, x))
+    init = Poset.__init__
+    monkeypatch.setattr(Poset, "__init__", lambda q, *a, **k: built.append(a) or init(q, *a, **k))
     restricted = []
     restrict = ocs.posets._restricted_leq
     monkeypatch.setattr(ocs.posets, "_restricted_leq",
                         lambda q, elems: restricted.append(elems) or restrict(q, elems))
     _interval_tables(p, range(p.n_elems))
-    assert len(built) == len(misses) < p.n_elems - 1
-    # one restricted leq for each interval built, and one for its proper part
-    assert len(restricted) == 2 * len(misses)
+    assert 0 < len(misses) < p.n_elems - 1
+    # every miss reads p itself under a bitset: no Poset and no leq is built
+    assert all(q is p and isinstance(mask, int) for q, mask in misses)
+    assert built == restricted == []
+    assert not hasattr(ocs.homology, "lower_interval")
+    assert not hasattr(ocs.homology, "proper_part")
+
+
+def _reindexed(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
+    return induced_subposet(p, [x for x in range(p.n_elems) if mask >> x & 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_automorphism(), st.data())
+def test_masked_homology_matches_the_reindexed_copy(case, data):
+    p, _ = case
+    mask = data.draw(st.integers(0, (1 << p.n_elems) - 1))
+    copy, elems = _reindexed(p, mask)
+    assert reduced_homology(p, mask) == reduced_homology(copy)
+    assert order_complex_chains(p, mask) == [
+        [tuple(elems[i] for i in c) for c in level] for level in order_complex_chains(copy)
+    ]
+    full = (1 << p.n_elems) - 1
+    assert order_complex_chains(p, full) == order_complex_chains(p)
+    assert reduced_homology(p, full) == reduced_homology(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(posets_with_bottom())
+def test_masked_open_intervals_match_the_proper_parts(p):
+    bottom = p.bottom()
+    for x in range(p.n_elems):
+        if x != bottom:
+            mask = p.geq[x] ^ (1 << x | 1 << bottom)
+            pp = proper_part(lower_interval(p, x)[0])
+            assert reduced_homology(p, mask) == reduced_homology(pp)
+            assert _reindexed(p, mask)[0] == pp
