@@ -326,6 +326,8 @@ def bm_betti(space: SpaceInput, n: int) -> dict[int, int]:
     """Borel-Moore Betti numbers of the size-n orbit configuration space in
     each total degree m = p + q; valid precisely when the space is
     i-acyclic (otherwise the page carries differentials and this refuses)."""
+    if n < 0:
+        raise InputError("n must be nonnegative")
     if not space.i_acyclic:
         raise DomainError(
             "space is not flagged i-acyclic: the first page does not compute "

@@ -21,6 +21,12 @@ the closing step is terminal.  All geometry is exact rational arithmetic;
 the infinite families are handled by closed-form monotonicity, never by
 truncation.
 
+Every step removes the first remaining member of some family: for degree
+>= 2 the norm falls strictly in n, so a maximum sits at the first member;
+the degree-1 tie point, the bottom corners and the closing step's
+("family", min degree, 2) are first members too.  The members left thus
+always form a tail n >= first, and `remove_point` refuses any other member.
+
 A step's bound is checked on the first page with the chosen generators
 divided out (`quotient_series`): their packets leave the diagonal exponent.
 
@@ -68,31 +74,19 @@ LIMIT = ("limit",)
 
 @dataclass(frozen=True)
 class Family:
-    """The generator family {((n-1)/n, degree/n) : n >= 1, n not removed}."""
+    """The generator family {((n-1)/n, degree/n) : n >= first}."""
 
     degree: int
-    removed: frozenset[int] = frozenset()
+    first: int = 1
 
     def allows(self, n: int) -> bool:
-        return n >= 1 and n not in self.removed
-
-    def allowed_from(self, start: int = 1):
-        n = max(start, 1)
-        while True:
-            if n not in self.removed:
-                yield n
-            n += 1
-
-    def min_n(self) -> int:
-        return next(self.allowed_from(1))
+        return n >= self.first
 
 
 @dataclass(frozen=True)
 class GenerationLocus:
     families: tuple[Family, ...]
     limit_present: bool
-    top_degree: int
-    label: str = ""
 
     def family(self, degree: int) -> Family | None:
         for f in self.families:
@@ -103,12 +97,7 @@ class GenerationLocus:
 
 def locus_from_space(space: SpaceInput) -> GenerationLocus:
     families = tuple(Family(degree=i) for i, b in enumerate(space.betti) if b)
-    return GenerationLocus(
-        families=families,
-        limit_present=True,
-        top_degree=space.top_degree,
-        label=space.name,
-    )
+    return GenerationLocus(families=families, limit_present=True)
 
 
 def point_xy(pt) -> tuple[Fraction, Fraction]:
@@ -139,7 +128,7 @@ def _candidates(locus: GenerationLocus):
     second-largest norms exactly.
 
     Yields (norm, attained, point) where point is a locus point, a
-    ("family_tail", i, min_n) marker for a degree-1 family (all of whose
+    ("family_tail", i, first) marker for a degree-1 family (all of whose
     members attain norm 1), or a ("family_sup", i) marker for a
     non-attained supremum (degree-0 families approach 1 from below).
     """
@@ -148,14 +137,11 @@ def _candidates(locus: GenerationLocus):
         if f.degree == 0:
             out.append((Fraction(1), False, ("family_sup", 0)))
         elif f.degree == 1:
-            out.append((Fraction(1), True, ("family_tail", 1, f.min_n())))
+            out.append((Fraction(1), True, ("family_tail", 1, f.first)))
         else:
-            gen = f.allowed_from(1)
-            n1 = next(gen)
-            n2 = next(gen)
-            out.append((_family_norm(f.degree, n1), True, ("family", f.degree, n1)))
-            out.append((_family_norm(f.degree, n2), True, ("family", f.degree, n2)))
-            # the rest of the family is strictly below the n2 value
+            for n in (f.first, f.first + 1):
+                out.append((_family_norm(f.degree, n), True, ("family", f.degree, n)))
+            # the rest of the family is strictly below the second value
     if locus.limit_present:
         out.append((Fraction(1), True, LIMIT))
     return out
@@ -184,15 +170,27 @@ def taxicab_extrema(locus: GenerationLocus, count: int = 2):
 @dataclass(frozen=True)
 class StabilityStep:
     point: tuple
-    x: Fraction
-    y: Fraction
-    factor: str
     classification: str  # "absolute" | "bounded" | "truncated"
-    norm: Fraction
     epsilon: Fraction | None
     epsilon_attained: bool
     slope: Fraction | None
     terminal: bool
+
+    @property
+    def x(self) -> Fraction:
+        return point_xy(self.point)[0]
+
+    @property
+    def y(self) -> Fraction:
+        return point_xy(self.point)[1]
+
+    @property
+    def norm(self) -> Fraction:
+        return point_norm(self.point)
+
+    @property
+    def factor(self) -> str:
+        return point_factor_id(self.point)
 
     def bound(self, j: int, m: int = 0) -> Fraction:
         """Largest size in which generators (m = 0) or relations of an
@@ -206,36 +204,18 @@ class StabilityStep:
         return (m * self.norm + j) / self.epsilon
 
 
-def _strictly_left_points(locus: GenerationLocus, x0: Fraction, skip):
+def _strictly_left_points(locus: GenerationLocus, x0: Fraction):
     """All locus points with x < x0 (finitely many: family members with
-    n < 1/(1-x0)), excluding `skip`."""
+    n < 1/(1-x0))."""
     if x0 >= 1:
         raise DomainError("no finite enumeration to the left of the limit point")
     pts = []
     for f in locus.families:
-        n = 1
+        n = f.first
         while Fraction(n - 1, n) < x0:
-            pt = ("family", f.degree, n)
-            if f.allows(n) and pt != skip:
-                pts.append(pt)
+            pts.append(("family", f.degree, n))
             n += 1
     return pts
-
-
-def _make_step(pt, classification, norm, epsilon, attained, slope, terminal):
-    x, y = point_xy(pt)
-    return StabilityStep(
-        point=pt,
-        x=x,
-        y=y,
-        factor=point_factor_id(pt),
-        classification=classification,
-        norm=norm,
-        epsilon=epsilon,
-        epsilon_attained=attained,
-        slope=slope,
-        terminal=terminal,
-    )
 
 
 def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilityStep:
@@ -265,14 +245,14 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
             if not (pt == v0 and norm == maxnorm)
         ]
         if not rest:
-            return _make_step(v0, "absolute", maxnorm, None, False, None, True)
+            return StabilityStep(v0, "absolute", None, False, None, True)
         second = max(norm for norm, _ in rest)
         second_attained = any(att for norm, att in rest if norm == second)
         eps = maxnorm - second
         if eps == 0:
             # the rest of the locus accumulates at the chosen norm
-            return _make_step(v0, "absolute", maxnorm, Fraction(0), False, None, True)
-        return _make_step(v0, "absolute", maxnorm, eps, second_attained, None, False)
+            return StabilityStep(v0, "absolute", Fraction(0), False, None, True)
+        return StabilityStep(v0, "absolute", eps, second_attained, None, False)
 
     # Tie.  Concretize markers to their extreme representatives.
     reps = []
@@ -287,7 +267,7 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
         v0 = min(reps, key=lambda p: (point_xy(p)[0], point_factor_id(p)))
         x0 = point_xy(v0)[0]
         ratios = []
-        for pt in _strictly_left_points(locus, x0, skip=v0):
+        for pt in _strictly_left_points(locus, x0):
             gap = maxnorm - point_norm(pt)
             run = x0 - point_xy(pt)[0]
             if gap <= 0:
@@ -295,11 +275,11 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
             ratios.append(gap / run)
         eps = min(ratios) if ratios else Fraction(1)
         eps = min(eps, Fraction(1))
-        return _make_step(v0, "bounded", maxnorm, eps, True, Fraction(-1) + eps, False)
+        return StabilityStep(v0, "bounded", eps, True, Fraction(-1) + eps, False)
 
     # rightmost
     if LIMIT in reps:
-        return _make_step(LIMIT, "truncated", maxnorm, Fraction(1), True, Fraction(-2), True)
+        return StabilityStep(LIMIT, "truncated", Fraction(1), True, Fraction(-2), True)
     if has_tail:
         # only without the limit point, which would have tied at norm 1
         raise DomainError("rightmost tie has no attained maximal point")
@@ -307,15 +287,12 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
     x0 = point_xy(v0)[0]
     ratios = []
     limit_ratio = (maxnorm - 1) / (1 - x0)
+    right_of_x0 = 1 // (1 - x0) + 1  # the least n with (n-1)/n > x0
     for f in locus.families:
         # strictly-right members form the tail n > 1/(1-x0); the ratio is a
         # monotone fractional-linear function of 1/n, so its infimum over
         # the tail is min(value at the first tail member, the n -> oo limit).
-        # terminates: (n-1)/n is increasing and removed is finite
-        first = next(n for n in f.allowed_from(1) if Fraction(n - 1, n) > x0)
-        pt = ("family", f.degree, first)
-        if pt == v0:
-            continue
+        pt = ("family", f.degree, max(f.first, right_of_x0))
         gap = maxnorm - point_norm(pt)
         run = point_xy(pt)[0] - x0
         if gap <= 0:
@@ -328,7 +305,7 @@ def classify_step(locus: GenerationLocus, variant: str = "left") -> StabilitySte
     if not positive:
         raise DomainError("no separating slope below -1 exists")
     eps = min(min(positive), Fraction(1))
-    return _make_step(v0, "truncated", maxnorm, eps, True, Fraction(-1) - eps, False)
+    return StabilityStep(v0, "truncated", eps, True, Fraction(-1) - eps, False)
 
 
 def _corner_slope(locus: GenerationLocus, k: int) -> Fraction:
@@ -340,9 +317,8 @@ def _corner_slope(locus: GenerationLocus, k: int) -> Fraction:
         # (i - k n)/(n - 1) over n >= 2 is monotone; minimum at the first
         # member when i < k, at the n -> oo limit -k when i >= k.
         if i < k:
-            for n in f.allowed_from(2):
-                slopes.append(Fraction(i - k * n, n - 1))
-                break
+            n = max(2, f.first)
+            slopes.append(Fraction(i - k * n, n - 1))
         else:
             slopes.append(Fraction(-k))
     return min(slopes)
@@ -385,28 +361,19 @@ def bottom_step(locus: GenerationLocus) -> StabilityStep:
     k = corner_fam.degree
     v0 = ("family", k, 1)
     if k == 0:
-        norms = []
-        for f in locus.families:
-            for n in f.allowed_from(1):
-                if ("family", f.degree, n) != v0:
-                    norms.append(_family_norm(f.degree, n))
-                    break
+        # the corner's own family goes on at size 2
+        norms = [_family_norm(f.degree, 2 if f.degree == 0 else f.first)
+                 for f in locus.families]
         if locus.limit_present:
             norms.append(Fraction(1))
-        eps = min(norms) if norms else Fraction(1)
-        return _make_step(v0, "absolute", Fraction(0), eps, True, Fraction(0), False)
-    # a lower corner still present would sit below any separating line
-    for f in locus.families:
-        if f.degree < k and f.allows(1):
-            raise DomainError("bottom step blocked by a lower corner")
-    slope = _corner_slope(locus, k)
-    return _make_step(v0, "bounded", Fraction(k), None, True, slope, False)
+        return StabilityStep(v0, "absolute", min(norms), True, Fraction(0), False)
+    return StabilityStep(v0, "bounded", None, True, _corner_slope(locus, k), False)
 
 
 def _closing_step(locus: GenerationLocus) -> StabilityStep:
     """The terminal step after the last corner (see `bottom_step`)."""
     swept = not locus.families or not locus.limit_present or any(
-        f.removed - {1} for f in locus.families
+        f.first > 2 for f in locus.families
     )
     if swept:
         raise DomainError("bottom corners exhausted")
@@ -415,19 +382,27 @@ def _closing_step(locus: GenerationLocus) -> StabilityStep:
     # with only the corners gone every remaining point has x >= 1/2, and the
     # line y = k + slope x meets x = 1/2 at the lowest family's size-2 member
     v0 = ("family", min(f.degree for f in locus.families), 2)
-    return _make_step(v0, "bounded", point_norm(v0), None, True, slope, True)
+    return StabilityStep(v0, "bounded", None, True, slope, True)
 
 
 def remove_point(locus: GenerationLocus, pt) -> GenerationLocus:
+    """The locus without pt: the limit point, or the first remaining member
+    of its family, the only points a step removes.
+
+    Raises:
+        DomainError: for any other member, removed already or not.
+    """
     if pt == LIMIT:
         return replace(locus, limit_present=False)
     _, i, n = pt
     fams = []
     for f in locus.families:
         if f.degree == i:
-            if not f.allows(n):
-                raise DomainError("point already removed")
-            f = replace(f, removed=f.removed | {n})
+            if n != f.first:
+                raise DomainError(
+                    f"only the first remaining member main({f.first},{i}) can be removed"
+                )
+            f = replace(f, first=n + 1)
         fams.append(f)
     return replace(locus, families=tuple(fams))
 
@@ -536,9 +511,10 @@ def verify_generator_bound(
             raise DomainError(f"negative dimension {dim} at {(n, p, qq)} after division")
         diagonals[n, p + qq] = diagonals.get((n, p + qq), 0) + dim
     bound = step.bound(j, 0)
+    norm = step.norm
     violations = []
     for size in range(1, n_max + 1):
-        diag = step.norm * size - j
+        diag = norm * size - j
         if diag.denominator != 1 or diag < 0:
             continue
         total = diagonals.get((size, int(diag)), 0)
@@ -546,7 +522,7 @@ def verify_generator_bound(
             violations.append({"size": size, "diagonal": int(diag), "dim": int(total)})
     return (not violations), {
         "bound": bound,
-        "norm": step.norm,
+        "norm": norm,
         "epsilon": step.epsilon,
         "violations": violations,
         "sizes_checked": n_max,

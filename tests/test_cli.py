@@ -11,8 +11,14 @@ import ocs
 import ocs.cli
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
-from ocs.dowling import enumerate_levels, spec_partition
-from ocs.symrep import partitions_of
+from ocs.dowling import build_poset, enumerate_levels, spec_from_json, spec_partition
+from ocs.symrep import (
+    decompose,
+    partitions_of,
+    strip_top_row,
+    sym_class_poset_perms,
+    whitney_character,
+)
 
 SPACES = sorted(
     res.name.removesuffix(".json")
@@ -119,6 +125,36 @@ def test_verify_rejects_a_negative_nmax(spec, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {"type": "input", "message": "nmax must be nonnegative"}
+
+
+FREE_SPACES = [spec for spec in SPACES if spec not in ORBIT_SPACES]
+
+
+@pytest.mark.parametrize("spec", FREE_SPACES)
+def test_euler_matches_the_closed_form_on_free_spaces(spec, capsys):
+    assert len(FREE_SPACES) == 5
+    rc = run(["config", "euler", "--spec", spec, "--nmax", "12", "--check-closed-form"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    obj = json.loads(out)
+    assert obj["match"] is True and obj["closedForm"] == obj["euler"]
+
+
+def test_euler_closed_form_refuses_an_orbit_space(capsys):
+    rc = run(["config", "euler", "--spec", "toricB", "--nmax", "4", "--check-closed-form"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert _single_json_error(err) == {
+        "type": "domain",
+        "message": "closed-form Euler product requires a free action (no orbit data)"}
+
+
+def test_betti_rejects_a_negative_n(capsys):
+    # used to name --nmax, a flag that config betti does not have
+    rc = run(["config", "betti", "--spec", "typeA_R2", "--n", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {"type": "input", "message": "n must be nonnegative"}
 
 
 def test_verify_rejects_a_negative_defect(capsys):
@@ -232,6 +268,53 @@ def test_series_path_matches_the_poset_path(spec, capsys, monkeypatch):
         series, poset = _rep_stability_both_paths(
             ["--spec", spec, "--rank", str(rank), "--window", "1..6"], capsys, monkeypatch)
         assert series == poset and series[0] == 0
+
+
+def _names_from_the_poset(spec_obj: dict, rank: int, n: int) -> list:
+    """The `rep stability` names at n, from the Whitney character of the
+    Dowling poset that spec_obj builds."""
+    spec = spec_from_json(spec_obj, n=n)
+    p, elements = build_poset(spec)
+    mult = decompose(whitney_character(p, sym_class_poset_perms(spec, elements), rank, n))
+    names: dict = {}
+    for lam, m in mult.items():
+        names[strip_top_row(lam)] = names.get(strip_top_row(lam), 0) + m
+    return [[list(name), m] for name, m in sorted(names.items())]
+
+
+def _rep_stability_matches_the_poset(space_arg: str, spec_obj: dict, capsys) -> None:
+    for rank in (1, 2):
+        rc = run(["rep", "stability", "--spec", space_arg, "--rank", str(rank),
+                  "--window", "2..4"])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        names = json.loads(out)["names"]
+        assert names == {str(n): _names_from_the_poset(spec_obj, rank, n) for n in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("space, poset", [
+    ("toricB", "typeB"), ("toricC", "typeC"), ("toricD", "typeD"),
+    ("dowling_mu3", "dowling_z3"),
+])
+def test_rep_stability_rebuilds_the_bundled_g_set(space, poset, capsys):
+    # each orbit is a fixed point, so the rebuilt G-set is the bundled one
+    spec_obj = json.loads(
+        resources.files("ocs").joinpath("specs", "posets", poset + ".json").read_text())
+    _rep_stability_matches_the_poset(space, spec_obj, capsys)
+
+
+@pytest.mark.parametrize("in_t", [True, False])
+def test_rep_stability_rebuilds_a_free_orbit(in_t, tmp_path, capsys):
+    # no bundled space has a free orbit
+    z2 = {"kind": "cyclic", "order": 2}
+    path = tmp_path / "free-orbit.json"
+    path.write_text(json.dumps({
+        "betti": [0, 0, 1], "group": z2, "iAcyclic": True,
+        "orbits": [{"stabilizer": {"kind": "cyclic", "order": 1}, "inT": in_t}],
+    }))
+    spec_obj = {"group": z2,
+                "gset": {"size": 2, "action": [[0, 1], [1, 0]], "T": [0, 1] if in_t else []}}
+    _rep_stability_matches_the_poset(str(path), spec_obj, capsys)
 
 
 def _cap_thresholds(n: int) -> list[int]:

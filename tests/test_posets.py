@@ -129,6 +129,17 @@ def test_is_isomorphic_negative():
     assert is_isomorphic(p, q) is None
 
 
+def test_is_isomorphic_refuses_after_backtracking():
+    # the 8-crown against two disjoint 4-crowns: equal sizes, cover counts
+    # and refined invariants, so only the search can tell them apart
+    crown = from_covers(8, [[i, 4 + j] for i in range(4) for j in (i, (i + 1) % 4)])
+    pair = from_covers(8, [[i, j] for lo, hi in ((0, 4), (2, 6))
+                           for i in (lo, lo + 1) for j in (hi, hi + 1)])
+    assert sum(map(len, crown.hasse)) == sum(map(len, pair.hasse)) == 8
+    assert sorted(_refine_invariants(crown)) == sorted(_refine_invariants(pair))
+    assert is_isomorphic(crown, pair) is None
+
+
 def test_is_isomorphic_requires_backtracking():
     # two 4-crowns with scrambled labels; naive greedy assignment can fail
     p = from_covers(4, [[0, 2], [0, 3], [1, 2], [1, 3]])

@@ -128,6 +128,52 @@ def test_right_tie_goes_to_limit_and_terminates():
     assert step.terminal and step.slope == Fraction(-2)
 
 
+def _remaining_points(loc, nmax=80):
+    pts = [("family", f.degree, n)
+           for f in loc.families for n in range(1, nmax + 1) if f.allows(n)]
+    return pts + [LIMIT] if loc.limit_present else pts
+
+
+@pytest.mark.parametrize("betti, variant, expect", [
+    # a rightmost tie off the limit point: (0, 3) against (1/2, 3/2)
+    ((0, 0, 1, 1), "right", [
+        ("main(1,3)", "absolute", Fraction(1), None),
+        ("main(2,3)", "truncated", Fraction(1), Fraction(-2)),
+        ("main(1,2)", "absolute", Fraction(1, 3), None),
+    ]),
+    # at the second tie, (1/2, 3/2), the degree-4 family is trimmed past its
+    # first member right of x = 1/2
+    ((0, 0, 1, 1, 1), "right", [
+        ("main(1,4)", "absolute", Fraction(1), None),
+        ("main(1,3)", "absolute", Fraction(1, 2), None),
+        ("main(2,4)", "absolute", Fraction(1, 2), None),
+        ("main(3,4)", "truncated", Fraction(1), Fraction(-2)),
+        ("main(2,3)", "truncated", Fraction(1), Fraction(-2)),
+        ("main(1,2)", "absolute", Fraction(1, 4), None),
+    ]),
+    # the second tie, at (1/2, 3/2), has the corner (0, 0) strictly left of it
+    ((1, 0, 0, 1, 0, 1), "left", [
+        ("main(1,5)", "absolute", Fraction(2), None),
+        ("main(1,3)", "bounded", Fraction(1), Fraction(0)),
+        ("main(2,5)", "absolute", Fraction(2, 3), None),
+        ("main(3,5)", "absolute", Fraction(1, 3), None),
+        ("main(2,3)", "bounded", Fraction(1), Fraction(0)),
+        ("main(4,5)", "absolute", Fraction(1, 5), None),
+    ]),
+])
+def test_tie_steps_off_the_limit(betti, variant, expect):
+    rep = iterate_report(space(betti), variant, len(expect))
+    assert [(s.factor, s.classification, s.epsilon, s.slope) for s in rep.steps] == expect
+    loc = locus_from_space(space(betti))
+    for step in rep.steps:
+        if step.slope is not None:
+            # the separating line keeps every remaining point on or below it
+            for pt in _remaining_points(loc):
+                x, y = point_xy(pt)
+                assert y <= step.y + step.slope * (x - step.x), (step.factor, pt)
+        loc = remove_point(loc, step.point)
+
+
 def test_degenerate_unique_limit_max():
     rep = iterate_report(space([1]), "left", 3)
     step = rep.steps[0]
@@ -221,6 +267,16 @@ def test_bottom_exhausts_corners():
                                  ("family", 2, 2)))
 
 
+def test_bottom_step_reads_a_trimmed_family_from_its_first_member():
+    # family 0 trimmed to n >= 4: the corner (0, 1)'s steepest line runs
+    # through (3/4, 0), not through the removed (1/2, 0)
+    loc = locus_from_space(space([1, 1]))
+    for n in (1, 2, 3):
+        loc = remove_point(loc, ("family", 0, n))
+    step = bottom_step(loc)
+    assert step.point == ("family", 1, 1) and step.slope == Fraction(-4, 3)
+
+
 def test_remove_point_bookkeeping():
     loc = locus_from_space(R2)
     loc2 = remove_point(loc, ("family", 2, 1))
@@ -229,6 +285,21 @@ def test_remove_point_bookkeeping():
         remove_point(loc2, ("family", 2, 1))
     loc3 = remove_point(loc2, LIMIT)
     assert not loc3.limit_present
+
+
+@pytest.mark.parametrize("removed, pt", [
+    ([], ("family", 2, 2)),
+    ([("family", 2, 1)], ("family", 2, 3)),
+    ([("family", 2, 1), ("family", 2, 2)], ("family", 2, 1)),
+])
+def test_remove_point_takes_only_the_first_remaining_member(removed, pt):
+    # every step removes a family's first remaining member, so the members
+    # left always form a tail
+    loc = locus_from_space(R2)
+    for done in removed:
+        loc = remove_point(loc, done)
+    with pytest.raises(DomainError):
+        remove_point(loc, pt)
 
 
 def test_iterate_report_validity_tag():
