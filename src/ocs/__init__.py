@@ -93,7 +93,6 @@ from .symrep import (
     ClassFunction,
     character_table,
     decompose,
-    mn_character,
     partitions_of,
     stable_multiplicity_check,
     strip_top_row,

@@ -1,11 +1,11 @@
 """Symmetric-group characters and multiplicity-stability checks.
 
-Characters are computed by the Murnaghan-Nakayama rule on beta-numbers,
-class functions are decomposed against them with exact rational inner
-products, and Whitney homology characters of a poset with a symmetric-group
-action are read off one Mobius row of each permutation's fixed points
-(refusing whenever interval homology is not concentrated in its expected
-degree, so a character is never fabricated from an alternating sum).
+Characters come from one sweep of Frobenius' formula (Macdonald I.7), class
+functions are decomposed against them with exact integer inner products, and
+Whitney homology characters of a poset with a symmetric-group action are
+read off one Mobius row of each permutation's fixed points (refusing
+whenever interval homology is not concentrated in its expected degree, so a
+character is never fabricated from an alternating sum).
 
 For the partition lattice Pi_n, the Whitney characters also come with no
 poset at all (`partition_lattice_whitney_characters`).  Their Frobenius
@@ -20,10 +20,11 @@ oracle of this one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .dowling import DowlingSpec, _wreath_act
 from .errors import DomainError, InputError
@@ -35,7 +36,6 @@ __all__ = [
     "check_partition",
     "partitions_of",
     "conjugacy_class_size",
-    "mn_character",
     "character_table",
     "ClassFunction",
     "decompose",
@@ -90,39 +90,44 @@ def conjugacy_class_size(mu) -> int:
     return factorial(sum(mu)) // _z_order(mu)
 
 
-@lru_cache(maxsize=None)
-def mn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Irreducible character value chi^lam on the class mu, by recursive
-    border-strip removal on beta-numbers."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise InputError(f"partition sizes differ: |{lam}| != |{mu}|")
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        c = b - r
-        if c < 0 or c in bset:
-            continue
-        height = sum(1 for x in bset if c < x < b)
-        newbeta = sorted((bset - {b}) | {c}, reverse=True)
-        newlam = tuple(
-            newbeta[i] - (k - 1 - i) for i in range(k) if newbeta[i] - (k - 1 - i) > 0
-        )
-        total += (-1) ** height * mn_character(newlam, rest)
-    return total
+def _times_power_sum(terms: dict, r: int) -> dict:
+    """{beta: c} (beta-sets increasing) for sum_beta c a_beta times p_r: r joins
+    one beta-number, with the sign (-1)^(beta-numbers jumped); a repeat cancels."""
+    out: dict[tuple[int, ...], int] = {}
+    for beta, coeff in terms.items():
+        for j, b in enumerate(beta):
+            c = b + r
+            if c in beta:
+                continue
+            i = bisect_left(beta, c, j)
+            new = beta[:j] + beta[j + 1:i] + (c,) + beta[i:]
+            out[new] = out.get(new, 0) + (coeff if (i - j) % 2 else -coeff)
+    return {beta: c for beta, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def character_table(m: int):
-    """{lam: {mu: chi^lam(mu)}} over all partitions of m."""
+    """{lam: {mu: chi^lam(mu)}} over all partitions of m: chi^lam(mu) is the
+    coefficient of a_(lam + delta) in a_delta p_mu, delta = (m-1, ..., 0)
+    (Frobenius; Macdonald, *Symmetric Functions and Hall Polynomials*, I.7).
+    One depth-first sweep shares the products of common leading parts."""
     parts = partitions_of(m)
-    return {lam: {mu: mn_character(lam, mu) for mu in parts} for lam in parts}
+    table = {lam: dict.fromkeys(parts, 0) for lam in parts}
+    lam_of = {tuple(a + i for i, a in enumerate(reversed(lam + (0,) * (m - len(lam))))): lam
+              for lam in parts}
+    products = [{tuple(range(m)): 1}]  # products[k]: a_delta p_(mu[:k])
+    prev: tuple[int, ...] = ()
+    for mu in parts:
+        k = 0
+        while k < len(prev) and prev[k] == mu[k]:
+            k += 1
+        del products[k + 1:]
+        for r in mu[k:]:
+            products.append(_times_power_sum(products[-1], r))
+        for beta, c in products[-1].items():
+            table[lam_of[beta]][mu] = c
+        prev = mu
+    return table
 
 
 @dataclass(frozen=True)
@@ -160,18 +165,18 @@ def decompose(cf: ClassFunction) -> dict[tuple[int, ...], int]:
     """
     table = character_table(cf.m)
     vals = dict(cf.values)
-    # <cf, chi> = sum_mu cf(mu) chi(mu) / z_mu, the class of mu having
-    # m!/z_mu elements
-    weights = {mu: Fraction(v, _z_order(mu)) for mu, v in vals.items()}
+    # <cf, chi> = sum_mu cf(mu) chi(mu) / z_mu; times m! and the values'
+    # common denominator, each term is an integer, m!/z_mu being a class size
+    scale = factorial(cf.m) * lcm(*(v.denominator for v in vals.values()))
+    weights = {mu: int(v * scale) // _z_order(mu) for mu, v in vals.items()}
     out: dict[tuple[int, ...], int] = {}
     for lam, row in table.items():
-        mult = sum(w * row[mu] for mu, w in weights.items())
-        if mult.denominator != 1:
-            raise DomainError(
-                f"non-integer multiplicity {mult} at {lam}: not a virtual character"
-            )
-        if mult:
-            out[lam] = int(mult)
+        total = sum(w * row[mu] for mu, w in weights.items())
+        if total % scale:
+            raise DomainError(f"non-integer multiplicity {Fraction(total, scale)} at {lam}: "
+                              "not a virtual character")
+        if total:
+            out[lam] = total // scale
     # characters form a basis of class functions, so this must reconstruct
     for mu in vals:
         assert sum(c * table[lam][mu] for lam, c in out.items()) == vals[mu]

@@ -12,6 +12,7 @@ import ocs.cli
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
 from ocs.dowling import build_poset, enumerate_levels, spec_from_json, spec_partition
+from ocs.stability import STEPS_CAP
 from ocs.symrep import (
     decompose,
     partitions_of,
@@ -125,6 +126,23 @@ def test_verify_rejects_a_negative_nmax(spec, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {"type": "input", "message": "nmax must be nonnegative"}
+
+
+@pytest.mark.parametrize("variant", ["left", "right", "bottom"])
+def test_stability_report_keeps_the_steps_cap(variant, capsys):
+    # on the line, typeA_R1, the left variant takes every step up to the cap
+    rc = run(["stability", "report", "--spec", "typeA_R1", "--variant", variant,
+              "--steps", str(STEPS_CAP)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    steps = json.loads(out)["steps"]
+    assert len(steps) == STEPS_CAP if variant == "left" else steps[-1]["terminal"]
+    rc = run(["stability", "report", "--spec", "typeA_R1", "--variant", variant,
+              "--steps", str(STEPS_CAP + 1)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert _single_json_error(err) == {
+        "type": "domain", "message": f"steps cap is {STEPS_CAP}, got {STEPS_CAP + 1}"}
 
 
 FREE_SPACES = [spec for spec in SPACES if spec not in ORBIT_SPACES]

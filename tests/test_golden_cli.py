@@ -29,6 +29,11 @@ A fourth set pins `--help` of all 18 parsers (the top level, every group
 and every command) at 80 columns.  Its digests in `golden_help.json` were
 recorded before the parser was built from the `COMMANDS` table.
 
+A fifth set pins `rep stability` of typeA_R2 at ranks 0 to 5 on the wide
+window n=4..14, where the character table, not the characters, is most of
+the work.  Its digests in `golden_wide.json` also pin stderr; they were
+recorded before the table came from one Frobenius sweep.
+
 Re-record a set only for a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -51,6 +56,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_HOMOLOGY = Path(__file__).with_name("golden_homology.json")
 GOLDEN_DOWLING = Path(__file__).with_name("golden_dowling.json")
 GOLDEN_HELP = Path(__file__).with_name("golden_help.json")
+GOLDEN_WIDE = Path(__file__).with_name("golden_wide.json")
 
 
 def _invocations():
@@ -214,6 +220,19 @@ def test_help_matches_golden(cmd, monkeypatch):
     assert _digest(cmd.split()) == json.loads(GOLDEN_HELP.read_text())[cmd]
 
 
+WIDE_INVOCATIONS = [f"rep stability --spec typeA_R2 --rank {r} --window 4..14 --cap 500000000"
+                    for r in range(6)]
+
+
+def test_golden_wide_covers_every_invocation():
+    assert sorted(json.loads(GOLDEN_WIDE.read_text())) == sorted(WIDE_INVOCATIONS)
+
+
+@pytest.mark.parametrize("cmd", WIDE_INVOCATIONS)
+def test_wide_rep_stability_matches_golden(cmd):
+    assert _digest(cmd.split(), with_stderr=True) == json.loads(GOLDEN_WIDE.read_text())[cmd]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -229,3 +248,6 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN_HELP.write_text(json.dumps({cmd: _digest(cmd.split()) for cmd in HELP_INVOCATIONS},
                                       indent=1, sort_keys=True) + "\n")
+    GOLDEN_WIDE.write_text(json.dumps(
+        {cmd: _digest(cmd.split(), with_stderr=True) for cmd in WIDE_INVOCATIONS},
+        indent=1, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -20,6 +21,7 @@ from ocs.series import (
 )
 from ocs.stability import (
     LIMIT,
+    STEPS_CAP,
     bottom_step,
     classify_step,
     iterate_report,
@@ -172,6 +174,68 @@ def test_tie_steps_off_the_limit(betti, variant, expect):
                 x, y = point_xy(pt)
                 assert y <= step.y + step.slope * (x - step.x), (step.factor, pt)
         loc = remove_point(loc, step.point)
+
+
+def strictly_left_points_reference(loc, x0):
+    """Every locus point with x < x0, one family member at a time."""
+    pts = []
+    for f in loc.families:
+        n = f.first
+        while Fraction(n - 1, n) < x0:
+            pts.append(("family", f.degree, n))
+            n += 1
+    return pts
+
+
+def left_tie_epsilon_reference(loc, step):
+    """epsilon of a leftmost tie step from every point left of it: the least
+    gap/run, capped at 1."""
+    ratios = [Fraction(1)]
+    for pt in strictly_left_points_reference(loc, step.x):
+        gap, run = step.norm - point_norm(pt), step.x - point_xy(pt)[0]
+        assert gap > 0, (step.factor, pt)
+        ratios.append(gap / run)
+    return min(ratios)
+
+
+def _check_left_ties(betti, steps):
+    rep = iterate_report(space(betti), "left", steps)
+    loc = locus_from_space(space(betti))
+    for step in rep.steps:
+        if step.classification == "bounded":
+            assert step.epsilon == left_tie_epsilon_reference(loc, step), step.factor
+            assert step.slope == step.epsilon - 1
+        loc = remove_point(loc, step.point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+def test_left_ties_match_the_enumeration_of_every_left_point(betti):
+    # only each family's first member and its last one left of x0 are read
+    if not any(betti):
+        betti = betti + [1]
+    _check_left_ties(betti, 60)
+
+
+def test_left_ties_with_a_degree_zero_family_match_the_enumeration():
+    # the degree-0 family is never trimmed, so every left tie has the whole
+    # family from n = 1 up to x0 to its left
+    _check_left_ties((1, 0, 1, 0, 1), 300)
+
+
+def test_left_ties_with_a_degree_zero_family_take_linear_time():
+    # enumerating every left point took 3 s at 2000 steps and 12.5 s at 4000
+    start = time.perf_counter()
+    rep = iterate_report(space((1, 0, 1, 0, 1)), "left", STEPS_CAP)
+    assert len(rep.steps) == STEPS_CAP and not rep.steps[-1].terminal
+    assert time.perf_counter() - start < 30
+
+
+def test_iterate_report_keeps_the_steps_cap():
+    # space [1] stops at its first, terminal, step, so the cap itself is cheap
+    assert len(iterate_report(space([1]), "left", STEPS_CAP).steps) == 1
+    with pytest.raises(DomainError, match=f"steps cap is {STEPS_CAP}, got {STEPS_CAP + 1}"):
+        iterate_report(space([1]), "left", STEPS_CAP + 1)
 
 
 def test_degenerate_unique_limit_max():

@@ -1,6 +1,7 @@
 import time
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -60,7 +61,38 @@ def partition_lattice_character(n: int, r: int) -> dict:
     return dict(whitney_character(p, sym_class_poset_perms(spec, elements), r, n).values)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@lru_cache(maxsize=None)
+def mn_reference(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama rule: remove a border strip of
+    length mu[0] (a beta-number b moves down to a free b - mu[0]) with the
+    sign (-1)^(its height), and recurse on the rest of mu."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]
+    total = 0
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        newbeta = sorted(set(beta) - {b} | {c}, reverse=True)
+        newlam = tuple(a for a in (newbeta[i] - (k - 1 - i) for i in range(k)) if a > 0)
+        total += (-1) ** height * mn_reference(newlam, rest)
+    return total
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_character_table_matches_the_murnaghan_nakayama_reference(m):
+    parts = partitions_of(m)
+    table = character_table(m)
+    assert list(table) == list(parts)
+    assert all(list(row) == list(parts) for row in table.values())
+    assert table == {lam: {mu: mn_reference(lam, mu) for mu in parts} for lam in parts}
+
+
+@pytest.mark.parametrize("m", range(11))
 def test_character_table_columns_are_orthogonal(m):
     # sum over lambda of chi^lambda(mu) chi^lambda(nu) = [mu == nu] z_mu
     table = character_table(m)
@@ -68,6 +100,17 @@ def test_character_table_columns_are_orthogonal(m):
         for nu in partitions_of(m):
             inner = sum(row[mu] * row[nu] for row in table.values())
             assert inner == (factorial(m) // conjugacy_class_size(mu) if mu == nu else 0)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_character_table_rows_are_orthonormal(m):
+    # sum over mu of chi^lambda(mu) chi^kappa(mu) m!/z_mu = [lambda == kappa] m!
+    table = character_table(m)
+    sizes = {mu: conjugacy_class_size(mu) for mu in partitions_of(m)}
+    for lam, row in table.items():
+        for kappa, other in table.items():
+            inner = sum(row[mu] * other[mu] * size for mu, size in sizes.items())
+            assert inner == (factorial(m) if lam == kappa else 0)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -90,6 +133,17 @@ def test_decompose_refuses_a_class_function_that_is_not_a_virtual_character():
     cf = ClassFunction.from_dict(2, {(1, 1): Fraction(1), (2,): Fraction(0)})
     with pytest.raises(DomainError):
         decompose(cf)
+
+
+def test_decompose_names_the_first_non_integer_multiplicity():
+    # chi^(3) + chi^(2,1)/3: (3) is integral, so the refusal names (2, 1)
+    cf = ClassFunction.from_dict(
+        3, {(3,): Fraction(2, 3), (2, 1): Fraction(1), (1, 1, 1): Fraction(5, 3)})
+    with pytest.raises(DomainError) as exc:
+        decompose(cf)
+    assert str(exc.value) == "non-integer multiplicity 1/3 at (2, 1): not a virtual character"
+    assert decompose(ClassFunction.from_dict(
+        3, {mu: 3 * v for mu, v in dict(cf.values).items()})) == {(3,): 3, (2, 1): 1}
 
 
 def whitney_character_reference(p, class_perms, r, m):
