@@ -441,16 +441,31 @@ def _series_characters(space: SpaceInput, rank: int, window: list[int], cap: int
     Pi_n, with no poset: the characters come from Lehrer's product formula
     (`partition_lattice_whitney_characters`), and the cap is checked as
     `build_poset` checks it, against the rank levels of Pi_n, which have
-    S(n, n - r) elements (Stirling numbers of the second kind).  The space
-    is not read; it is taken so that both paths have one signature."""
-    stirling = [1]  # stirling[k] = S(m, k)
-    for m in range(1, window[-1] + 1):
-        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m)] + [1]
-        if m >= window[0]:
-            total = 1
-            for r in range(1, m):
-                total += stirling[m - r]
-                _check_cap(cap, r, total)
+    d_r(n) = S(n, n - r) elements (Stirling numbers of the second kind).
+    The space is not read; it is taken so that both paths have one
+    signature.
+
+    The levels are computed one diagonal at a time, from d_0 = 1 and
+    d_r(m) = d_r(m - 1) + (m - r) d_(r-1)(m - 1).  Element counts only grow
+    with n, so the first n of the window over the cap at rank r bounds the
+    n that refuses, and no diagonal is taken past it: a refusal at a large
+    n costs a few diagonals, not the whole Stirling triangle."""
+    lo, top = window[0], window[-1]
+    level = [1] * (top + 1)  # level[m] = d_r(m), here r = 0
+    totals = [1] * (top + 1)  # totals[m]: elements of Pi_m up to rank r
+    refusal = None
+    r = 0
+    while r + 1 < top and lo <= top:
+        r += 1
+        below, level = level, [0] * (r + 1)
+        for m in range(r + 1, top + 1):
+            level.append(level[m - 1] + (m - r) * below[m - 1])
+            totals[m] += level[m]
+            if m >= lo and totals[m] > cap:
+                refusal, top = (r, totals[m]), m - 1
+                break
+    if refusal:
+        _check_cap(cap, *refusal)
     chars = partition_lattice_whitney_characters(rank, window[-1])
     return {n: chars[n] for n in window}
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, is_int
 from .groups import (
     GroupTable,
     GSetSpec,
@@ -439,11 +439,13 @@ def spec_from_json(obj, n: int | None = None, name: str = "") -> DowlingSpec:
     extra = set(obj) - {"group", "gset", "n", "name"}
     if extra:
         raise InputError(f"unknown dowling spec fields: {sorted(extra)}")
+    if not isinstance(obj.get("name", ""), str):
+        raise InputError("dowling spec 'name' must be a string")
     group = group_from_json(obj.get("group"))
     gset = gset_from_json(group, obj.get("gset"))
     if n is None:
         n = obj.get("n")
-    if not isinstance(n, int):
+    if not is_int(n):
         raise InputError("dowling spec needs a ground set size n")
     return DowlingSpec(group=group, gset=gset, n=n, name=name or obj.get("name", ""))
 

@@ -31,7 +31,13 @@ class CapExceeded(DomainError):
         self.partial_count = partial_count
 
 
+def is_int(obj) -> bool:
+    """Whether a parsed JSON value is an integer: true and false, which
+    Python counts as the ints 1 and 0, are not."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def is_int_list(obj, length: int | None = None) -> bool:
     """Whether a parsed JSON value is a list of integers (of the given length)."""
-    return (isinstance(obj, list) and all(isinstance(v, int) for v in obj)
+    return (isinstance(obj, list) and all(is_int(v) for v in obj)
             and (length is None or len(obj) == length))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, is_int_list
+from .errors import InputError, is_int, is_int_list
 
 __all__ = [
     "GroupTable",
@@ -280,7 +280,7 @@ def group_from_json(obj) -> GroupTable:
     kind = obj.get("kind")
     if kind == "cyclic":
         order = obj.get("order")
-        if not isinstance(order, int):
+        if not is_int(order):
             raise InputError("cyclic group descriptor needs integer 'order'")
         extra = set(obj) - {"kind", "order"}
         if extra:
@@ -307,7 +307,7 @@ def gset_from_json(group: GroupTable, obj) -> GSetSpec:
     size = obj.get("size")
     action = obj.get("action")
     t = obj.get("T", [])
-    if (not isinstance(size, int) or not isinstance(action, list)
+    if (not is_int(size) or not isinstance(action, list)
             or not all(is_int_list(row) for row in action) or not is_int_list(t)):
         raise InputError(
             "gset descriptor needs integer 'size', integer table 'action', integer list 'T'")

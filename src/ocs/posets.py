@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, InputError, is_int_list
+from .errors import DomainError, InputError, is_int, is_int_list
 
 __all__ = [
     "Poset",
@@ -478,7 +478,7 @@ def poset_from_json(obj) -> Poset:
     n = obj.get("n")
     covers = obj.get("covers")
     rank = obj.get("rank")
-    if not isinstance(n, int) or not isinstance(covers, list):
+    if not is_int(n) or not isinstance(covers, list):
         raise InputError("poset descriptor needs integer 'n' and list 'covers'")
     if not all(is_int_list(c, 2) for c in covers):
         raise InputError("each poset cover must be an integer pair [a, b]")

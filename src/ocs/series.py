@@ -301,8 +301,11 @@ def _table_from_series(space: SpaceInput, s: WeightedSeries):
     return table
 
 
-# The largest size that e1_table and stability.quotient_series compute to.
-NMAX_CAP = 12
+# The largest size that e1_table and stability.quotient_series compute to,
+# set from a budget of 5 s per command: at 48 the slowest bundled command,
+# `stability report --verify --steps 3` on toricB, takes about 1 s on a
+# shared 2-core VM, and about 2 to 3.3 s at 64.
+NMAX_CAP = 48
 
 
 def _check_nmax_cap(nmax: int) -> None:
@@ -411,6 +414,8 @@ def space_from_json(obj, name: str = "") -> SpaceInput:
     extra = set(obj) - {"betti", "group", "orbits", "iAcyclic", "name"}
     if extra:
         raise InputError(f"unknown space descriptor fields: {sorted(extra)}")
+    if not isinstance(obj.get("name", ""), str):
+        raise InputError("space descriptor 'name' must be a string")
     betti = obj.get("betti")
     if not is_int_list(betti):
         raise InputError("space descriptor needs an integer list 'betti'")

@@ -20,7 +20,6 @@ oracle of this one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,17 +90,20 @@ def conjugacy_class_size(mu) -> int:
 
 
 def _times_power_sum(terms: dict, r: int) -> dict:
-    """{beta: c} (beta-sets increasing) for sum_beta c a_beta times p_r: r joins
-    one beta-number, with the sign (-1)^(beta-numbers jumped); a repeat cancels."""
-    out: dict[tuple[int, ...], int] = {}
+    """{beta: c} (a beta-set as an int, bit b set for beta-number b: beads
+    on an abacus, James-Kerber 2.7) for sum_beta c a_beta times p_r: a bead
+    moves from b to b + r, with the sign (-1)^(beads jumped); a move onto a
+    bead cancels."""
+    out: dict[int, int] = {}
     for beta, coeff in terms.items():
-        for j, b in enumerate(beta):
-            c = b + r
-            if c in beta:
-                continue
-            i = bisect_left(beta, c, j)
-            new = beta[:j] + beta[j + 1:i] + (c,) + beta[i:]
-            out[new] = out.get(new, 0) + (coeff if (i - j) % 2 else -coeff)
+        movable = beta & ~(beta >> r)  # beads b with no bead at b + r
+        while movable:
+            low = movable & -movable  # 1 << b
+            movable ^= low
+            high = low << r
+            jumped = (beta & (high - (low << 1))).bit_count()  # beads strictly between
+            new = beta ^ low | high
+            out[new] = out.get(new, 0) + (-coeff if jumped & 1 else coeff)
     return {beta: c for beta, c in out.items() if c}
 
 
@@ -113,9 +115,9 @@ def character_table(m: int):
     One depth-first sweep shares the products of common leading parts."""
     parts = partitions_of(m)
     table = {lam: dict.fromkeys(parts, 0) for lam in parts}
-    lam_of = {tuple(a + i for i, a in enumerate(reversed(lam + (0,) * (m - len(lam))))): lam
+    lam_of = {sum(1 << (a + m - 1 - i) for i, a in enumerate(lam + (0,) * (m - len(lam)))): lam
               for lam in parts}
-    products = [{tuple(range(m)): 1}]  # products[k]: a_delta p_(mu[:k])
+    products = [{(1 << m) - 1: 1}]  # products[k]: a_delta p_(mu[:k])
     prev: tuple[int, ...] = ()
     for mu in parts:
         k = 0
@@ -380,23 +382,15 @@ def stable_multiplicity_check(
         raise InputError("empty character window")
     named: dict[int, dict[tuple[int, ...], int]] = {}
     for n in sorted(chars):
-        mult = decompose(chars[n])
         names: dict[tuple[int, ...], int] = {}
-        for lam, c in mult.items():
-            names[strip_top_row(lam)] = names.get(strip_top_row(lam), 0) + c
+        for lam, c in decompose(chars[n]).items():  # lam from partitions_of: valid
+            names[lam[1:]] = names.get(lam[1:], 0) + c
         named[n] = names
     ns = sorted(named)
-    base = named[ns[0]]
-    stable = True
-    first_violation = None
-    for n in ns[1:]:
-        if named[n] != base:
-            stable = False
-            first_violation = n
-            break
+    first_violation = next((n for n in ns[1:] if named[n] != named[ns[0]]), None)
     report = {
         "window": ns,
-        "stable": stable,
+        "stable": first_violation is None,
         "names": {n: dict(sorted(named[n].items())) for n in ns},
         "first_violation": first_violation,
     }

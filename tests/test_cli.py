@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +12,15 @@ import ocs
 import ocs.cli
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
-from ocs.dowling import build_poset, enumerate_levels, spec_from_json, spec_partition
+from ocs.dowling import (
+    _check_cap,
+    build_poset,
+    enumerate_levels,
+    spec_from_json,
+    spec_partition,
+)
+from ocs.errors import CapExceeded
+from ocs.series import NMAX_CAP
 from ocs.stability import STEPS_CAP
 from ocs.symrep import (
     decompose,
@@ -86,6 +95,71 @@ def test_non_object_poset_file_is_an_input_error(cmd, tmp_path, capsys):
     assert _single_json_error(err) == {"type": "input", "message": "poset descriptor must be an object"}
 
 
+def _refuses_descriptor(cmd: list[str], obj: dict, message: str, tmp_path, capsys) -> None:
+    # JSON true and false are Python's ints 1 and 0, and used to pass as integers
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(obj))
+    rc = run(cmd + [str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {"type": "input", "message": message}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": True, "covers": []}, "poset descriptor needs integer 'n' and list 'covers'"),
+    ({"n": 2, "covers": [[0, True]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, 1]], "rank": [0, True]}, "poset 'rank' must be a list of integers"),
+])
+def test_poset_descriptor_refuses_wrong_types(obj, message, tmp_path, capsys):
+    _refuses_descriptor(["poset", "mobius", "--poset"], obj, message, tmp_path, capsys)
+
+
+TYPE_B = json.loads(resources.files("ocs").joinpath("specs", "posets", "typeB.json").read_text())
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({**TYPE_B, "n": True}, "dowling spec needs a ground set size n"),
+    ({**TYPE_B, "n": 2, "name": 7}, "dowling spec 'name' must be a string"),
+])
+def test_dowling_spec_refuses_wrong_types(obj, message, tmp_path, capsys):
+    _refuses_descriptor(["dowling", "count", "--spec"], obj, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("group, message", [
+    ({"kind": "cyclic", "order": True}, "cyclic group descriptor needs integer 'order'"),
+    ({"kind": "table", "mul": [[False]]},
+     "table group descriptor needs a square integer table 'mul'"),
+])
+def test_group_descriptor_refuses_wrong_types(group, message, tmp_path, capsys):
+    _refuses_descriptor(["dowling", "count", "--spec"], {**TYPE_B, "n": 2, "group": group},
+                        message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("gset", [
+    {"size": False, "action": [], "T": []},
+    {"size": 2, "action": [[0, True], [0, 1]], "T": [0]},
+    {"size": 2, "action": [[0, 1], [0, 1]], "T": [True]},
+])
+def test_gset_descriptor_refuses_wrong_types(gset, tmp_path, capsys):
+    _refuses_descriptor(
+        ["dowling", "count", "--spec"], {**TYPE_B, "n": 2, "gset": gset},
+        "gset descriptor needs integer 'size', integer table 'action', integer list 'T'",
+        tmp_path, capsys)
+
+
+TORIC_B = json.loads(resources.files("ocs").joinpath("specs", "spaces", "toricB.json").read_text())
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({**TORIC_B, "betti": [1, True]}, "space descriptor needs an integer list 'betti'"),
+    ({**TORIC_B, "name": {"x": [1]}}, "space descriptor 'name' must be a string"),
+    ({**TORIC_B, "orbits": [{"stabilizer": {"kind": "cyclic", "order": True}, "inT": True}]},
+     "cyclic group descriptor needs integer 'order'"),
+])
+def test_space_descriptor_refuses_wrong_types(obj, message, tmp_path, capsys):
+    _refuses_descriptor(["config", "e1", "--nmax", "2", "--spec"], obj, message, tmp_path, capsys)
+
+
 ORBIT_SPACES = [
     spec for spec in SPACES
     if json.loads(
@@ -109,13 +183,22 @@ def test_orbit_spaces_reach_their_documented_caps(spec, cmd, capsys):
 def test_verify_keeps_the_config_truncation_cap(spec, capsys):
     # ROADMAP D5: --verify used to build the quotient series to any --nmax;
     # typeA_R1 (the line) has no absolute step, and used to exit 0
-    assert run(["config", "e1", "--spec", spec, "--nmax", "13"]) == 1
+    assert run(["config", "e1", "--spec", spec, "--nmax", str(NMAX_CAP + 1)]) == 1
     _, e1_err = capsys.readouterr()
-    rc = run(["stability", "report", "--spec", spec, "--verify", "--nmax", "13"])
+    rc = run(["stability", "report", "--spec", spec, "--verify", "--nmax", str(NMAX_CAP + 1)])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
-    assert _single_json_error(err) == _single_json_error(e1_err)
-    assert _single_json_error(err)["type"] == "domain"
+    assert _single_json_error(err) == _single_json_error(e1_err) == {
+        "type": "domain", "message": f"truncation cap is {NMAX_CAP}, got {NMAX_CAP + 1}"}
+
+
+@pytest.mark.parametrize("spec", SPACES)
+def test_series_commands_run_at_the_nmax_cap(spec, capsys):
+    for cmd in (["config", "e1", "--nmax"], ["config", "betti", "--n"],
+                ["stability", "report", "--verify", "--steps", "3", "--nmax"]):
+        rc = run(cmd + [str(NMAX_CAP), "--spec", spec])
+        out, err = capsys.readouterr()
+        assert rc == 0, err  # a violated generator bound exits 1
 
 
 @pytest.mark.parametrize("spec", SPACES)
@@ -151,7 +234,7 @@ FREE_SPACES = [spec for spec in SPACES if spec not in ORBIT_SPACES]
 @pytest.mark.parametrize("spec", FREE_SPACES)
 def test_euler_matches_the_closed_form_on_free_spaces(spec, capsys):
     assert len(FREE_SPACES) == 5
-    rc = run(["config", "euler", "--spec", spec, "--nmax", "12", "--check-closed-form"])
+    rc = run(["config", "euler", "--spec", spec, "--nmax", str(NMAX_CAP), "--check-closed-form"])
     out, err = capsys.readouterr()
     assert rc == 0, err
     obj = json.loads(out)
@@ -370,6 +453,63 @@ def test_series_path_refuses_the_first_n_over_the_cap(capsys, monkeypatch):
     assert series[0] == 1 and _single_json_error(series[2]) == {
         "type": "cap", "message": "element cap 0 exceeded while enumerating rank 1",
         "partialCount": 7}
+
+
+def _stirling_row_totals(top: int):
+    """(n, r, elements of Pi_n up to rank r) for n <= top, row by row of the
+    Stirling triangle, each n's levels S(n, n - r) summed in rank order."""
+    stirling = [1]  # stirling[k] = S(m, k)
+    for m in range(1, top + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m)] + [1]
+        total = 1
+        for r in range(1, m):
+            total += stirling[m - r]
+            yield m, r, total
+
+
+def _stirling_rows_cap_check(window: list[int], cap: int) -> None:
+    """The series path's cap check with every Stirling row up to the top of
+    the window."""
+    for n, r, total in _stirling_row_totals(window[-1]):
+        if n >= window[0]:
+            _check_cap(cap, r, total)
+
+
+def _cap_outcome(check, window: list[int], cap: int):
+    try:
+        check(window, cap)
+    except CapExceeded as exc:
+        return str(exc), exc.partial_count
+    return None
+
+
+def test_series_path_cap_matches_the_stirling_rows(monkeypatch):
+    # the characters are not what is checked here, so none are computed
+    monkeypatch.setattr(ocs.cli, "partition_lattice_whitney_characters",
+                        lambda r, nmax: dict.fromkeys(range(1, nmax + 1)))
+    def series(window, cap):
+        ocs.cli._series_characters(None, 1, window, cap)
+
+    caps = {-1, 0} | {t + d for _, _, t in _stirling_row_totals(12) for d in (-1, 0)}
+    for lo in range(1, 13):
+        for hi in range(lo, 15):
+            window = list(range(lo, hi + 1))
+            for cap in sorted(caps):
+                assert (_cap_outcome(series, window, cap)
+                        == _cap_outcome(_stirling_rows_cap_check, window, cap)), (window, cap)
+
+
+@pytest.mark.parametrize("window", ["8000..8000", "4..8000"])
+def test_series_path_refuses_a_large_n_at_once(window, capsys):
+    # rank 1 of Pi_8000 alone has C(8000, 2) elements; building every
+    # Stirling row up to n = 8000 before the first check took minutes
+    start = time.perf_counter()
+    assert run(["rep", "stability", "--spec", "typeA_R2", "--rank", "1", "--window", window]) == 1
+    assert time.perf_counter() - start < 10
+    rank, count = (1, 1 + 8000 * 7999 // 2) if window == "8000..8000" else (4, 10096)
+    assert _single_json_error(capsys.readouterr().err) == {
+        "type": "cap", "message": f"element cap 10000 exceeded while enumerating rank {rank}",
+        "partialCount": count}
 
 
 def _rep_stability_report(rank: int, window: str, capsys) -> dict:
@@ -629,10 +769,10 @@ FAILING_RUNS = {
     ("poset", "mobius"): ["--poset", "ANTICHAIN", "--a", "0", "--b", "9"],
     ("poset", "homology"): ["--poset", "CYCLE"],
     ("poset", "whitney"): ["--poset", "ANTICHAIN"],
-    ("config", "e1"): ["--spec", "toricB", "--nmax", "13"],
-    ("config", "betti"): ["--spec", "toricB", "--n", "13"],
-    ("config", "euler"): ["--spec", "toricB", "--nmax", "13"],
-    ("stability", "report"): ["--spec", "toricB", "--verify", "--nmax", "13"],
+    ("config", "e1"): ["--spec", "toricB", "--nmax", str(NMAX_CAP + 1)],
+    ("config", "betti"): ["--spec", "toricB", "--n", str(NMAX_CAP + 1)],
+    ("config", "euler"): ["--spec", "toricB", "--nmax", str(NMAX_CAP + 1)],
+    ("stability", "report"): ["--spec", "toricB", "--verify", "--nmax", str(NMAX_CAP + 1)],
     ("rep", "decompose"): ["--poset", "ANTICHAIN"],
     ("rep", "stability"): ["--spec", "typeA_R2", "--rank", "1", "--window", "4..5", "--cap", "10"],
 }
@@ -655,3 +795,10 @@ def test_a_failing_run_leaves_no_out_file(cmd, posets, tmp_path, capsys):
     assert rc in (1, 2) and out == ""
     assert _single_json_error(err)["type"] in ("input", "domain", "cap")
     assert list(out_dir.iterdir()) == []
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    missing = [f"ocs {group} {command}" for group, (_, commands) in COMMANDS.items()
+               for command in commands if f"`ocs {group} {command}`" not in readme]
+    assert missing == []

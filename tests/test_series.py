@@ -12,6 +12,7 @@ from ocs.groups import GSetSpec, cyclic_group, group_from_table
 from ocs.homology import reduced_homology
 from ocs.posets import mobius, proper_part
 from ocs.series import (
+    NMAX_CAP,
     SpaceInput,
     WeightedSeries,
     bm_betti,
@@ -290,8 +291,9 @@ def test_euler_past_the_cap_matches_the_closed_form(name):
 
 
 def test_e1_table_nmax_cap():
-    with pytest.raises(DomainError):
-        e1_table(euclidean(2), 13)
+    assert len(e1_table(euclidean(2), NMAX_CAP)) == NMAX_CAP + 1
+    with pytest.raises(DomainError, match=f"truncation cap is {NMAX_CAP}, got {NMAX_CAP + 1}"):
+        e1_table(euclidean(2), NMAX_CAP + 1)
     with pytest.raises(InputError):
         e1_table(euclidean(2), -1)
 
