@@ -54,6 +54,7 @@ from .dowling import (
     factor_interval,
     parse_element,
     spec_from_json,
+    spec_from_orbit_data,
     spec_partition,
     spec_single_point,
     spec_to_json,

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .dowling import (
     DEFAULT_CAP,
-    DowlingSpec,
     _check_cap,
     build_poset,
     count_elements_species,
@@ -34,10 +33,10 @@ from .dowling import (
     factor_interval,
     parse_element,
     spec_from_json,
+    spec_from_orbit_data,
     spec_to_json,
 )
 from .errors import CapExceeded, DomainError, InputError
-from .groups import GSetSpec, GroupTable
 from .homology import reduced_homology, whitney_homology
 from .posets import (
     chain_poset,
@@ -136,14 +135,16 @@ def _load_space(arg: str) -> SpaceInput:
     return space_from_json(_load_descriptor(arg, "spaces"))
 
 
-def _load_poset_file(arg: str):
+def _poset_descriptor(arg: str):
+    """A --poset descriptor, refused when it names a Dowling family spec
+    rather than a built poset."""
     obj = _load_descriptor(arg, "posets")
     if isinstance(obj, dict) and "covers" not in obj and ("group" in obj or "gset" in obj):
         raise InputError(
             "this descriptor is a dowling family spec; build it first with "
             "'ocs dowling build'"
         )
-    return poset_from_json(obj), obj
+    return obj
 
 
 # dowling ----------------------------------------------------------------------
@@ -212,14 +213,14 @@ def _cmd_dowling_interval(args) -> str:
 # poset ------------------------------------------------------------------------
 
 def _cmd_poset_mobius(args) -> str:
-    p, _ = _load_poset_file(args.poset)
+    p = poset_from_json(_poset_descriptor(args.poset))
     a = p.bottom() if args.a is None else args.a
     b = p.top() if args.b is None else args.b
     return _json_text({"a": a, "b": b, "mobius": mobius(p, a, b)})
 
 
 def _cmd_poset_homology(args) -> str:
-    p, _ = _load_poset_file(args.poset)
+    p = poset_from_json(_poset_descriptor(args.poset))
     q = proper_part(p) if args.proper else p
     pairs = [[k, r] for k, r in sorted(reduced_homology(q).items())]
     if args.format == "csv":
@@ -228,7 +229,7 @@ def _cmd_poset_homology(args) -> str:
 
 
 def _cmd_poset_whitney(args) -> str:
-    p, _ = _load_poset_file(args.poset)
+    p = poset_from_json(_poset_descriptor(args.poset))
     triples = [[r, k, d] for (r, k), d in sorted(whitney_homology(p).items())]
     if args.format == "csv":
         return _csv_text(["rank", "degree", "dim"], triples)
@@ -331,7 +332,7 @@ def _cmd_stability_report(args) -> str:
 # rep --------------------------------------------------------------------------
 
 def _built_dowling_poset(arg: str):
-    obj = _load_descriptor(arg, "posets")
+    obj = _poset_descriptor(arg)
     if isinstance(obj, dict) and "dowling" not in obj:
         raise DomainError(
             "rep commands need group provenance: build the poset with "
@@ -374,43 +375,6 @@ def _cmd_rep_decompose(args) -> str:
     return _json_text({"action": args.action, "n": spec.n, "ranks": out})
 
 
-def _gset_from_orbit_data(group: GroupTable, orbit_data) -> GSetSpec:
-    """Reassemble a G-set from per-orbit (stabilizer, inT) data.  Only the
-    extreme stabilizers determine the action without an embedding: trivial
-    (a free orbit) and full (a fixed point)."""
-    size = 0
-    blocks = []  # (start, orbit_size, in_t)
-    for stab, in_t in orbit_data:
-        if stab.order == 1:
-            blocks.append((size, group.order, in_t))
-            size += group.order
-        elif stab.order == group.order:
-            blocks.append((size, 1, in_t))
-            size += 1
-        else:
-            raise DomainError(
-                "cannot reconstruct the singular G-set: orbit stabilizer is "
-                "neither trivial nor the full group"
-            )
-    action = []
-    for g in range(group.order):
-        row = [0] * size
-        for start, osize, _ in blocks:
-            if osize == 1:
-                row[start] = start
-            else:
-                for h in range(group.order):
-                    row[start + h] = start + group.mul[g][h]
-        action.append(tuple(row))
-    t_points = frozenset(
-        start + k
-        for start, osize, in_t in blocks
-        if in_t
-        for k in range(osize)
-    )
-    return GSetSpec(group=group, size=size, action=tuple(action), t_subset=t_points)
-
-
 def _parse_window(text: str) -> list[int]:
     parts = text.split("..")
     if len(parts) != 2:
@@ -426,10 +390,9 @@ def _parse_window(text: str) -> list[int]:
 
 def _poset_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
     """{n: rank-Whitney character} over the window, from each built poset."""
-    gset = _gset_from_orbit_data(space.group, space.orbit_data)
     chars = {}
     for n in window:
-        spec = DowlingSpec(group=space.group, gset=gset, n=n, name=space.name)
+        spec = spec_from_orbit_data(space.group, space.orbit_data, n, space.name)
         p, elements = build_poset(spec, cap=cap)
         perms = sym_class_poset_perms(spec, elements)
         chars[n] = whitney_character(p, perms, rank, n)

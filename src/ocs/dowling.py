@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import CapExceeded, InputError, is_int
+from .errors import CapExceeded, DomainError, InputError, is_int
 from .groups import (
     GroupTable,
     GSetSpec,
@@ -60,6 +60,7 @@ __all__ = [
     "count_elements_species",
     "factor_interval",
     "wreath_act",
+    "spec_from_orbit_data",
     "spec_partition",
     "spec_single_point",
     "spec_from_json",
@@ -97,12 +98,14 @@ class DowlingSpec:
         if self.gset.group is not self.group and self.gset.group != self.group:
             raise InputError("gset must act under the same group")
 
-    def orbit_info(self):
-        """[(orbit id, frozenset points, rep, stabilizer elems, in_T)] sorted by rep."""
-        out = []
-        for i, (orbit, rep, stab) in enumerate(orbits_and_stabilizers(self.gset)):
-            out.append((i, orbit, rep, stab, rep in self.gset.t_subset))
-        return out
+    @cached_property
+    def orbit_data(self) -> tuple[tuple[GroupTable, bool], ...]:
+        """One (stabilizer, in T) pair per G-orbit of S, in the order of the
+        orbits' least points; each stabilizer is re-extracted as a
+        standalone group.  A zero block depends on nothing else: this is
+        the description that `spec_from_orbit_data` inverts."""
+        return tuple((subgroup_table(self.group, stab)[0], rep in self.gset.t_subset)
+                     for _orbit, rep, stab in orbits_and_stabilizers(self.gset))
 
     @cached_property
     def _orbit_table(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
@@ -111,30 +114,52 @@ class DowlingSpec:
         for the cached value."""
         ids = [0] * self.gset.size
         in_t = []
-        for i, orbit, _rep, _stab, orbit_in_t in self.orbit_info():
+        for i, (orbit, rep, _stab) in enumerate(orbits_and_stabilizers(self.gset)):
             for pt in orbit:
                 ids[pt] = i
-            in_t.append(orbit_in_t)
+            in_t.append(rep in self.gset.t_subset)
         return tuple(ids), tuple(in_t)
+
+
+def spec_from_orbit_data(group: GroupTable, orbit_data, n: int, name: str = "") -> DowlingSpec:
+    """The spec whose S has one G-orbit per (stabilizer, in T) pair, in the
+    given order, so that its `orbit_data` is the given one.  Only the
+    extreme stabilizers fix the action without an embedding: the trivial
+    one (a free orbit) and the whole group (a fixed point).
+
+    Raises:
+        DomainError: for any other stabilizer.
+    """
+    action = [()] * group.order
+    t_points: list[int] = []
+    for stab, in_t in orbit_data:
+        start = len(action[0])
+        if stab.order == 1:  # a free orbit: g.(start + h) = start + gh
+            orbit = [tuple(start + gh for gh in row) for row in group.mul]
+        elif stab.order == group.order:  # a fixed point
+            orbit = [(start,)] * group.order
+        else:
+            raise DomainError(
+                "cannot reconstruct the singular G-set: orbit stabilizer is "
+                "neither trivial nor the full group"
+            )
+        action = [a + o for a, o in zip(action, orbit)]
+        if in_t:
+            t_points += orbit[group.identity]
+    gset = GSetSpec(group=group, size=len(action[0]), action=tuple(action),
+                    t_subset=frozenset(t_points))
+    return DowlingSpec(group=group, gset=gset, n=n, name=name)
 
 
 def spec_partition(n: int, name: str = "") -> DowlingSpec:
     """The partition lattice Q_n as the trivial-group, empty-S case."""
-    g = cyclic_group(1)
-    gs = GSetSpec(group=g, size=0, action=((),), t_subset=frozenset())
-    return DowlingSpec(group=g, gset=gs, n=n, name=name)
+    return spec_from_orbit_data(cyclic_group(1), (), n, name)
 
 
 def spec_single_point(group: GroupTable, n: int, in_t: bool, name: str = "") -> DowlingSpec:
     """S a single G-fixed point, optionally in T (the classical lattice case
     when in_t is true)."""
-    gs = GSetSpec(
-        group=group,
-        size=1,
-        action=tuple((0,) for _ in range(group.order)),
-        t_subset=frozenset({0} if in_t else ()),
-    )
-    return DowlingSpec(group=group, gset=gs, n=n, name=name)
+    return spec_from_orbit_data(group, ((group, in_t),), n, name)
 
 
 def bottom_element(spec: DowlingSpec) -> DowlingElement:
@@ -365,11 +390,10 @@ def count_elements_species(spec: DowlingSpec) -> int:
     n, w = spec.n, spec.group.order
     f = series_exp(WeightedSeries._of(w, n, [{(0, 0): w ** (m - 1)} if m else {}
                                              for m in range(n + 1)]))
-    for _i, _orbit, _rep, stab, in_t in spec.orbit_info():
-        c = len(stab)
+    for stab, in_t in spec.orbit_data:
         f = f * WeightedSeries._of(
-            w, n, [{(0, 0): (w // c) ** k} if k != 1 or in_t else {} for k in range(n + 1)]
-        )
+            w, n, [{(0, 0): (w // stab.order) ** k} if k != 1 or in_t else {}
+                   for k in range(n + 1)])
     total = f.unweighted_dim(n, 0, 0)
     assert type(total) is int and total >= 0
     return total
@@ -396,11 +420,10 @@ def factor_interval(spec: DowlingSpec, elem: DowlingElement) -> list[IntervalFac
                               spec=spec_partition(len(b)))
                for b in elem.blocks]
     orbit_id = spec._orbit_table[0]
-    for i, _orbit, _rep, stab, in_t in spec.orbit_info():
+    for i, (stab, in_t) in enumerate(spec.orbit_data):
         ground = tuple(x for x, s in elem.zero if orbit_id[s] == i)
-        stab_group, _ = subgroup_table(spec.group, stab)
         factors.append(IntervalFactor(kind="orbit", ground=ground,
-                                      spec=spec_single_point(stab_group, len(ground), in_t)))
+                                      spec=spec_single_point(stab, len(ground), in_t)))
     return factors
 
 
@@ -431,7 +454,7 @@ def _wreath_act(spec: DowlingSpec, w: WreathElement, elem: DowlingElement) -> Do
 
 # JSON descriptors -----------------------------------------------------------
 
-def spec_from_json(obj, n: int | None = None, name: str = "") -> DowlingSpec:
+def spec_from_json(obj, n: int | None = None) -> DowlingSpec:
     """Parse {"group": {...}, "gset": {"size":..,"action":..,"T":..}} plus an
     optional "n"; an explicit n argument overrides the file."""
     if not isinstance(obj, dict):
@@ -447,7 +470,7 @@ def spec_from_json(obj, n: int | None = None, name: str = "") -> DowlingSpec:
         n = obj.get("n")
     if not is_int(n):
         raise InputError("dowling spec needs a ground set size n")
-    return DowlingSpec(group=group, gset=gset, n=n, name=name or obj.get("name", ""))
+    return DowlingSpec(group=group, gset=gset, n=n, name=obj.get("name", ""))
 
 
 def spec_to_json(spec: DowlingSpec) -> dict:

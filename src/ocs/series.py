@@ -41,7 +41,7 @@ from math import comb, factorial
 
 from .errors import DomainError, InputError, is_int_list
 from .dowling import DowlingSpec, build_poset
-from .groups import GroupTable, group_from_json, subgroup_table
+from .groups import GroupTable, group_from_json
 from .homology import whitney_homology
 
 __all__ = [
@@ -382,11 +382,7 @@ def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
     poset, _ = build_poset(spec, cap=cap)
     table = whitney_homology(poset)
     n = spec.n
-    orbit_data = tuple(
-        (subgroup_table(spec.group, stab)[0], in_t)
-        for _i, _orbit, _rep, stab, in_t in spec.orbit_info()
-    )
-    s = e1_series(SpaceInput((1,), spec.group, orbit_data, i_acyclic=True), n)
+    s = e1_series(SpaceInput((1,), spec.group, spec.orbit_data, i_acyclic=True), n)
     mismatches = []
     for (r, k), v in sorted(table.items()):
         if k != r:
@@ -406,7 +402,7 @@ def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
 
 # JSON ------------------------------------------------------------------------
 
-def space_from_json(obj, name: str = "") -> SpaceInput:
+def space_from_json(obj) -> SpaceInput:
     """Parse {"betti":[...], "group":{...}, "orbits":[{"stabilizer":{...},
     "inT":bool}], "iAcyclic":bool}."""
     if not isinstance(obj, dict):
@@ -440,7 +436,7 @@ def space_from_json(obj, name: str = "") -> SpaceInput:
         group=group,
         orbit_data=tuple(orbit_data),
         i_acyclic=i_acyclic,
-        name=name or obj.get("name", ""),
+        name=obj.get("name", ""),
     )
 
 

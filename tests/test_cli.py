@@ -95,6 +95,20 @@ def test_non_object_poset_file_is_an_input_error(cmd, tmp_path, capsys):
     assert _single_json_error(err) == {"type": "input", "message": "poset descriptor must be an object"}
 
 
+@pytest.mark.parametrize("cmd", [["poset", "mobius"], ["poset", "homology"], ["poset", "whitney"],
+                                 ["rep", "decompose"]])
+def test_every_poset_command_refuses_a_family_spec(cmd, capsys):
+    # rep decompose used to ask for group provenance instead, with exit 1
+    rc = run(cmd + ["--poset", "typeB"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input",
+        "message": "this descriptor is a dowling family spec; build it first with "
+                   "'ocs dowling build'",
+    }
+
+
 def _refuses_descriptor(cmd: list[str], obj: dict, message: str, tmp_path, capsys) -> None:
     # JSON true and false are Python's ints 1 and 0, and used to pass as integers
     path = tmp_path / "descriptor.json"
@@ -416,6 +430,37 @@ def test_rep_stability_rebuilds_a_free_orbit(in_t, tmp_path, capsys):
     spec_obj = {"group": z2,
                 "gset": {"size": 2, "action": [[0, 1], [1, 0]], "T": [0, 1] if in_t else []}}
     _rep_stability_matches_the_poset(str(path), spec_obj, capsys)
+
+
+def test_rep_stability_refuses_a_stabilizer_strictly_between(tmp_path, capsys):
+    # a Z2 stabilizer in Z4 does not say how Z4 acts on the orbit
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({
+        "betti": [0, 0, 1], "group": {"kind": "cyclic", "order": 4}, "iAcyclic": True,
+        "orbits": [{"stabilizer": {"kind": "cyclic", "order": 2}, "inT": True}],
+    }))
+    rc = run(["rep", "stability", "--spec", str(path), "--rank", "1", "--window", "2..3"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert _single_json_error(err) == {
+        "type": "domain",
+        "message": "cannot reconstruct the singular G-set: orbit stabilizer is neither "
+                   "trivial nor the full group",
+    }
+
+
+@pytest.mark.parametrize("window, message", [
+    ("4", "window must look like 4..6"),
+    ("4..5..6", "window must look like 4..6"),
+    ("a..7", "window bounds must be integers"),
+    ("7..4", "window bounds must satisfy 1 <= lo <= hi"),
+    ("0..3", "window bounds must satisfy 1 <= lo <= hi"),
+])
+def test_rep_stability_refuses_a_malformed_window(window, message, capsys):
+    rc = run(["rep", "stability", "--spec", "typeA_R2", "--rank", "1", "--window", window])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {"type": "input", "message": message}
 
 
 def _cap_thresholds(n: int) -> list[int]:

@@ -19,6 +19,7 @@ from ocs.dowling import (
     factor_interval,
     parse_element,
     spec_from_json,
+    spec_from_orbit_data,
     spec_partition,
     spec_single_point,
     spec_to_json,
@@ -349,6 +350,60 @@ def test_spec_json_roundtrip():
         spec_from_json({"group": {"kind": "cyclic", "order": 2}})
     with pytest.raises(InputError):
         spec_from_json({**obj, "surprise": 1})
+
+
+def spec_partition_reference(n, name=""):
+    """spec_partition as it was written before specs were built from orbit
+    data: a hand-built empty G-set of the trivial group."""
+    g = cyclic_group(1)
+    gs = GSetSpec(group=g, size=0, action=((),), t_subset=frozenset())
+    return DowlingSpec(group=g, gset=gs, n=n, name=name)
+
+
+def spec_single_point_reference(group, n, in_t, name=""):
+    """spec_single_point as it was written before specs were built from
+    orbit data: a hand-built one-point G-set."""
+    gs = GSetSpec(
+        group=group,
+        size=1,
+        action=tuple((0,) for _ in range(group.order)),
+        t_subset=frozenset({0} if in_t else ()),
+    )
+    return DowlingSpec(group=group, gset=gs, n=n, name=name)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_spec_partition_matches_the_hand_built_g_set(n):
+    assert spec_partition(n) == spec_partition_reference(n)
+    assert spec_partition(n, "pi") == spec_partition_reference(n, "pi")
+
+
+@pytest.mark.parametrize("in_t", [True, False])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spec_single_point_matches_the_hand_built_g_set(order, in_t):
+    g = cyclic_group(order)
+    for n in range(4):
+        assert spec_single_point(g, n, in_t) == spec_single_point_reference(g, n, in_t)
+        assert (spec_single_point(g, n, in_t, name="q")
+                == spec_single_point_reference(g, n, in_t, name="q"))
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(4), ids=lambda s: f"{s.name}-n{s.n}")
+def test_spec_from_orbit_data_inverts_orbit_data_on_the_bundled_specs(spec):
+    # every orbit of a bundled spec is a fixed point
+    assert all(stab == spec.group for stab, _ in spec.orbit_data)
+    assert spec_from_orbit_data(spec.group, spec.orbit_data, spec.n, spec.name) == spec
+
+
+def test_spec_from_orbit_data_lays_out_free_orbits_and_fixed_points():
+    z1, z3 = cyclic_group(1), cyclic_group(3)
+    orbit_data = ((z1, True), (z3, False), (z1, False))
+    spec = spec_from_orbit_data(z3, orbit_data, 2)
+    assert spec.gset.size == 7
+    assert spec.gset.action[1] == (1, 2, 0, 3, 5, 6, 4)
+    assert spec.gset.t_subset == frozenset({0, 1, 2})
+    assert spec.orbit_data == orbit_data
+    assert sum(len(l) for l in enumerate_levels(spec)) == count_elements_species(spec)
 
 
 def test_validate_element_catches_foreign_support():

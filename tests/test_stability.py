@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from importlib import resources
@@ -21,6 +23,8 @@ from ocs.series import (
 )
 from ocs.stability import (
     LIMIT,
+    Family,
+    GenerationLocus,
     STEPS_CAP,
     bottom_step,
     classify_step,
@@ -504,3 +508,43 @@ def test_verify_rejects_step_indices_outside_the_report(index):
     rep = iterate_report(R2, "left", 1)
     with pytest.raises(InputError):
         verify_generator_bound(R2, rep, index, 1, 6)
+
+
+def test_classify_step_refuses_an_unknown_variant():
+    with pytest.raises(InputError, match="^variant must be 'left' or 'right'$"):
+        classify_step(locus_from_space(R2), "bottom")
+
+
+def test_classify_step_refuses_a_maximum_that_is_only_approached():
+    # the degree-0 family's norms (n - 1)/n approach 1 from below
+    with pytest.raises(DomainError, match="^maximal norm is not attained in the locus$"):
+        classify_step(GenerationLocus((Family(0),), False))
+
+
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_the_limit_point_alone_is_an_absolute_terminal_step(variant):
+    step = classify_step(GenerationLocus((), True), variant)
+    assert step.point == LIMIT
+    assert step.classification == "absolute" and step.terminal and step.epsilon is None
+
+
+def test_a_rightmost_tie_without_the_limit_point_is_refused():
+    # every member of the degree-1 family has norm 1, and none is rightmost
+    with pytest.raises(DomainError, match="^rightmost tie has no attained maximal point$"):
+        classify_step(GenerationLocus((Family(1),), False), variant="right")
+
+
+def test_verify_generator_bound_reports_a_violation():
+    report = iterate_report(R2, "left", 1)
+    step = dataclasses.replace(report.steps[0], epsilon=Fraction(100))
+    ok, info = verify_generator_bound(R2, dataclasses.replace(report, steps=(step,)), 0, 1, 12)
+    assert not ok
+    assert info["violations"] == [{"size": 2, "diagonal": 3, "dim": 1}]
+
+
+def test_dividing_a_factor_out_twice_is_refused():
+    report = iterate_report(R2, "left", 1)
+    twice = dataclasses.replace(report, steps=report.steps * 2)
+    with pytest.raises(DomainError, match="^" + re.escape(
+            "negative dimension -1 at (1, 0, 2) after division") + "$"):
+        verify_generator_bound(R2, twice, 1, 1, 12)
