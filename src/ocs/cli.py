@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .dowling import (
     DEFAULT_CAP,
-    _check_cap,
+    _check_window_cap,
     build_poset,
     count_elements_species,
     element_to_string,
@@ -33,7 +33,6 @@ from .dowling import (
     factor_interval,
     parse_element,
     spec_from_json,
-    spec_from_orbit_data,
     spec_to_json,
 )
 from .errors import CapExceeded, DomainError, InputError
@@ -49,7 +48,6 @@ from .posets import (
     proper_part,
 )
 from .series import (
-    SpaceInput,
     _check_nmax_cap,
     bm_betti,
     closed_form_euler,
@@ -61,10 +59,9 @@ from .stability import iterate_report, verify_generator_bound
 from .symrep import (
     _whitney_characters,
     decompose,
-    partition_lattice_whitney_characters,
+    dowling_whitney_characters,
     stable_multiplicity_check,
     sym_class_poset_perms,
-    whitney_character,
 )
 
 __all__ = ["run", "main"]
@@ -131,7 +128,12 @@ def _load_descriptor(arg: str, kind: str) -> dict:
             raise InputError(f"malformed JSON in {arg}: {exc}") from exc
 
 
-def _load_space(arg: str) -> SpaceInput:
+def _check_nonnegative(name: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise InputError(f"{name} must be nonnegative, got {value}")
+
+
+def _load_space(arg: str):
     return space_from_json(_load_descriptor(arg, "spaces"))
 
 
@@ -352,13 +354,8 @@ def _built_dowling_poset(arg: str):
     return p, spec, elements
 
 
-def _check_rank(rank: int | None) -> None:
-    if rank is not None and rank < 0:
-        raise InputError(f"rank must be nonnegative, got {rank}")
-
-
 def _cmd_rep_decompose(args) -> str:
-    _check_rank(args.rank)
+    _check_nonnegative("rank", args.rank)
     p, spec, elements = _built_dowling_poset(args.poset)
     perms = sym_class_poset_perms(spec, elements)
     ranks = [args.rank] if args.rank is not None else None
@@ -388,68 +385,22 @@ def _parse_window(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _poset_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
-    """{n: rank-Whitney character} over the window, from each built poset."""
-    chars = {}
-    for n in window:
-        spec = spec_from_orbit_data(space.group, space.orbit_data, n, space.name)
-        p, elements = build_poset(spec, cap=cap)
-        perms = sym_class_poset_perms(spec, elements)
-        chars[n] = whitney_character(p, perms, rank, n)
-    return chars
-
-
-def _series_characters(space: SpaceInput, rank: int, window: list[int], cap: int) -> dict:
-    """`_poset_characters` for a space whose poset is the partition lattice
-    Pi_n, with no poset: the characters come from Lehrer's product formula
-    (`partition_lattice_whitney_characters`), and the cap is checked as
-    `build_poset` checks it, against the rank levels of Pi_n, which have
-    d_r(n) = S(n, n - r) elements (Stirling numbers of the second kind).
-    The space is not read; it is taken so that both paths have one
-    signature.
-
-    The levels are computed one diagonal at a time, from d_0 = 1 and
-    d_r(m) = d_r(m - 1) + (m - r) d_(r-1)(m - 1).  Element counts only grow
-    with n, so the first n of the window over the cap at rank r bounds the
-    n that refuses, and no diagonal is taken past it: a refusal at a large
-    n costs a few diagonals, not the whole Stirling triangle."""
-    lo, top = window[0], window[-1]
-    level = [1] * (top + 1)  # level[m] = d_r(m), here r = 0
-    totals = [1] * (top + 1)  # totals[m]: elements of Pi_m up to rank r
-    refusal = None
-    r = 0
-    while r + 1 < top and lo <= top:
-        r += 1
-        below, level = level, [0] * (r + 1)
-        for m in range(r + 1, top + 1):
-            level.append(level[m - 1] + (m - r) * below[m - 1])
-            totals[m] += level[m]
-            if m >= lo and totals[m] > cap:
-                refusal, top = (r, totals[m]), m - 1
-                break
-    if refusal:
-        _check_cap(cap, *refusal)
-    chars = partition_lattice_whitney_characters(rank, window[-1])
-    return {n: chars[n] for n in window}
-
-
 def _cmd_rep_stability(args) -> str:
     """Multiplicity stability of the rank-r Whitney characters over a window
-    of n.  A space with the trivial group and no orbits (the typeA_* specs)
-    has the partition lattice Pi_n as its poset, and takes its characters
-    from Lehrer's product formula, with no poset (`_series_characters`);
-    every other space builds its poset for each n (`_poset_characters`)."""
-    _check_rank(args.rank)
+    of n, with no poset: `--cap` is checked against the element counts of
+    each D_n (`_check_window_cap`), and the characters come from the
+    cycle-length product (`dowling_whitney_characters`)."""
+    _check_nonnegative("rank", args.rank)
     space = _load_space(args.spec)
     window = _parse_window(args.window)
-    partition_lattice = space.group.order == 1 and not space.orbit_data
-    characters = _series_characters if partition_lattice else _poset_characters
-    chars = characters(space, args.rank, window, args.cap)
+    _check_window_cap(space.group, space.orbit_data, window, args.cap)
+    chars = dowling_whitney_characters(space.group, space.orbit_data, args.rank, window[-1])
     epsilon = None
     primary = iterate_report(space, "left", 1).steps[0]
     if primary.classification == "absolute" and primary.epsilon:
         epsilon = primary.epsilon
-    report = stable_multiplicity_check(chars, degree=args.rank, epsilon=epsilon)
+    report = stable_multiplicity_check({n: chars[n] for n in window}, degree=args.rank,
+                                       epsilon=epsilon)
     obj = {
         "space": space.name,
         "rank": args.rank,
@@ -566,6 +517,7 @@ def _emit_error(kind: str, exc: BaseException) -> None:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_nonnegative("cap", getattr(args, "cap", None))  # the commands with --cap
         _write_output(args.handler(args), args.out)
     except SystemExit as exc:  # --help
         return exc.code

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError, InputError, is_int
@@ -327,6 +328,51 @@ def _check_cap(cap: int, rank: int, total: int) -> None:
         )
 
 
+def _zero_block_counts(w: int, orbit_data, kmax: int) -> list[int]:
+    """[Z_0, ..., Z_kmax]: Z_k counts the valid zero-block colorings of k
+    labeled points.  Their exponential generating function has one factor
+    per orbit, sum_k (w/|G_s|)^k x^k/k!, with its x term dropped outside T."""
+    zero = [1] + [0] * kmax
+    for stab, in_t in orbit_data:
+        c = w // stab.order
+        zero = [sum(comb(k, i) * c**i * zero[k - i] for i in range(k + 1) if i != 1 or in_t)
+                for k in range(kmax + 1)]
+    return zero
+
+
+def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int) -> None:
+    """Refuse as `build_poset` would on the first n of the window, with the
+    same rank and count, from element counts alone: rank r of D_n has
+    sum_(k <= r) C(n, k) Z_k w^(r-k) S(n-k, n-r) elements (w = |G|), k
+    points in the zero block and the rest in n - r blocks.  The Stirling
+    numbers d_s(m) = S(m, m - s) are taken one diagonal s at a time.  Counts
+    only grow with n, so the first n of the window over the cap at rank r
+    bounds the n that refuses, and no diagonal is taken past it.  A rank
+    with no elements is not checked."""
+    lo, top = window[0], window[-1]
+    w = group.order
+    diagonals = [[1] * (top + 1)]  # diagonals[s][m] = d_s(m)
+    totals = [1] * (top + 1)  # totals[m]: elements of D_m up to rank r
+    refusal = None
+    r = 0
+    while r < top and lo <= top:
+        r += 1
+        zero = _zero_block_counts(w, orbit_data, r)
+        below, diag = diagonals[-1], [0] * (r + 1)
+        diagonals.append(diag)
+        for m in range(r, top + 1):
+            if m > r:
+                diag.append(diag[m - 1] + (m - r) * below[m - 1])
+            level = sum(comb(m, k) * zero[k] * w ** (r - k) * diagonals[r - k][m - k]
+                        for k in range(r + 1))
+            totals[m] += level
+            if m >= lo and level and totals[m] > cap:
+                refusal, top = (r, totals[m]), m - 1
+                break
+    if refusal:
+        _check_cap(cap, *refusal)
+
+
 def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
     """The one pass behind enumerate_levels and build_poset: it expands
     every element by covers_of once, and appends each element's covers, in
@@ -375,28 +421,16 @@ def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[
 
 
 def count_elements_species(spec: DowlingSpec) -> int:
-    """|D_n^T(G,S)| by generating-function algebra, no enumeration.
-
-    In the weighted convention (tau^n coefficient = count / (w^n n!), with
-    w = |G|), the poset's element species factors as exp over block sizes
-    (w^(m-1) colorings of an m-block) times one zero-block factor per orbit
-    of S ((w/|G_s|)^k colorings of a k-point zero block); the orbit factor's
-    degree-1 term is present exactly when the orbit lies in T.  The count is
-    the x = y = 0 case of a WeightedSeries.
-    """
-    # imported here because series imports this module
-    from .series import WeightedSeries, series_exp
-
+    """|D_n^T(G,S)| from counts, no enumeration: sum_k C(n, k) Z_k B(n - k),
+    with Z_k the zero-block colorings of k points (`_zero_block_counts`) and
+    B(m) = sum_b S(m, b) w^(m-b) the partitions of m points into blocks,
+    w^(b-1) colorings of a b-block (w = |G|)."""
     n, w = spec.n, spec.group.order
-    f = series_exp(WeightedSeries._of(w, n, [{(0, 0): w ** (m - 1)} if m else {}
-                                             for m in range(n + 1)]))
-    for stab, in_t in spec.orbit_data:
-        f = f * WeightedSeries._of(
-            w, n, [{(0, 0): (w // stab.order) ** k} if k != 1 or in_t else {}
-                   for k in range(n + 1)])
-    total = f.unweighted_dim(n, 0, 0)
-    assert type(total) is int and total >= 0
-    return total
+    blocks = [1]  # blocks[m] = B(m): the block of point m has j other points
+    for m in range(1, n + 1):
+        blocks.append(sum(comb(m - 1, j) * w**j * blocks[m - 1 - j] for j in range(m)))
+    zero = _zero_block_counts(w, spec.orbit_data, n)
+    return sum(comb(n, k) * zero[k] * blocks[n - k] for k in range(n + 1))
 
 
 @dataclass(frozen=True)

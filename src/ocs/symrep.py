@@ -7,15 +7,16 @@ read off one Mobius row of each permutation's fixed points (refusing
 whenever interval homology is not concentrated in its expected degree, so a
 character is never fabricated from an alternating sum).
 
-For the partition lattice Pi_n, the Whitney characters also come with no
-poset at all (`partition_lattice_whitney_characters`).  Their Frobenius
-characteristics are the degree-(n, r) parts of the plethystic exponential
-Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)] (Lehrer-Solomon 1986; Wachs 2007),
-with ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d) (Reutenauer 1993).  Read
-at one permutation, that exponential factors by cycle length into binomial
-series, and the character value is the t^r coefficient of Lehrer's integer
-product (Lehrer 1987), which is what is computed.  The poset path is the
-oracle of this one.
+The Whitney characters of a Dowling poset D_n(G, S) also come with no
+poset at all (`dowling_whitney_characters`).  Their Frobenius
+characteristics are the degree-(n, r) parts of the paper's product
+factorization read S_n-equivariantly: the plethystic exponential of the
+colored blocks, sgn (x) Lie_b in degree b - 1 (Lehrer-Solomon 1986; Wachs
+2007), times one zero-block factor per orbit.  Read at one permutation,
+that product factors by cycle length into binomial series, and the
+character value is the t^r coefficient of a product of integer
+polynomials, Lehrer's (Lehrer 1987) for the partition lattice.  The poset
+path, in the tests, is the oracle of this one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import factorial, lcm
 
 from .dowling import DowlingSpec, _wreath_act
 from .errors import DomainError, InputError
-from .groups import WreathElement
+from .groups import GroupTable, WreathElement
 from .homology import _check_automorphism, _interval_tables
 from .posets import Poset, _mobius_above
 
@@ -42,7 +43,7 @@ __all__ = [
     "cycle_type_permutation",
     "sym_class_poset_perms",
     "whitney_character",
-    "partition_lattice_whitney_characters",
+    "dowling_whitney_characters",
     "stable_multiplicity_check",
 ]
 
@@ -308,60 +309,72 @@ def _moebius(d: int) -> int:
     return -out if d > 1 else out
 
 
-def partition_lattice_whitney_characters(r: int, nmax: int) -> dict[int, ClassFunction]:
-    """{n: character of S_n on the rank-r Whitney homology of the partition
-    lattice Pi_n} for 1 <= n <= nmax, from Lehrer's product formula, with
-    no poset.
+def _roots(group: GroupTable, d: int) -> int:
+    """r_d(group) = #{g in group : g^d = 1}."""
+    powers = [group.identity] * group.order
+    for _ in range(d):
+        powers = [group.mul[x][g] for g, x in enumerate(powers)]
+    return powers.count(group.identity)
 
-    The Frobenius characteristic of the rank-r Whitney homology of Pi_n is
-    the degree-(n, r) part of Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)]: the
-    interval below a set partition is the product of the partition lattices
-    of its blocks, a block of size b contributes the top homology
-    sgn (x) Lie_b of Pi_b in degree b - 1, and the blocks of equal size
-    are permuted with the Koszul sign of their degrees (Lehrer-Solomon, *On
-    the action of the symmetric group on the cohomology of the complement
-    of its reflecting hyperplanes*, 1986; Wachs, *Poset topology: tools and
-    applications*, 2007).  Here ch Lie_b = (1/b) sum_(d | b) mu(d)
-    p_d^(b/d), mu the number-theoretic Mobius function (Reutenauer, *Free
-    Lie algebras*, 1993), the twist by sgn multiplies p_lam by
-    (-1)^(|lam| - len(lam)), and a generator of odd t-degree e enters p_k
-    with the sign (-1)^((k-1) e), as in an exterior power.
 
-    The character value at a cycle type lam is z_lam times the coefficient
-    of p_lam.  Every term of the plethysm p_k[ch(sgn (x) Lie_b) t^(b-1)]
-    is a power of the single p_(kd), so the exponential splits into one
-    factor per cycle length j, and that factor is the binomial series
-    (1 - (-1)^(j-1) t^j p_j)^(-a_j(t) / (j t^j)), with
-    a_j(t) = sum_(d | j) mu(d) (-1)^(j/d - 1) t^(j - j/d).  Read at lam,
-    with m_j parts equal to j, the character value is the t^r coefficient
-    of
+def _times(p: list[int], q: list[int], r: int) -> list[int]:
+    """p q cut at t^r, for polynomials in t given by r + 1 coefficients."""
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(r + 1)]
 
-        prod_j prod_(s < m_j) (-1)^(j-1) (a_j(t) + s j t^j)
 
-    (Lehrer, *On the Poincare series associated with Coxeter group actions
-    on complements of hyperplanes*, 1987).  The product has degree n - 1,
-    so ranks r < 0 and r >= n give the zero character, and every
+def dowling_whitney_characters(group: GroupTable, orbit_data, r: int,
+                               nmax: int) -> dict[int, ClassFunction]:
+    """{n: character of S_n on the rank-r Whitney homology of D_n(G, S)} for
+    1 <= n <= nmax, with no poset; orbit_data holds one (stabilizer H, in T)
+    pair per orbit of S, as `DowlingSpec.orbit_data` does.
+
+    With w = |G| and r_d(K) = #{k in K : k^d = 1}, a block of b = dm points
+    adds r_d(G) w^(m-1) (-1)^(b-m) mu(d)/b p_d^m in t-degree b - 1: sgn (x)
+    Lie_b (Reutenauer 1993) times the colorings, up to translation, that a
+    cycle type d^m fixes.  An orbit adds the zero-block factor fixed by the
+    Mobius identity of the Dowling lattice Q_k(H), with p_j -> (w/|H|) p_j.
+    Every term is a power of one p_j, so the value at lam, with m_j parts
+    equal to j, is the t^r coefficient of prod_j V_j(m_j), where
+
+        A_j(t) = sum_(d | j) mu(d) r_d(G) (-1)^(j/d - 1) t^(j - j/d)
+                 + t^j sum_orbits (w/|H|) sum_(d | j) mu(d) r_d(H),
+        V_j(i) = prod_(s < i) (-1)^(j-1) (A_j(t) + s j w t^j),
+
+    and each orbit outside T, its factor (1 - t p_1), replaces V_1(i) by
+    V_1(i) - i (w/|H|) t V_1(i-1).  With w = 1 and no orbits this is
+    Lehrer's product for Pi_n (Lehrer 1987).  The product has degree at most
+    n, so ranks r < 0 and r > n give the zero character, and every
     polynomial is cut at t^r.
     """
+    w = group.order
+    factors = {}  # factors[j][i] = V_j(i)
+    for j in range(1, nmax + 1) if 0 <= r <= nmax else ():
+        a = [0] * (r + 1)
+        for d in range(1, j + 1):
+            mu = _moebius(d) if j % d == 0 else 0
+            if mu and j - j // d <= r:
+                a[j - j // d] += mu * _roots(group, d) * (-1) ** (j // d - 1)
+            if mu and j <= r:
+                a[j] += mu * sum(w // h.order * _roots(h, d) for h, _ in orbit_data)
+        v = [[1] + [0] * r]
+        for s in range(nmax // j):
+            f = a.copy()
+            if j <= r:
+                f[j] += s * j * w
+            v.append([(-1) ** (j - 1) * x for x in _times(v[-1], f, r)])
+        for h, in_t in orbit_data if j == 1 else ():
+            if not in_t:  # (1 - t p_1), with p_1 -> (w/|H|) p_1
+                v = [v[0]] + [[x - i * (w // h.order) * y for x, y in zip(v[i], [0] + v[i - 1])]
+                              for i in range(1, len(v))]
+        factors[j] = v
     out = {}
     for n in range(1, nmax + 1):
         values = dict.fromkeys(partitions_of(n), 0)
-        if 0 <= r < n:
-            for lam in values:
-                poly = [1] + [0] * r
-                for j in set(lam):
-                    a = [0] * (r + 1)
-                    for d in range(1, j + 1):
-                        if j % d == 0 and j - j // d <= r:
-                            a[j - j // d] += _moebius(d) * (-1) ** (j // d - 1)
-                    sign = (-1) ** (j - 1)
-                    for s in range(lam.count(j)):
-                        f = a.copy()
-                        if j <= r:
-                            f[j] += s * j
-                        poly = [sign * sum(poly[i] * f[k - i] for i in range(k + 1))
-                                for k in range(r + 1)]
-                values[lam] = poly[r]
+        for lam in values if 0 <= r <= n else ():
+            poly = [1] + [0] * r
+            for j in set(lam):
+                poly = _times(poly, factors[j][lam.count(j)], r)
+            values[lam] = poly[r]
         out[n] = ClassFunction.from_dict(n, values)
     return out
 

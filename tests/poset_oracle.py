@@ -1,0 +1,61 @@
+"""The poset path of `rep stability`, kept as the oracle of the cycle-length
+product (`symrep.dowling_whitney_characters`) and of the element-count cap
+check (`dowling._check_window_cap`): Whitney characters read off one
+built Dowling poset per n, and the `--cap` refusal of its breadth-first
+enumeration.
+
+A spec comes from `spec_from_orbit_data` by default.  That rebuilds a
+G-set only when every stabilizer is trivial or the whole group, so
+`coset_gset` lays out any other orbit by hand, as the cosets of a chosen
+subgroup.
+"""
+
+import ocs.cli
+from ocs.dowling import DowlingSpec, build_poset, enumerate_levels, spec_from_orbit_data
+from ocs.groups import GSetSpec
+from ocs.symrep import _whitney_characters, sym_class_poset_perms
+
+
+def poset_characters(spec: DowlingSpec, ranks=None) -> dict:
+    """{r: Whitney character of the built poset of spec} for r in ranks
+    (None: every rank of the poset)."""
+    p, elements = build_poset(spec, cap=10**7)
+    return _whitney_characters(p, sym_class_poset_perms(spec, elements), ranks, spec.n)
+
+
+def coset_gset(group, orbits) -> GSetSpec:
+    """The G-set with one orbit G/K per (elements of the subgroup K, in T)
+    pair, G acting on the left cosets by left multiplication."""
+    action = [[] for _ in range(group.order)]
+    t_points = []
+    for subgroup, in_t in orbits:
+        start = len(action[0])
+        cosets = []
+        for g in range(group.order):
+            coset = frozenset(group.mul[g][k] for k in subgroup)
+            if coset not in cosets:
+                cosets.append(coset)
+        for g, row in enumerate(action):
+            row += [start + cosets.index(frozenset(group.mul[g][x] for x in coset))
+                    for coset in cosets]
+        if in_t:
+            t_points += range(start, start + len(cosets))
+    return GSetSpec(group=group, size=len(action[0]), action=tuple(map(tuple, action)),
+                    t_subset=frozenset(t_points))
+
+
+def use_the_poset_path(monkeypatch, make_spec=spec_from_orbit_data) -> None:
+    """Make `rep stability` take its cap check and its characters from the
+    built posets, as make_spec(group, orbit_data, n) lays them out: the cap
+    from the levels of each n of the window, the characters at every
+    n <= nmax."""
+    def check_cap(group, orbit_data, window, cap):
+        for n in window:
+            enumerate_levels(make_spec(group, orbit_data, n), cap)
+
+    def characters(group, orbit_data, r, nmax):
+        return {n: poset_characters(make_spec(group, orbit_data, n), [r])[r]
+                for n in range(1, nmax + 1)}
+
+    monkeypatch.setattr(ocs.cli, "_check_window_cap", check_cap)
+    monkeypatch.setattr(ocs.cli, "dowling_whitney_characters", characters)

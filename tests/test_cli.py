@@ -10,17 +10,22 @@ import pytest
 
 import ocs
 import ocs.cli
+import ocs.dowling
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
 from ocs.dowling import (
-    _check_cap,
+    DEFAULT_CAP,
+    DowlingSpec,
+    _check_window_cap,
     build_poset,
+    count_elements_species,
     enumerate_levels,
     spec_from_json,
+    spec_from_orbit_data,
     spec_partition,
 )
 from ocs.errors import CapExceeded
-from ocs.series import NMAX_CAP
+from ocs.series import NMAX_CAP, space_from_json
 from ocs.stability import STEPS_CAP
 from ocs.symrep import (
     decompose,
@@ -29,6 +34,7 @@ from ocs.symrep import (
     sym_class_poset_perms,
     whitney_character,
 )
+from poset_oracle import coset_gset, use_the_poset_path
 
 SPACES = sorted(
     res.name.removesuffix(".json")
@@ -347,13 +353,14 @@ PARTITION_LATTICE_SPACES = [
 ]
 
 
-def _rep_stability_both_paths(argv, capsys, monkeypatch):
-    """(rc, stdout, stderr) of `rep stability` on the series path and on the
-    poset path."""
+def _rep_stability_both_paths(argv, capsys, monkeypatch, make_spec=spec_from_orbit_data):
+    """(rc, stdout, stderr) of `rep stability` as it runs, and on the poset
+    path, its oracle, with make_spec laying out each poset."""
     results = []
-    for path in ("_series_characters", "_poset_characters"):
+    for poset_path in (False, True):
         with monkeypatch.context() as m:
-            m.setattr(ocs.cli, "_series_characters", getattr(ocs.cli, path))
+            if poset_path:
+                use_the_poset_path(m, make_spec)
             rc = run(["rep", "stability", *argv])
             results.append((rc, *capsys.readouterr()))
     return results
@@ -363,18 +370,19 @@ def test_partition_lattice_spaces_are_the_type_a_specs():
     assert PARTITION_LATTICE_SPACES == ["typeA_C", "typeA_R1", "typeA_R2", "typeA_R3"]
 
 
-def test_rep_stability_builds_a_poset_only_off_the_partition_lattice(monkeypatch, capsys):
+def test_rep_stability_builds_no_poset(monkeypatch, capsys):
     built = []
-    real = ocs.cli.build_poset
-    monkeypatch.setattr(ocs.cli, "build_poset",
-                        lambda spec, cap: built.append(spec.n) or real(spec, cap))
-    for spec in PARTITION_LATTICE_SPACES:
+    for module in (ocs.cli, ocs.dowling):
+        for name in ("build_poset", "enumerate_levels"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda spec, cap=DEFAULT_CAP, real=real:
+                                built.append(spec.n) or real(spec, cap))
+    for spec in SPACES:
         assert run(["rep", "stability", "--spec", spec, "--rank", "2", "--window", "4..8",
-                    "--cap", "5000"]) == 0
+                    "--cap", "1000000000"]) == 0
     assert built == []
-    assert run(["rep", "stability", "--spec", "typeA_R2_punctured", "--rank", "1",
-                "--window", "2..3"]) == 0
-    assert built == [2, 3]
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "2"]) == 0
+    assert built == [2]
 
 
 @pytest.mark.parametrize("spec", PARTITION_LATTICE_SPACES)
@@ -432,21 +440,26 @@ def test_rep_stability_rebuilds_a_free_orbit(in_t, tmp_path, capsys):
     _rep_stability_matches_the_poset(str(path), spec_obj, capsys)
 
 
-def test_rep_stability_refuses_a_stabilizer_strictly_between(tmp_path, capsys):
-    # a Z2 stabilizer in Z4 does not say how Z4 acts on the orbit
+@pytest.mark.parametrize("in_t", [True, False])
+def test_rep_stability_answers_a_stabilizer_strictly_between(in_t, tmp_path, capsys,
+                                                            monkeypatch):
+    # a Z2 stabilizer in Z4 does not say how Z4 acts on the orbit, but the
+    # characters need only its table: they are those of Z4 on the cosets of
+    # its Z2, laid out by hand
     path = tmp_path / "z4.json"
     path.write_text(json.dumps({
         "betti": [0, 0, 1], "group": {"kind": "cyclic", "order": 4}, "iAcyclic": True,
-        "orbits": [{"stabilizer": {"kind": "cyclic", "order": 2}, "inT": True}],
+        "orbits": [{"stabilizer": {"kind": "cyclic", "order": 2}, "inT": in_t}],
     }))
-    rc = run(["rep", "stability", "--spec", str(path), "--rank", "1", "--window", "2..3"])
-    out, err = capsys.readouterr()
-    assert rc == 1 and out == ""
-    assert _single_json_error(err) == {
-        "type": "domain",
-        "message": "cannot reconstruct the singular G-set: orbit stabilizer is neither "
-                   "trivial nor the full group",
-    }
+
+    def cosets(group, orbit_data, n):
+        return DowlingSpec(group=group, gset=coset_gset(group, [([0, 2], in_t)]), n=n)
+
+    for rank in range(5):
+        series, poset = _rep_stability_both_paths(
+            ["--spec", str(path), "--rank", str(rank), "--window", "1..4"],
+            capsys, monkeypatch, cosets)
+        assert series == poset and series[0] == 0
 
 
 @pytest.mark.parametrize("window, message", [
@@ -461,6 +474,25 @@ def test_rep_stability_refuses_a_malformed_window(window, message, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _single_json_error(err) == {"type": "input", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dowling", "build", "--spec", "typeB", "--n", "3"],
+    ["dowling", "count", "--spec", "typeB", "--n", "3"],
+    ["dowling", "interval", "--spec", "typeB", "--n", "3", "--element", "0:0|0:1|0:2|Z{}"],
+    ["rep", "stability", "--spec", "toricB", "--rank", "1", "--window", "2..3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_negative_cap_is_an_input_error(argv, capsys):
+    rc = run(argv + ["--cap", "-5"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == {
+        "type": "input", "message": "cap must be nonnegative, got -5"}
+    # a cap of 0 is a cap: the first rank refuses
+    rc = run(argv + ["--cap", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert _single_json_error(err)["message"] == "element cap 0 exceeded while enumerating rank 1"
 
 
 def _cap_thresholds(n: int) -> list[int]:
@@ -500,48 +532,58 @@ def test_series_path_refuses_the_first_n_over_the_cap(capsys, monkeypatch):
         "partialCount": 7}
 
 
-def _stirling_row_totals(top: int):
-    """(n, r, elements of Pi_n up to rank r) for n <= top, row by row of the
-    Stirling triangle, each n's levels S(n, n - r) summed in rank order."""
-    stirling = [1]  # stirling[k] = S(m, k)
+def _stirling_levels(top: int) -> dict:
+    """{n: [S(n, n - r) for r < n]} for n <= top: the rank level sizes of
+    Pi_n, from the rows of the Stirling triangle."""
+    levels, row = {}, [1]  # row[k] = S(m, k)
     for m in range(1, top + 1):
-        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, m)] + [1]
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+        levels[m] = [row[m - r] for r in range(m)]
+    return levels
+
+
+def _levels_outcome(levels: dict, window: list[int], cap: int):
+    """The refusal of `build_poset` on the first n of the window, read off
+    the level sizes of each n: it checks the total after each level past
+    the bottom."""
+    for n in window:
         total = 1
-        for r in range(1, m):
-            total += stirling[m - r]
-            yield m, r, total
+        for r, size in enumerate(levels[n][1:], 1):
+            total += size
+            if total > cap:
+                return f"element cap {cap} exceeded while enumerating rank {r}", total
+    return None
 
 
-def _stirling_rows_cap_check(window: list[int], cap: int) -> None:
-    """The series path's cap check with every Stirling row up to the top of
-    the window."""
-    for n, r, total in _stirling_row_totals(window[-1]):
-        if n >= window[0]:
-            _check_cap(cap, r, total)
-
-
-def _cap_outcome(check, window: list[int], cap: int):
+def _cap_outcome(space, window: list[int], cap: int):
     try:
-        check(window, cap)
+        _check_window_cap(space.group, space.orbit_data, window, cap)
     except CapExceeded as exc:
         return str(exc), exc.partial_count
     return None
 
 
-def test_series_path_cap_matches_the_stirling_rows(monkeypatch):
-    # the characters are not what is checked here, so none are computed
-    monkeypatch.setattr(ocs.cli, "partition_lattice_whitney_characters",
-                        lambda r, nmax: dict.fromkeys(range(1, nmax + 1)))
-    def series(window, cap):
-        ocs.cli._series_characters(None, 1, window, cap)
-
-    caps = {-1, 0} | {t + d for _, _, t in _stirling_row_totals(12) for d in (-1, 0)}
-    for lo in range(1, 13):
-        for hi in range(lo, 15):
+@pytest.mark.parametrize("spec", SPACES)
+def test_window_cap_matches_the_enumerated_levels(spec):
+    space = space_from_json(_space_json(spec))
+    top = {"dowling_mu3": 4}.get(spec, 7 if spec in PARTITION_LATTICE_SPACES else 5)
+    levels = {n: [len(level) for level in enumerate_levels(
+                  spec_from_orbit_data(space.group, space.orbit_data, n), cap=10**6)]
+              for n in range(1, top + 1)}
+    if spec == "typeA_R2":
+        # past the sizes enumerated here, the Stirling rows give the levels
+        assert _stirling_levels(top) == levels
+        levels = _stirling_levels(14)
+    caps = {-1, 0} | {sum(sizes[:r + 1]) + d for n, sizes in levels.items() if n <= 12
+                      for r in range(len(sizes)) for d in (-1, 0, 1)}
+    for lo in levels:
+        for hi in range(lo, max(levels) + 1):
             window = list(range(lo, hi + 1))
             for cap in sorted(caps):
-                assert (_cap_outcome(series, window, cap)
-                        == _cap_outcome(_stirling_rows_cap_check, window, cap)), (window, cap)
+                assert (_cap_outcome(space, window, cap)
+                        == _levels_outcome(levels, window, cap)), (window, cap)
+    # D_1 with no rank-1 element has no level to check, so no cap refuses it
+    assert (_cap_outcome(space, [1], 0) is None) == (levels[1] == [1])
 
 
 @pytest.mark.parametrize("window", ["8000..8000", "4..8000"])
@@ -557,9 +599,21 @@ def test_series_path_refuses_a_large_n_at_once(window, capsys):
         "partialCount": count}
 
 
-def _rep_stability_report(rank: int, window: str, capsys) -> dict:
-    assert run(["rep", "stability", "--spec", "typeA_R2", "--rank", str(rank),
-                "--window", window, "--cap", "5000000"]) == 0
+def test_an_orbit_space_refuses_a_large_n_before_building_it(capsys):
+    # the poset path enumerated all C(300, 2) 2 + 301 rank-1 elements first
+    start = time.perf_counter()
+    assert run(["rep", "stability", "--spec", "toricB", "--rank", "1",
+                "--window", "300..300"]) == 1
+    assert time.perf_counter() - start < 1
+    assert _single_json_error(capsys.readouterr().err) == {
+        "type": "cap", "message": "element cap 10000 exceeded while enumerating rank 1",
+        "partialCount": 90001}
+
+
+def _rep_stability_report(rank: int, window: str, capsys, spec: str = "typeA_R2",
+                          cap: int = 5000000) -> dict:
+    assert run(["rep", "stability", "--spec", spec, "--rank", str(rank),
+                "--window", window, "--cap", str(cap)]) == 0
     return json.loads(capsys.readouterr().out)
 
 
@@ -572,13 +626,29 @@ def test_rep_stability_on_pi_n_is_stable_from_3r_plus_1(rank, capsys):
     assert early["stable"] is False and early["firstViolation"] == 3 * rank + 1
 
 
+@pytest.mark.parametrize("spec, onset", [
+    ("toricB", 11), ("dowling_mu3", 11), ("rp2free", 11), ("typeA_R2_punctured", 10),
+])
+def test_rank_three_multiplicities_settle_past_the_poset_sizes(spec, onset, capsys):
+    # D_14 of toricB has about 10^11 elements; the poset path ended at n = 7
+    space = space_from_json(_space_json(spec))
+    cap = count_elements_species(spec_from_orbit_data(space.group, space.orbit_data, 14))
+    start = time.perf_counter()
+    early = _rep_stability_report(3, f"{onset - 1}..14", capsys, spec, cap)
+    assert time.perf_counter() - start < 3
+    assert early["stable"] is False and early["firstViolation"] == onset
+    stable = _rep_stability_report(3, f"{onset}..14", capsys, spec, cap)
+    assert stable["stable"] is True and stable["firstViolation"] is None
+
+
 def test_rep_stability_at_a_huge_rank_is_empty(capsys):
-    # every rank >= n gives the zero character, with nothing of size r built
-    rc = run(["rep", "stability", "--spec", "typeA_R2", "--rank", "1000000000",
-              "--window", "4..5"])
-    out, err = capsys.readouterr()
-    assert rc == 0, err
-    assert json.loads(out)["names"] == {"4": [], "5": []}
+    # every rank > n gives the zero character, with nothing of size r built
+    for spec in ("typeA_R2", "toricB"):
+        rc = run(["rep", "stability", "--spec", spec, "--rank", "1000000000",
+                  "--window", "4..5"])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert json.loads(out)["names"] == {"4": [], "5": []}
 
 
 def test_rank_three_multiplicities_are_constant_from_n_10(capsys):

@@ -21,9 +21,11 @@ were recorded before the breadth-first enumeration kept each element's
 covers for `build_poset`, except the n=8 ones: rank 1 was recorded before
 `covers_of` built its covers directly in canonical form, and ranks 2 and 3
 before the Whitney characters came from one fixed-point Möbius row.  All
-six `rep stability` digests were recorded on the poset path; typeA_R2 now
-takes its characters from the plethystic exponential, and one test still
-runs those six invocations on the poset path against the same digests.
+six `rep stability` digests were recorded on the poset path; `rep
+stability` now takes its characters from the cycle-length product and its
+cap check from element counts, and one test still runs those six
+invocations on the poset path (`poset_oracle.use_the_poset_path`) against
+the same digests.
 
 A fourth set pins `--help` of all 18 parsers (the top level, every group
 and every command) at 80 columns.  Its digests in `golden_help.json` were
@@ -49,8 +51,8 @@ from pathlib import Path
 
 import pytest
 
-import ocs.cli
 from ocs.cli import COMMANDS, run
+from poset_oracle import use_the_poset_path
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_HOMOLOGY = Path(__file__).with_name("golden_homology.json")
@@ -185,9 +187,9 @@ REP_STABILITY_INVOCATIONS = [key for key in DOWLING_INVOCATIONS if key.startswit
 
 @pytest.mark.parametrize("key", REP_STABILITY_INVOCATIONS)
 def test_rep_stability_poset_path_matches_golden(key, monkeypatch):
-    # typeA_R2 takes its characters from the plethystic exponential; the
-    # poset path, its oracle, must still give the same bytes
-    monkeypatch.setattr(ocs.cli, "_series_characters", ocs.cli._poset_characters)
+    # `rep stability` builds no poset; the poset path, its oracle, must
+    # still give the same bytes
+    use_the_poset_path(monkeypatch)
     assert _digest(key.split(), with_stderr=True) == json.loads(GOLDEN_DOWLING.read_text())[key]
 
 

@@ -1,31 +1,41 @@
+import json
 import time
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from math import comb, factorial
 
 import pytest
 
 import ocs.homology
 import ocs.symrep
-from ocs.dowling import _wreath_act, build_poset, spec_partition, spec_single_point
+from ocs.dowling import (
+    DowlingSpec,
+    _wreath_act,
+    build_poset,
+    spec_from_orbit_data,
+    spec_partition,
+    spec_single_point,
+)
 from ocs.errors import DomainError, InputError
-from ocs.groups import WreathElement, cyclic_group
+from ocs.groups import WreathElement, cyclic_group, group_from_table
 from ocs.homology import interval_degree_table, lefschetz_character
 from ocs.posets import from_covers, induced_subposet
+from ocs.series import space_from_json
 from ocs.symrep import (
     ClassFunction,
     character_table,
     conjugacy_class_size,
     cycle_type_permutation,
-    _whitney_characters,
     decompose,
-    partition_lattice_whitney_characters,
+    dowling_whitney_characters,
     _z_order,
     partitions_of,
     sym_class_poset_perms,
     whitney_character,
 )
+from poset_oracle import coset_gset, poset_characters
 from test_dowling import bundled_poset_specs
 
 
@@ -270,11 +280,14 @@ def test_class_perms_refuse_the_same_element_lists_as_the_sweep(n):
         assert sym_class_poset_perms(spec, kept) == expected
 
 
+def partition_lattice_whitney_characters(r: int, nmax: int) -> dict:
+    """{n: rank-r Whitney character of Pi_n}, the trivial group and no orbits."""
+    return dowling_whitney_characters(cyclic_group(1), (), r, nmax)
+
+
 def poset_path_characters(n: int, ranks) -> dict:
     """{r: Whitney character of the built partition lattice Pi_n}."""
-    spec = spec_partition(n)
-    p, elements = build_poset(spec, cap=10**6)
-    return _whitney_characters(p, sym_class_poset_perms(spec, elements), ranks, n)
+    return poset_characters(spec_partition(n), ranks)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -332,25 +345,48 @@ def test_series_characters_have_the_closed_forms_at_rank_one_and_the_top():
 
 
 
-def plethystic_reference(r: int, nmax: int) -> dict:
-    """{n: rank-r Whitney character of Pi_n}, as the degree-(n, r) parts of
-    Exp[sum_b ch(sgn (x) Lie_b) t^(b-1)] over power-sum monomials with
-    exact coefficients: Exp[G] = exp(sum_k p_k[G] / k), with a generator of
-    odd t-degree e signed (-1)^((k-1) e) in p_k, and the character value at
-    lam is z_lam times the coefficient of p_lam t^r."""
-    # gens[m]: the symmetric-degree-m part of sum_k p_k[G] / k, as
-    # {(lam, t-degree): coefficient}
+def _roots_of_unity(group, d: int) -> int:
+    """#{g in group : g^d = 1}, by d multiplications each."""
+    count = 0
+    for g in range(group.order):
+        x = group.identity
+        for _ in range(d):
+            x = group.mul[x][g]
+        count += x == group.identity
+    return count
+
+
+def _ps_times(a: dict, b: dict, nmax: int) -> dict:
+    """The product of two power-sum series {(lam, t-degree): coefficient},
+    cut past symmetric degree nmax."""
+    out: dict = defaultdict(Fraction)
+    for (l1, e1), c1 in a.items():
+        for (l2, e2), c2 in b.items():
+            if sum(l1) + sum(l2) <= nmax:
+                out[tuple(sorted(l1 + l2, reverse=True)), e1 + e2] += c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _block_exponential(group, nmax: int) -> dict:
+    """Exp[sum_b N_b t^(b-1)] to symmetric degree nmax, N_b the colored
+    blocks of b points: sgn (x) Lie_b tensored with the block's colorings up
+    to translation.  Exp[G] = exp(sum_k p_k[G] / k), with a generator of odd
+    t-degree e signed (-1)^((k-1) e) in p_k.  A permutation of cycle type
+    d^m fixes r_d(G) w^(m-1) of the colorings of a block of b = dm points,
+    so N_b = sum_(d | b) r_d(G) w^(m-1) (-1)^(b-m) mu(d)/b p_d^m, with
+    ch Lie_b = (1/b) sum_(d | b) mu(d) p_d^(b/d) (Reutenauer 1993)."""
+    w = group.order
+    # gens[m]: the symmetric-degree-m part of sum_k p_k[G] / k
     gens = [defaultdict(Fraction) for _ in range(nmax + 1)]
     for b in range(1, nmax + 1):
         for k in range(1, nmax // b + 1):
-            e = k * (b - 1)
-            if e > r:
-                break
             for d in range(1, b + 1):
                 mu = moebius(d) if b % d == 0 else 0
                 if mu:
-                    sign = (-1) ** ((k - 1) * (b - 1) + b - b // d)
-                    gens[k * b][((k * d,) * (b // d), e)] += Fraction(sign * mu, k * b)
+                    m = b // d
+                    sign = (-1) ** ((k - 1) * (b - 1) + b - m)
+                    gens[k * b][(k * d,) * m, k * (b - 1)] += Fraction(
+                        sign * mu * _roots_of_unity(group, d) * w ** (m - 1), k * b)
     # exp by the degree recurrence m E_m = sum_(k=1..m) k G_k E_(m-k)
     exp = [{((), 0): Fraction(1)}]
     for m in range(1, nmax + 1):
@@ -358,12 +394,55 @@ def plethystic_reference(r: int, nmax: int) -> dict:
         for k in range(1, m + 1):
             for (lam, e), c in gens[k].items():
                 for (rest, f), c2 in exp[m - k].items():
-                    if e + f <= r:
-                        acc[tuple(sorted(lam + rest, reverse=True)), e + f] += k * c * c2
+                    acc[tuple(sorted(lam + rest, reverse=True)), e + f] += k * c * c2
         exp.append({key: c / m for key, c in acc.items() if c})
+    return {key: c for part in exp for key, c in part.items()}
+
+
+def _zero_block_factor(group, stab, in_t: bool, nmax: int) -> dict:
+    """The zero-block factor of one orbit with stabilizer stab, as a
+    power-sum series.  For the Dowling lattices Q_k(H), H = stab, the
+    fixed-point Mobius identity sum_(x <= top) mu(0, x) = 0 reads Z_H(-1)
+    Exp[N^H](-1) = 1, and the degree-k part of Z_H sits in t-degree k, so
+    Z_H is found by inverting Exp[N^H] at t = -1.  An orbit outside T has
+    no singleton zero blocks, which multiplies by (1 - t p_1), and its w/|H|
+    points turn p_j into (w/|H|) p_j: a cycle's points share one of them."""
+    # 1 - Exp[N^H](-1), all of symmetric degree >= 1
+    below_one: dict = defaultdict(Fraction)
+    for (lam, e), c in _block_exponential(stab, nmax).items():
+        if lam:
+            below_one[lam, 0] -= (-1) ** e * c
+    # 1/E = sum_i (1 - E)^i, cut past symmetric degree nmax
+    inverse: dict = defaultdict(Fraction, {((), 0): Fraction(1)})
+    term = {((), 0): Fraction(1)}
+    for _ in range(nmax):
+        term = _ps_times(term, below_one, nmax)
+        for key, c in term.items():
+            inverse[key] += c
+    factor = {(lam, sum(lam)): (-1) ** sum(lam) * c for (lam, _), c in inverse.items() if c}
+    if not in_t:
+        factor = _ps_times(factor, {((), 0): Fraction(1), ((1,), 1): Fraction(-1)}, nmax)
+    c = group.order // stab.order
+    return {(lam, e): coeff * c ** len(lam) for (lam, e), coeff in factor.items()}
+
+
+@lru_cache(maxsize=None)
+def _plethystic_series(group, orbit_data, nmax: int) -> dict:
+    series = _block_exponential(group, nmax)
+    for stab, in_t in orbit_data:
+        series = _ps_times(series, _zero_block_factor(group, stab, in_t, nmax), nmax)
+    return series
+
+
+def plethystic_reference(group, orbit_data, r: int, nmax: int) -> dict:
+    """{n: rank-r Whitney character of D_n(G, S)} for n <= nmax, as the
+    degree-(n, r) parts of the power-sum series Exp[sum_b N_b t^(b-1)] times
+    one zero-block factor per orbit, with exact coefficients: the character
+    value at lam is z_lam times the coefficient of p_lam t^r."""
+    series = _plethystic_series(group, tuple(orbit_data), nmax)
     return {
         n: ClassFunction.from_dict(
-            n, {mu: _z_order(mu) * exp[n].get((mu, r), 0) for mu in partitions_of(n)})
+            n, {mu: _z_order(mu) * series.get((mu, r), 0) for mu in partitions_of(n)})
         for n in range(1, nmax + 1)
     }
 
@@ -371,14 +450,78 @@ def plethystic_reference(r: int, nmax: int) -> dict:
 @pytest.mark.parametrize("n", range(1, 13))
 def test_product_formula_matches_the_plethystic_exponential(n):
     for r in range(-2, n + 2):
-        assert partition_lattice_whitney_characters(r, n) == plethystic_reference(r, n)
+        assert (partition_lattice_whitney_characters(r, n)
+                == plethystic_reference(cyclic_group(1), (), r, n))
+
+
+def bundled_space(name: str):
+    return space_from_json(json.loads(
+        resources.files("ocs").joinpath("specs", "spaces", name + ".json").read_text()))
+
+
+SPACES = sorted(res.name.removesuffix(".json")
+                for res in resources.files("ocs").joinpath("specs", "spaces").iterdir()
+                if res.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_product_formula_matches_the_plethystic_exponential_on_every_space(name):
+    space = bundled_space(name)
+    for r in range(-1, 10):
+        assert (dowling_whitney_characters(space.group, space.orbit_data, r, 8)
+                == plethystic_reference(space.group, space.orbit_data, r, 8)), r
+
+
+def _matches_the_poset_path(spec_of, group, orbit_data, nmax: int) -> None:
+    """dowling_whitney_characters equals the Whitney characters of the
+    built posets at every rank, and the zero character past them."""
+    for n in range(1, nmax + 1):
+        expected = poset_characters(spec_of(n))
+        for r in range(-1, n + 2):
+            got = dowling_whitney_characters(group, orbit_data, r, n)[n]
+            assert got == expected.get(r, ClassFunction.from_dict(
+                n, dict.fromkeys(partitions_of(n), 0))), (n, r)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_product_formula_matches_the_poset_path_on_every_space(name):
+    space = bundled_space(name)
+    _matches_the_poset_path(
+        lambda n: spec_from_orbit_data(space.group, space.orbit_data, n),
+        space.group, space.orbit_data, 4 if name == "dowling_mu3" else 5)
+
+
+KLEIN = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
+
+
+@pytest.mark.parametrize("group, orbits, nmax", [
+    (cyclic_group(2), [([0], True)], 5),
+    (cyclic_group(2), [([0], False)], 5),
+    (cyclic_group(4), [([0, 2], True)], 4),
+    (cyclic_group(4), [([0, 2], False)], 4),
+    (cyclic_group(3), [([0], False), ([0, 1, 2], False)], 4),
+    (cyclic_group(4), [([0, 1, 2, 3], True)], 4),
+    (KLEIN, [([0, 1, 2, 3], True)], 4),
+    (KLEIN, [([0, 1], True)], 4),
+    (KLEIN, [([0, 1], False), ([0, 2], True)], 4),
+    (cyclic_group(6), [([0, 3], True), ([0, 2, 4], False)], 3),
+], ids=["Z2-free-in-T", "Z2-free", "Z4-Z2-in-T", "Z4-Z2", "Z3-free-fixed", "Z4-fixed",
+        "Klein-fixed", "Klein-Z2-in-T", "Klein-two-Z2", "Z6-Z2-Z3"])
+def test_product_formula_matches_the_poset_path_on_hand_built_g_sets(group, orbits, nmax):
+    # each orbit is the cosets of a subgroup, given by its elements, with its in-T flag
+    gset = coset_gset(group, orbits)
+    orbit_data = DowlingSpec(group=group, gset=gset, n=0).orbit_data
+    assert [stab.order for stab, _ in orbit_data] == [len(sub) for sub, _ in orbits]
+    _matches_the_poset_path(lambda n: DowlingSpec(group=group, gset=gset, n=n),
+                            group, orbit_data, nmax)
 
 
 def test_a_huge_rank_allocates_nothing_of_its_size():
-    # the product has degree n - 1, so no polynomial is cut at t^r
-    start = time.perf_counter()
-    chars = partition_lattice_whitney_characters(10**9, 8)
-    assert time.perf_counter() - start < 1
-    assert sorted(chars) == list(range(1, 9))
-    for n, cf in chars.items():
-        assert cf.m == n and all(v == 0 for _, v in cf.values)
+    # the product has degree at most n, so no polynomial is cut at t^r
+    for space in (bundled_space("typeA_R2"), bundled_space("toricB")):
+        start = time.perf_counter()
+        chars = dowling_whitney_characters(space.group, space.orbit_data, 10**9, 8)
+        assert time.perf_counter() - start < 1
+        assert sorted(chars) == list(range(1, 9))
+        for n, cf in chars.items():
+            assert cf.m == n and all(v == 0 for _, v in cf.values)
