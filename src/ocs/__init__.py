@@ -76,7 +76,6 @@ from .series import (
     series_one,
     space_from_json,
     space_to_json,
-    whitney_factorization_check,
 )
 from .stability import (
     GenerationLocus,

@@ -28,6 +28,8 @@ from .dowling import (
     _check_window_cap,
     build_poset,
     count_elements_species,
+    covers_of,
+    element_rank,
     element_to_string,
     enumerate_levels,
     factor_interval,
@@ -57,11 +59,10 @@ from .series import (
 )
 from .stability import iterate_report, verify_generator_bound
 from .symrep import (
-    _whitney_characters,
+    ClassFunction,
     decompose,
     dowling_whitney_characters,
     stable_multiplicity_check,
-    sym_class_poset_perms,
 )
 
 __all__ = ["run", "main"]
@@ -334,6 +335,10 @@ def _cmd_stability_report(args) -> str:
 # rep --------------------------------------------------------------------------
 
 def _built_dowling_poset(arg: str):
+    """The poset file's ranks and its `dowling` spec, refused unless the
+    file is D_n of that spec: its elements are D_n's, each once, and each
+    carries its own rank and exactly its own upper covers, in any order.
+    So an answer computed from the spec is an answer about the file."""
     obj = _poset_descriptor(arg)
     if isinstance(obj, dict) and "dowling" not in obj:
         raise DomainError(
@@ -349,18 +354,34 @@ def _built_dowling_poset(arg: str):
         raise InputError("'dowling' block needs 'spec' and one element string per poset element")
     spec = spec_from_json(d["spec"])
     elements = [parse_element(spec, s) for s in d["elements"]]
-    if len(set(elements)) != len(elements):
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
         raise InputError("'dowling' element strings must name distinct elements")
-    return p, spec, elements
+    # distinct valid elements, as many as D_n has, are D_n's elements, so
+    # every cover below is in the index
+    if (len(elements) != count_elements_species(spec) or p.rank is None
+            or any(p.rank[i] != element_rank(spec, e)
+                   or p.hasse[i] != tuple(sorted([index[c] for c in covers_of(spec, e)]))
+                   for i, e in enumerate(elements))):
+        raise InputError(
+            "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'")
+    return p.rank, spec
 
 
 def _cmd_rep_decompose(args) -> str:
+    """The S_n characters of the Whitney homology of the file's D_n, from
+    the cycle-length product of its spec (`dowling_whitney_characters`);
+    `_built_dowling_poset` checks that the file is that D_n.  No order
+    complex is built: every lower interval of D_n is a product of geometric
+    lattices, so Cohen-Macaulay, and its homology lies in its top degree."""
     _check_nonnegative("rank", args.rank)
-    p, spec, elements = _built_dowling_poset(args.poset)
-    perms = sym_class_poset_perms(spec, elements)
-    ranks = [args.rank] if args.rank is not None else None
+    rank, spec = _built_dowling_poset(args.poset)
     out = []
-    for r, cf in _whitney_characters(p, perms, ranks, spec.n).items():
+    for r in sorted(set(rank)) if args.rank is None else [args.rank]:
+        if spec.n:
+            cf = dowling_whitney_characters(spec.group, spec.orbit_data, r, spec.n)[spec.n]
+        else:  # D_0 is one point, of rank 0
+            cf = ClassFunction.from_dict(0, {(): int(r == 0)})
         mult = decompose(cf)
         out.append(
             {

@@ -319,15 +319,6 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     return out
 
 
-def _check_cap(cap: int, rank: int, total: int) -> None:
-    """Refuse an enumeration that has found total elements up to rank."""
-    if total > cap:
-        raise CapExceeded(
-            f"element cap {cap} exceeded while enumerating rank {rank}",
-            partial_count=total,
-        )
-
-
 def _zero_block_counts(w: int, orbit_data, kmax: int) -> list[int]:
     """[Z_0, ..., Z_kmax]: Z_k counts the valid zero-block colorings of k
     labeled points.  Their exponential generating function has one factor
@@ -341,14 +332,16 @@ def _zero_block_counts(w: int, orbit_data, kmax: int) -> list[int]:
 
 
 def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int) -> None:
-    """Refuse as `build_poset` would on the first n of the window, with the
-    same rank and count, from element counts alone: rank r of D_n has
-    sum_(k <= r) C(n, k) Z_k w^(r-k) S(n-k, n-r) elements (w = |G|), k
-    points in the zero block and the rest in n - r blocks.  The Stirling
-    numbers d_s(m) = S(m, m - s) are taken one diagonal s at a time.  Counts
-    only grow with n, so the first n of the window over the cap at rank r
-    bounds the n that refuses, and no diagonal is taken past it.  A rank
-    with no elements is not checked."""
+    """Refuse the first n of the window whose D_n passes cap elements
+    through some rank level, naming the first such rank and the total
+    through it, from element counts alone; every `dowling` and `rep
+    stability` cap is this check.  Rank r of D_n has sum_(k <= r) C(n, k)
+    Z_k w^(r-k) S(n-k, n-r) elements (w = |G|), k points in the zero block
+    and the rest in n - r blocks.  The Stirling numbers d_s(m) = S(m, m - s)
+    are taken one diagonal s at a time.  Counts only grow with n, so the
+    first n of the window over the cap at rank r bounds the n that refuses,
+    and no diagonal is taken past it.  A rank with no elements is not
+    checked."""
     lo, top = window[0], window[-1]
     w = group.order
     diagonals = [[1] * (top + 1)]  # diagonals[s][m] = d_s(m)
@@ -370,15 +363,18 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
                 refusal, top = (r, totals[m]), m - 1
                 break
     if refusal:
-        _check_cap(cap, *refusal)
+        rank, total = refusal
+        raise CapExceeded(f"element cap {cap} exceeded while enumerating rank {rank}",
+                          partial_count=total)
 
 
 def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
     """The one pass behind enumerate_levels and build_poset: it expands
     every element by covers_of once, and appends each element's covers, in
-    element order, to covers when that is a list."""
+    element order, to covers when that is a list.  The cap is checked from
+    element counts before anything is built."""
+    _check_window_cap(spec.group, spec.orbit_data, [spec.n], cap)
     levels = [[bottom_element(spec)]]
-    total = 1
     while True:
         found: dict[DowlingElement, DowlingElement] = {}
         for e in levels[-1]:
@@ -388,8 +384,6 @@ def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
                 covers.append(up)
         if not found:
             return levels
-        total += len(found)
-        _check_cap(cap, len(levels), total)
         levels.append(sorted(found, key=element_to_string))
 
 
@@ -398,8 +392,9 @@ def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[Dow
     canonical string; no covers are kept.
 
     Raises:
-        CapExceeded: when more than cap elements appear; carries the count
-            of elements found so far.
+        CapExceeded: before anything is built, when D_n has more than cap
+            elements through some rank level; carries the count through
+            the first such level.
     """
     return _breadth_first(spec, cap)
 

@@ -23,10 +23,11 @@ The zero-block ranks are closed forms, with u = xt.  When the orbit lies in
 T the k-point poset is the Dowling lattice Q_k(G_s), whose Mobius number
 is |mu(Q_k)| = prod_{i<k} (1 + i c) (Dowling 1973), so the factor is
 (1 - u)^(-1/c).  When it does not, the singleton zero blocks are missing,
-which multiplies the factor by (1 - u/c) and gives h_k - k h_{k-1}.  That
-these posets have homology only in the top degree k - 2, so that the
-Mobius number is the homology rank, is pinned by the brute-force oracle in
-the tests, not recomputed here.
+which multiplies the factor by (1 - u/c) and gives h_k - k h_{k-1}.  Both
+posets are geometric lattices, so Cohen-Macaulay (Folkman 1966; Bjorner
+1980): their homology lies in the top degree k - 2 only, and the Mobius
+number is the homology rank.  The brute-force oracle in the tests checks
+that against the built posets; it is not recomputed here.
 
 Each diagonal factor is the exp of one packet of the summed argument, so
 dividing generator factors out (stability.quotient_series) subtracts their
@@ -40,9 +41,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError, InputError, is_int_list
-from .dowling import DowlingSpec, build_poset
 from .groups import GroupTable, group_from_json
-from .homology import whitney_homology
 
 __all__ = [
     "WeightedSeries",
@@ -58,7 +57,6 @@ __all__ = [
     "bm_betti",
     "euler_series",
     "closed_form_euler",
-    "whitney_factorization_check",
     "space_from_json",
     "space_to_json",
 ]
@@ -368,36 +366,6 @@ def closed_form_euler(space: SpaceInput, nmax: int) -> list[int] | None:
             val *= chi - i * w
         out.append(val)
     return out
-
-
-def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
-    """Compare the bigraded Whitney homology of the built poset against the
-    coefficient extraction from the series product (diagonal factors with a
-    single degree-0 generator, one zero-block factor per orbit of S).
-
-    Returns (ok, mismatches); a mismatch entry carries the rank, both
-    values, and the side that disagrees.  Off-diagonal Whitney buckets are
-    reported as mismatches too (the series side lives on the diagonal).
-    """
-    poset, _ = build_poset(spec, cap=cap)
-    table = whitney_homology(poset)
-    n = spec.n
-    s = e1_series(SpaceInput((1,), spec.group, spec.orbit_data, i_acyclic=True), n)
-    mismatches = []
-    for (r, k), v in sorted(table.items()):
-        if k != r:
-            mismatches.append(
-                {"rank": r, "degree": k, "poset": v, "series": 0, "why": "off-diagonal"}
-            )
-    for r in range(n + 1):
-        series_val = s.unweighted_dim(n, r, 0)
-        assert type(series_val) is int
-        poset_val = table.get((r, r), 0)
-        if series_val != poset_val:
-            mismatches.append(
-                {"rank": r, "degree": r, "poset": poset_val, "series": series_val}
-            )
-    return (not mismatches), mismatches
 
 
 # JSON ------------------------------------------------------------------------

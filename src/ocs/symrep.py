@@ -1,22 +1,25 @@
 """Symmetric-group characters and multiplicity-stability checks.
 
-Characters come from one sweep of Frobenius' formula (Macdonald I.7), class
-functions are decomposed against them with exact integer inner products, and
-Whitney homology characters of a poset with a symmetric-group action are
-read off one Mobius row of each permutation's fixed points (refusing
-whenever interval homology is not concentrated in its expected degree, so a
-character is never fabricated from an alternating sum).
+Characters come from one sweep of Frobenius' formula (Macdonald I.7), and
+class functions are decomposed against them with exact integer inner
+products.
 
-The Whitney characters of a Dowling poset D_n(G, S) also come with no
-poset at all (`dowling_whitney_characters`).  Their Frobenius
-characteristics are the degree-(n, r) parts of the paper's product
-factorization read S_n-equivariantly: the plethystic exponential of the
-colored blocks, sgn (x) Lie_b in degree b - 1 (Lehrer-Solomon 1986; Wachs
-2007), times one zero-block factor per orbit.  Read at one permutation,
-that product factors by cycle length into binomial series, and the
-character value is the t^r coefficient of a product of integer
-polynomials, Lehrer's (Lehrer 1987) for the partition lattice.  The poset
-path, in the tests, is the oracle of this one.
+The Whitney characters of a Dowling poset D_n(G, S) come with no poset at
+all (`dowling_whitney_characters`); both `rep` commands read them there.
+Their Frobenius characteristics are the degree-(n, r) parts of the paper's
+product factorization read S_n-equivariantly: the plethystic exponential of
+the colored blocks, sgn (x) Lie_b in degree b - 1 (Lehrer-Solomon 1986;
+Wachs 2007), times one zero-block factor per orbit.  Read at one
+permutation, that product factors by cycle length into binomial series,
+and the character value is the t^r coefficient of a product of integer
+polynomials, Lehrer's (Lehrer 1987) for the partition lattice.
+
+The poset path, `whitney_character` on the element permutations of
+`sym_class_poset_perms`, is the oracle of the product in the tests: one
+Mobius row of each permutation's fixed points, refused whenever interval
+homology is not concentrated in its expected degree, so a character is
+never fabricated from an alternating sum.  Its order complexes make it
+exponential, so no command takes it.
 """
 
 from __future__ import annotations
@@ -255,45 +258,27 @@ def whitney_character(
     posets*, JCTA 1982).  So one Mobius row of F serves every fixed x.
 
     Raises:
-        InputError: if some permutation is not an automorphism of p.
+        InputError: if p is unranked, or some permutation is not an
+            automorphism of p.
         DomainError: if some rank-r lower interval has homology spread over
             several degrees, where a single Lefschetz number cannot be
             attributed to one of them.
     """
-    return _whitney_characters(p, class_perms, [r], m)[r]
-
-
-def _whitney_characters(p: Poset, class_perms: dict, ranks, m: int) -> dict[int, ClassFunction]:
-    """{r: `whitney_character(p, class_perms, r, m)`} for r in ranks (None: all
-    ranks of p), with one check and one Mobius row per permutation."""
     if p.rank is None:
         raise InputError("whitney character needs a ranked poset")
     for perm in class_perms.values():
         _check_automorphism(p, perm)
     bottom = p.bottom()
-    rows = {
-        mu: _mobius_above(p, [x for x in range(p.n_elems) if perm[x] == x and x != bottom])
-        for mu, perm in class_perms.items()
-    }
-    ranks = sorted(set(p.rank)) if ranks is None else ranks
-    levels = {r: [x for x in range(p.n_elems) if p.rank[x] == r] for r in ranks}
-    tables = _interval_tables(
-        p, [x for level in levels.values() for x in level if x != bottom])
-    out = {}
-    for r, level in levels.items():
-        for x in level:
-            if x != bottom and set(tables[x]) - {r}:
-                raise DomainError(
-                    "lower-interval homology is not concentrated; character refused"
-                )
-        sign = (-1) ** r
-        values = {
-            mu: Fraction(sum(1 if x == bottom else sign * rows[mu][x]
-                             for x in level if perm[x] == x))
-            for mu, perm in class_perms.items()
-        }
-        out[r] = ClassFunction.from_dict(m, values)
-    return out
+    level = [x for x in range(p.n_elems) if p.rank[x] == r]
+    tables = _interval_tables(p, [x for x in level if x != bottom])
+    if any(set(table) - {r} for table in tables.values()):
+        raise DomainError("lower-interval homology is not concentrated; character refused")
+    sign = (-1) ** r
+    values = {}
+    for mu, perm in class_perms.items():
+        row = _mobius_above(p, [x for x in range(p.n_elems) if perm[x] == x and x != bottom])
+        values[mu] = sum(1 if x == bottom else sign * row[x] for x in level if perm[x] == x)
+    return ClassFunction.from_dict(m, values)
 
 
 def _moebius(d: int) -> int:

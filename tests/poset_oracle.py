@@ -1,8 +1,8 @@
-"""The poset path of `rep stability`, kept as the oracle of the cycle-length
-product (`symrep.dowling_whitney_characters`) and of the element-count cap
-check (`dowling._check_window_cap`): Whitney characters read off one
-built Dowling poset per n, and the `--cap` refusal of its breadth-first
-enumeration.
+"""The poset path of the `rep` commands, kept as the oracle of the
+cycle-length product (`symrep.dowling_whitney_characters`) and of the
+element-count cap check (`dowling._check_window_cap`): Whitney characters
+read off one built Dowling poset per n, and the `--cap` refusal read off
+the rank level sizes of its breadth-first enumeration.
 
 A spec comes from `spec_from_orbit_data` by default.  That rebuilds a
 G-set only when every stabilizer is trivial or the whole group, so
@@ -12,15 +12,38 @@ subgroup.
 
 import ocs.cli
 from ocs.dowling import DowlingSpec, build_poset, enumerate_levels, spec_from_orbit_data
-from ocs.groups import GSetSpec
-from ocs.symrep import _whitney_characters, sym_class_poset_perms
+from ocs.errors import CapExceeded
+from ocs.groups import GSetSpec, group_from_table
+from ocs.symrep import sym_class_poset_perms, whitney_character
+
+# a cap that no enumeration of the oracle reaches, so its refusals come
+# from the level sizes alone
+NO_CAP = 10**7
+
+# the Klein four-group, as bitwise xor on 0..3
+KLEIN = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
 
 
 def poset_characters(spec: DowlingSpec, ranks=None) -> dict:
     """{r: Whitney character of the built poset of spec} for r in ranks
     (None: every rank of the poset)."""
-    p, elements = build_poset(spec, cap=10**7)
-    return _whitney_characters(p, sym_class_poset_perms(spec, elements), ranks, spec.n)
+    p, elements = build_poset(spec, cap=NO_CAP)
+    perms = sym_class_poset_perms(spec, elements)
+    return {r: whitney_character(p, perms, r, spec.n)
+            for r in (sorted(set(p.rank)) if ranks is None else ranks)}
+
+
+def levels_outcome(levels: dict, window: list[int], cap: int):
+    """(message, partialCount) of the `--cap` refusal on the first n of the
+    window, read off the rank level sizes levels[n] of each D_n: the total
+    is checked after each level past the bottom; None if nothing refuses."""
+    for n in window:
+        total = 1
+        for r, size in enumerate(levels[n][1:], 1):
+            total += size
+            if total > cap:
+                return f"element cap {cap} exceeded while enumerating rank {r}", total
+    return None
 
 
 def coset_gset(group, orbits) -> GSetSpec:
@@ -51,7 +74,11 @@ def use_the_poset_path(monkeypatch, make_spec=spec_from_orbit_data) -> None:
     n <= nmax."""
     def check_cap(group, orbit_data, window, cap):
         for n in window:
-            enumerate_levels(make_spec(group, orbit_data, n), cap)
+            levels = [len(level) for level in enumerate_levels(make_spec(group, orbit_data, n),
+                                                               NO_CAP)]
+            refusal = levels_outcome({n: levels}, [n], cap)
+            if refusal:
+                raise CapExceeded(refusal[0], partial_count=refusal[1])
 
     def characters(group, orbit_data, r, nmax):
         return {n: poset_characters(make_spec(group, orbit_data, n), [r])[r]

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 import ocs
 import ocs.cli
 import ocs.dowling
+import ocs.homology
 import ocs.symrep
 from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
 from ocs.dowling import (
@@ -23,8 +25,10 @@ from ocs.dowling import (
     spec_from_json,
     spec_from_orbit_data,
     spec_partition,
+    spec_to_json,
 )
 from ocs.errors import CapExceeded
+from ocs.groups import cyclic_group
 from ocs.series import NMAX_CAP, space_from_json
 from ocs.stability import STEPS_CAP
 from ocs.symrep import (
@@ -34,11 +38,22 @@ from ocs.symrep import (
     sym_class_poset_perms,
     whitney_character,
 )
-from poset_oracle import coset_gset, use_the_poset_path
+from poset_oracle import (
+    KLEIN,
+    coset_gset,
+    levels_outcome,
+    poset_characters,
+    use_the_poset_path,
+)
 
 SPACES = sorted(
     res.name.removesuffix(".json")
     for res in resources.files("ocs").joinpath("specs", "spaces").iterdir()
+    if res.name.endswith(".json")
+)
+POSET_SPECS = sorted(
+    res.name.removesuffix(".json")
+    for res in resources.files("ocs").joinpath("specs", "posets").iterdir()
     if res.name.endswith(".json")
 )
 
@@ -542,19 +557,6 @@ def _stirling_levels(top: int) -> dict:
     return levels
 
 
-def _levels_outcome(levels: dict, window: list[int], cap: int):
-    """The refusal of `build_poset` on the first n of the window, read off
-    the level sizes of each n: it checks the total after each level past
-    the bottom."""
-    for n in window:
-        total = 1
-        for r, size in enumerate(levels[n][1:], 1):
-            total += size
-            if total > cap:
-                return f"element cap {cap} exceeded while enumerating rank {r}", total
-    return None
-
-
 def _cap_outcome(space, window: list[int], cap: int):
     try:
         _check_window_cap(space.group, space.orbit_data, window, cap)
@@ -581,7 +583,7 @@ def test_window_cap_matches_the_enumerated_levels(spec):
             window = list(range(lo, hi + 1))
             for cap in sorted(caps):
                 assert (_cap_outcome(space, window, cap)
-                        == _levels_outcome(levels, window, cap)), (window, cap)
+                        == levels_outcome(levels, window, cap)), (window, cap)
     # D_1 with no rank-1 element has no level to check, so no cap refuses it
     assert (_cap_outcome(space, [1], 0) is None) == (levels[1] == [1])
 
@@ -604,6 +606,18 @@ def test_an_orbit_space_refuses_a_large_n_before_building_it(capsys):
     start = time.perf_counter()
     assert run(["rep", "stability", "--spec", "toricB", "--rank", "1",
                 "--window", "300..300"]) == 1
+    assert time.perf_counter() - start < 1
+    assert _single_json_error(capsys.readouterr().err) == {
+        "type": "cap", "message": "element cap 10000 exceeded while enumerating rank 1",
+        "partialCount": 90001}
+
+
+@pytest.mark.parametrize("command", ["count", "build"])
+def test_dowling_refuses_a_large_n_before_building_it(command, capsys):
+    # the rank-1 level, all C(300, 2) 2 + 300 elements of it, used to be
+    # built before the first check: about 1.7 s and 246 MB
+    start = time.perf_counter()
+    assert run(["dowling", command, "--spec", "typeB", "--n", "300"]) == 1
     assert time.perf_counter() - start < 1
     assert _single_json_error(capsys.readouterr().err) == {
         "type": "cap", "message": "element cap 10000 exceeded while enumerating rank 1",
@@ -670,10 +684,16 @@ def test_poset_mobius_rejects_elements_out_of_range(tmp_path, capsys, a, b):
         "type": "input", "message": f"mobius elements out of range: {a}, {b}"}
 
 
+NOT_ITS_SPEC = {
+    "type": "input",
+    "message": "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'"}
+
+
 @pytest.mark.parametrize("rank", range(4))
 def test_rep_rejects_covers_that_do_not_match_the_elements(tmp_path, capsys, rank):
     # rank 1 used to print a character, and rank 2 to escape as a KeyError
-    # traceback from the open-interval action
+    # traceback from the open-interval action; later, each rank was refused
+    # as a permutation that is not order-preserving
     path = tmp_path / "typeB-3.json"
     assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
     built = json.loads(path.read_text())
@@ -687,27 +707,33 @@ def test_rep_rejects_covers_that_do_not_match_the_elements(tmp_path, capsys, ran
     rc = run(["rep", "decompose", "--rank", str(rank), "--poset", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert _single_json_error(err) == {
-        "type": "input", "message": "permutation is not order-preserving"}
+    assert _single_json_error(err) == NOT_ITS_SPEC
 
 
-def test_rep_decompose_checks_each_class_permutation_once(tmp_path, capsys, monkeypatch):
-    # every rank used to check every permutation again
-    path = tmp_path / "typeB-3.json"
-    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
-    capsys.readouterr()
-    checked = []
-    check = ocs.symrep._check_automorphism
-    monkeypatch.setattr(ocs.symrep, "_check_automorphism",
-                        lambda p, perm: checked.append(perm) or check(p, perm))
-    assert run(["rep", "decompose", "--poset", str(path)]) == 0
-    ranks = json.loads(capsys.readouterr().out)["ranks"]
-    assert [r["rank"] for r in ranks] == [0, 1, 2, 3]
-    assert len(checked) == len(partitions_of(3))
+def test_rep_decompose_builds_no_order_complex(tmp_path, capsys, monkeypatch):
+    # the characters used to come from the order complexes of every lower
+    # interval and the element permutation of every cycle type
+    called = []
+    for module in (ocs.cli, ocs.homology, ocs.symrep):
+        for name in ("reduced_homology", "order_complex_chains", "sym_class_poset_perms",
+                     "whitney_character"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                                    called.append(name) or real(*a, **k))
+    for spec in POSET_SPECS:
+        path = tmp_path / f"{spec}-4.json"
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
+        assert run(["rep", "decompose", "--poset", str(path)]) == 0
+        assert run(["rep", "decompose", "--rank", "2", "--poset", str(path)]) == 0
+    assert called == []
+    assert run(["poset", "homology", "--poset", str(path)]) == 0
+    assert "reduced_homology" in called and "order_complex_chains" in called
 
 
 def test_rep_decompose_of_an_unranked_poset_is_an_input_error(tmp_path, capsys):
-    # without --rank, a poset file with no "rank" used to escape as a TypeError
+    # without --rank, a poset file with no "rank" used to escape as a
+    # TypeError; D_n has rank labels, so a file without them is not D_n
     path = tmp_path / "typeB-2.json"
     assert run(["dowling", "build", "--spec", "typeB", "--n", "2", "--out", str(path)]) == 0
     built = json.loads(path.read_text())
@@ -717,12 +743,12 @@ def test_rep_decompose_of_an_unranked_poset_is_an_input_error(tmp_path, capsys):
     rc = run(["rep", "decompose", "--poset", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert _single_json_error(err) == {
-        "type": "input", "message": "whitney character needs a ranked poset"}
+    assert _single_json_error(err) == NOT_ITS_SPEC
 
 
 def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
-    # distinct valid elements whose S_n images leave the list
+    # distinct valid elements whose S_n images leave the list: two of the
+    # five elements of Pi_3
     path = tmp_path / "poset.json"
     path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "rank": [0, 1], "dowling": {
         "spec": {**PARTITION_N2, "n": 3},
@@ -731,9 +757,112 @@ def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
     rc = run(["rep", "decompose", "--rank", "1", "--poset", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
-    assert _single_json_error(err) == {
-        "type": "input",
-        "message": "the elements are not closed under the symmetric group action"}
+    assert _single_json_error(err) == NOT_ITS_SPEC
+
+
+def _permuted(built: dict, seed: int) -> dict:
+    """The same poset file with its elements, and its cover list, in a
+    seed-chosen order."""
+    rng = random.Random(seed)
+    order = list(range(built["n"]))  # new index i holds old element order[i]
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    covers = [[new_index[a], new_index[b]] for a, b in built["covers"]]
+    rng.shuffle(covers)
+    return {**built, "covers": covers, "rank": [built["rank"][old] for old in order],
+            "dowling": {**built["dowling"],
+                        "elements": [built["dowling"]["elements"][old] for old in order]}}
+
+
+def _decompose_matches_the_poset_oracle(path: Path, spec: DowlingSpec, capsys) -> None:
+    """`rep decompose` on the built file, at every rank, on its own and as a
+    file in another order, against the Whitney characters of the poset
+    path (`whitney_character` on `sym_class_poset_perms`)."""
+    built = json.loads(path.read_text())
+    shuffled = path.with_name("permuted-" + path.name)
+    shuffled.write_text(json.dumps(_permuted(built, spec.n)))
+    n = spec.n
+    chars = poset_characters(spec, range(n + 4))
+    for rank in [None, *range(n + 2), n + 3]:
+        ranks = sorted(set(built["rank"])) if rank is None else [rank]
+        expected = {"action": "sym", "n": n, "ranks": [
+            {"rank": r,
+             "character": [[list(mu), int(v)] for mu, v in chars[r].values],
+             "multiplicities": [[list(lam), m] for lam, m in sorted(decompose(chars[r]).items())]}
+            for r in ranks]}
+        outs = []
+        for file in (path, shuffled):
+            argv = ["rep", "decompose", "--poset", str(file)]
+            assert run(argv + ([] if rank is None else ["--rank", str(rank)])) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert json.loads(outs[0]) == expected, rank
+        assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in POSET_SPECS for n in range(5)]
+                         + [("partition", 5)])
+def test_rep_decompose_matches_the_poset_oracle(spec, n, tmp_path, capsys):
+    path = tmp_path / f"{spec}-{n}.json"
+    assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--out", str(path)]) == 0
+    spec_obj = json.loads(path.read_text())["dowling"]["spec"]
+    _decompose_matches_the_poset_oracle(path, spec_from_json(spec_obj), capsys)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("group, orbits", [
+    (cyclic_group(4), [([0, 2], True)]),
+    (cyclic_group(4), [([0, 2], False)]),
+    (KLEIN, [([0, 1], False), ([0, 2], True)]),
+    (cyclic_group(6), [([0, 3], True), ([0, 2, 4], False)]),
+], ids=["Z4-Z2-in-T", "Z4-Z2", "Klein-two-Z2", "Z6-Z2-Z3"])
+def test_rep_decompose_on_a_stabilizer_strictly_between(group, orbits, n, tmp_path, capsys):
+    # each orbit is the cosets of a subgroup, neither trivial nor the whole
+    # group, given by its elements, with its in-T flag
+    spec = DowlingSpec(group=group, gset=coset_gset(group, orbits), n=n)
+    spec_path, path = tmp_path / "spec.json", tmp_path / "built.json"
+    spec_path.write_text(json.dumps(spec_to_json(spec)))
+    assert run(["dowling", "build", "--spec", str(spec_path), "--out", str(path)]) == 0
+    _decompose_matches_the_poset_oracle(path, spec, capsys)
+
+
+def _typeb3_with(tmp_path, edit) -> Path:
+    """A built typeB n=3 file, changed by edit(built) in place."""
+    path = tmp_path / "typeB-3.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
+    built = json.loads(path.read_text())
+    edit(built)
+    path.write_text(json.dumps(built))
+    return path
+
+
+def _swap_rank_one_labels(built: dict) -> None:
+    # two rank-1 elements with different upper covers trade element strings,
+    # so the covers no longer belong to their labels
+    up = {}
+    for a, b in built["covers"]:
+        up.setdefault(a, set()).add(b)
+    x, y = [i for i, r in enumerate(built["rank"]) if r == 1][:2]
+    assert up[x] != up[y]
+    labels = built["dowling"]["elements"]
+    labels[x], labels[y] = labels[y], labels[x]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda built: built["rank"].__setitem__(1, 2),
+    _swap_rank_one_labels,
+    # typeC: T = {0, 1}, so the typeB elements are a part of its D_3
+    lambda built: built["dowling"]["spec"]["gset"].__setitem__("T", [0, 1]),
+], ids=["rank-label", "swapped-labels", "spec-with-more-elements"])
+def test_rep_decompose_refuses_a_poset_that_is_not_its_spec(edit, tmp_path, capsys):
+    path = _typeb3_with(tmp_path, edit)
+    capsys.readouterr()
+    for rank in ([], ["--rank", "1"]):
+        rc = run(["rep", "decompose", "--poset", str(path), *rank])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert _single_json_error(err) == NOT_ITS_SPEC
 
 
 USAGE_ERRORS = (

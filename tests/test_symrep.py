@@ -8,7 +8,6 @@ from math import comb, factorial
 
 import pytest
 
-import ocs.homology
 import ocs.symrep
 from ocs.dowling import (
     DowlingSpec,
@@ -19,7 +18,7 @@ from ocs.dowling import (
     spec_single_point,
 )
 from ocs.errors import DomainError, InputError
-from ocs.groups import WreathElement, cyclic_group, group_from_table
+from ocs.groups import WreathElement, cyclic_group
 from ocs.homology import interval_degree_table, lefschetz_character
 from ocs.posets import from_covers, induced_subposet
 from ocs.series import space_from_json
@@ -35,7 +34,7 @@ from ocs.symrep import (
     sym_class_poset_perms,
     whitney_character,
 )
-from poset_oracle import coset_gset, poset_characters
+from poset_oracle import KLEIN, coset_gset, poset_characters
 from test_dowling import bundled_poset_specs
 
 
@@ -201,23 +200,17 @@ def test_whitney_character_matches_the_per_element_reference(spec):
         assert whitney_character(p, perms, r, spec.n) == expected
 
 
-def test_a_memo_hit_is_still_checked_against_its_own_rank(monkeypatch):
+def test_a_memo_hit_is_still_checked_against_its_own_rank():
     # a bottom 0 under a crown (1, 2 below 3, 4), and 5, 6 above the crown:
     # the intervals below 5 and 6 are one shape, whose homology sits in
-    # degree 3 only; 6 carries the rank label 2, so it is refused there
+    # degree 3 only; 6 carries the rank label 2, so it is refused there.
+    # The memo spans one call, that is one rank.
     p = from_covers(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
                         (3, 5), (4, 5), (3, 6), (4, 6)], rank=(0, 1, 1, 2, 2, 3, 2))
     perms = {(1,): tuple(range(7))}
-    calls = []
-    real = ocs.homology.reduced_homology
-    monkeypatch.setattr(ocs.homology, "reduced_homology",
-                        lambda q, mask=None: calls.append(mask) or real(q, mask))
-    assert ocs.symrep._whitney_characters(p, perms, [3], 1)[3].values == (((1,), Fraction(1)),)
-    calls.clear()
+    assert whitney_character(p, perms, 3, 1).values == (((1,), Fraction(1)),)
     with pytest.raises(DomainError):
-        ocs.symrep._whitney_characters(p, perms, [3, 2], 1)
-    # one reduction below 5 and one below 3 and 4: 6 is a memo hit
-    assert len(calls) == 2
+        whitney_character(p, perms, 2, 1)
 
 
 def sym_class_poset_perms_reference(spec, elements):
@@ -489,9 +482,6 @@ def test_product_formula_matches_the_poset_path_on_every_space(name):
     _matches_the_poset_path(
         lambda n: spec_from_orbit_data(space.group, space.orbit_data, n),
         space.group, space.orbit_data, 4 if name == "dowling_mu3" else 5)
-
-
-KLEIN = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
 
 
 @pytest.mark.parametrize("group, orbits, nmax", [
