@@ -13,6 +13,7 @@ from .groups import (
     GSetSpec,
     WreathElement,
     cyclic_group,
+    embeds,
     group_from_json,
     group_from_table,
     gset_from_json,
@@ -41,6 +42,7 @@ from .homology import (
     lefschetz_character,
     reduced_euler_characteristic,
     reduced_homology,
+    whitney_from_mobius,
     whitney_homology,
 )
 from .dowling import (

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .dowling import (
     DEFAULT_CAP,
+    DowlingSpec,
     _check_window_cap,
     build_poset,
     count_elements_species,
@@ -38,8 +39,9 @@ from .dowling import (
     spec_to_json,
 )
 from .errors import CapExceeded, DomainError, InputError
-from .homology import reduced_homology, whitney_homology
+from .homology import reduced_homology, whitney_from_mobius, whitney_homology
 from .posets import (
+    Poset,
     chain_poset,
     direct_product,
     is_isomorphic,
@@ -215,6 +217,55 @@ def _cmd_dowling_interval(args) -> str:
 
 # poset ------------------------------------------------------------------------
 
+def _dowling_spec(d, p: Poset) -> DowlingSpec:
+    """The spec of a poset file's `dowling` block d, refused unless the
+    file's poset p is D_n of that spec: its elements are D_n's, each once,
+    and each carries its own rank and exactly its own upper covers, in any
+    order.  So an answer computed from the spec, or from what every D_n
+    is, is an answer about the file."""
+    if not (
+        isinstance(d, dict) and "spec" in d and isinstance(d.get("elements"), list)
+        and len(d["elements"]) == p.n_elems and all(isinstance(s, str) for s in d["elements"])
+    ):
+        raise InputError("'dowling' block needs 'spec' and one element string per poset element")
+    spec = spec_from_json(d["spec"])
+    elements = [parse_element(spec, s) for s in d["elements"]]
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise InputError("'dowling' element strings must name distinct elements")
+    # distinct valid elements, as many as D_n has, are D_n's elements, so
+    # every cover below is in the index
+    if (len(elements) != count_elements_species(spec) or p.rank is None
+            or any(p.rank[i] != element_rank(spec, e)
+                   or p.hasse[i] != tuple(sorted([index[c] for c in covers_of(spec, e)]))
+                   for i, e in enumerate(elements))):
+        raise InputError(
+            "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'")
+    return spec
+
+
+def _load_poset(arg: str, provenance: bool = False) -> tuple[Poset, DowlingSpec | None]:
+    """A --poset file's poset, parsed once, and its `dowling` spec when the
+    file is D_n of that spec (`_dowling_spec`), else None.  With
+    provenance, a file that is not is refused instead: exit 1 without a
+    `dowling` block, exit 2 with a block that fails the check."""
+    obj = _poset_descriptor(arg)
+    if provenance and isinstance(obj, dict) and "dowling" not in obj:
+        raise DomainError(
+            "rep commands need group provenance: build the poset with "
+            "'ocs dowling build' and pass its output file"
+        )
+    p = poset_from_json(obj)
+    if "dowling" not in obj:
+        return p, None
+    try:
+        return p, _dowling_spec(obj["dowling"], p)
+    except InputError:
+        if provenance:
+            raise
+        return p, None
+
+
 def _cmd_poset_mobius(args) -> str:
     p = poset_from_json(_poset_descriptor(args.poset))
     a = p.bottom() if args.a is None else args.a
@@ -223,17 +274,31 @@ def _cmd_poset_mobius(args) -> str:
 
 
 def _cmd_poset_homology(args) -> str:
-    p = poset_from_json(_poset_descriptor(args.poset))
-    q = proper_part(p) if args.proper else p
-    pairs = [[k, r] for k, r in sorted(reduced_homology(q).items())]
+    """Reduced homology of the order complex.  The proper part of a D_n
+    file with a top and more than one element is the open interval
+    (bottom, top), Cohen-Macaulay like every interval of D_n, so its
+    homology is |mu(bottom, top)| in degree rank(top) - 2 and no order
+    complex is built; every other file is reduced as it stands."""
+    p, spec = _load_poset(args.poset)
+    if args.proper and spec is not None and p.n_elems > 1 and len(p.maximal_elements()) == 1:
+        top = p.top()
+        mu = abs(mobius(p, p.bottom(), top))
+        betti = {p.rank[top] - 2: mu} if mu else {}
+    else:
+        betti = reduced_homology(proper_part(p) if args.proper else p)
+    pairs = [[k, r] for k, r in sorted(betti.items())]
     if args.format == "csv":
         return _csv_text(["degree", "rank"], pairs)
     return _json_text({"proper": bool(args.proper), "betti": pairs})
 
 
 def _cmd_poset_whitney(args) -> str:
-    p = poset_from_json(_poset_descriptor(args.poset))
-    triples = [[r, k, d] for (r, k), d in sorted(whitney_homology(p).items())]
+    """Whitney homology: from one Mobius row for a D_n file, whose lower
+    intervals are all Cohen-Macaulay (`whitney_from_mobius`), and from the
+    order complex of every lower interval for any other file."""
+    p, spec = _load_poset(args.poset)
+    table = whitney_homology(p) if spec is None else whitney_from_mobius(p)
+    triples = [[r, k, d] for (r, k), d in sorted(table.items())]
     if args.format == "csv":
         return _csv_text(["rank", "degree", "dim"], triples)
     return _json_text({"whitney": triples})
@@ -334,50 +399,16 @@ def _cmd_stability_report(args) -> str:
 
 # rep --------------------------------------------------------------------------
 
-def _built_dowling_poset(arg: str):
-    """The poset file's ranks and its `dowling` spec, refused unless the
-    file is D_n of that spec: its elements are D_n's, each once, and each
-    carries its own rank and exactly its own upper covers, in any order.
-    So an answer computed from the spec is an answer about the file."""
-    obj = _poset_descriptor(arg)
-    if isinstance(obj, dict) and "dowling" not in obj:
-        raise DomainError(
-            "rep commands need group provenance: build the poset with "
-            "'ocs dowling build' and pass its output file"
-        )
-    p = poset_from_json(obj)
-    d = obj["dowling"]
-    if not (
-        isinstance(d, dict) and "spec" in d and isinstance(d.get("elements"), list)
-        and len(d["elements"]) == p.n_elems and all(isinstance(s, str) for s in d["elements"])
-    ):
-        raise InputError("'dowling' block needs 'spec' and one element string per poset element")
-    spec = spec_from_json(d["spec"])
-    elements = [parse_element(spec, s) for s in d["elements"]]
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise InputError("'dowling' element strings must name distinct elements")
-    # distinct valid elements, as many as D_n has, are D_n's elements, so
-    # every cover below is in the index
-    if (len(elements) != count_elements_species(spec) or p.rank is None
-            or any(p.rank[i] != element_rank(spec, e)
-                   or p.hasse[i] != tuple(sorted([index[c] for c in covers_of(spec, e)]))
-                   for i, e in enumerate(elements))):
-        raise InputError(
-            "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'")
-    return p.rank, spec
-
-
 def _cmd_rep_decompose(args) -> str:
     """The S_n characters of the Whitney homology of the file's D_n, from
     the cycle-length product of its spec (`dowling_whitney_characters`);
-    `_built_dowling_poset` checks that the file is that D_n.  No order
-    complex is built: every lower interval of D_n is a product of geometric
-    lattices, so Cohen-Macaulay, and its homology lies in its top degree."""
+    `_load_poset` checks that the file is that D_n.  No order complex is
+    built: every lower interval of D_n is a product of geometric lattices,
+    so Cohen-Macaulay, and its homology lies in its top degree."""
     _check_nonnegative("rank", args.rank)
-    rank, spec = _built_dowling_poset(args.poset)
+    p, spec = _load_poset(args.poset, provenance=True)
     out = []
-    for r in sorted(set(rank)) if args.rank is None else [args.rank]:
+    for r in sorted(set(p.rank)) if args.rank is None else [args.rank]:
         if spec.n:
             cf = dowling_whitney_characters(spec.group, spec.orbit_data, r, spec.n)[spec.n]
         else:  # D_0 is one point, of rank 0
@@ -406,15 +437,26 @@ def _parse_window(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+# The largest top of a `rep stability` window, set from the 5 s budget of
+# `series.NMAX_CAP`.  With `--cap` raised past every |D_n|, the work is the
+# S_n character table: the slowest bundled window 1..18 (rank 9 of
+# dowling_mu3) takes about 1.7 s on a shared 2-core VM, 1..19 about 3.5 s
+# and 1..20 about 5 s.
+WINDOW_CAP = 18
+
+
 def _cmd_rep_stability(args) -> str:
     """Multiplicity stability of the rank-r Whitney characters over a window
     of n, with no poset: `--cap` is checked against the element counts of
-    each D_n (`_check_window_cap`), and the characters come from the
-    cycle-length product (`dowling_whitney_characters`)."""
+    each D_n (`_check_window_cap`), then the top of the window against
+    `WINDOW_CAP`, and the characters come from the cycle-length product
+    (`dowling_whitney_characters`)."""
     _check_nonnegative("rank", args.rank)
     space = _load_space(args.spec)
     window = _parse_window(args.window)
     _check_window_cap(space.group, space.orbit_data, window, args.cap)
+    if window[-1] > WINDOW_CAP:
+        raise DomainError(f"window cap is {WINDOW_CAP}, got {window[-1]}")
     chars = dowling_whitney_characters(space.group, space.orbit_data, args.rank, window[-1])
     epsilon = None
     primary = iterate_report(space, "left", 1).steps[0]

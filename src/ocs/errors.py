@@ -33,11 +33,12 @@ class CapExceeded(DomainError):
 
 def is_int(obj) -> bool:
     """Whether a parsed JSON value is an integer: true and false, which
-    Python counts as the ints 1 and 0, are not."""
-    return isinstance(obj, int) and not isinstance(obj, bool)
+    Python counts as the ints 1 and 0, are not.  Parsed JSON holds no
+    subclass of int but bool, so the exact type decides."""
+    return type(obj) is int
 
 
 def is_int_list(obj, length: int | None = None) -> bool:
     """Whether a parsed JSON value is a list of integers (of the given length)."""
-    return (isinstance(obj, list) and all(is_int(v) for v in obj)
-            and (length is None or len(obj) == length))
+    return (type(obj) is list and (length is None or len(obj) == length)
+            and all(type(v) is int for v in obj))

@@ -20,6 +20,7 @@ __all__ = [
     "cyclic_group",
     "group_from_table",
     "subgroup_table",
+    "embeds",
     "orbits_and_stabilizers",
     "wreath_identity",
     "wreath_compose",
@@ -146,6 +147,62 @@ def subgroup_table(group: GroupTable, elements) -> tuple[GroupTable, tuple[int, 
         inv=tuple(pos[group.inv[a]] for a in elems),
     )
     return sub, elems
+
+
+def _element_orders(group: GroupTable) -> list[int]:
+    orders = []
+    for a in range(group.order):
+        k, x = 1, a
+        while x != group.identity:
+            k, x = k + 1, group.mul[x][a]
+        orders.append(k)
+    return orders
+
+
+def _spread(sub: GroupTable, group: GroupTable, gens, images) -> dict[int, int] | None:
+    """The map from the subgroup of sub generated by gens into group that
+    sends the identity to the identity and gens[i] to images[i], spread by
+    right multiplication with the generators; None when two products
+    disagree or two elements share an image."""
+    image = {sub.identity: group.identity}
+    frontier = [sub.identity]
+    while frontier:
+        x = frontier.pop()
+        for s, t in zip(gens, images):
+            y, v = sub.mul[x][s], group.mul[image[x]][t]
+            if y not in image:
+                image[y] = v
+                frontier.append(y)
+            elif image[y] != v:
+                return None
+    return image if len(set(image.values())) == len(image) else None
+
+
+def embeds(sub: GroupTable, group: GroupTable) -> bool:
+    """Whether some injective homomorphism maps sub into group.
+
+    Backtracking over the images of a generating set of sub, each taken
+    among the elements of group of the same order; a branch dies as soon
+    as its partial map (`_spread`) is no injective homomorphism.  A map
+    that agrees on every product x*s, s a generator, is a homomorphism,
+    since every element of a finite group is a word in its generators.
+    """
+    gens: list[int] = []
+    span = {sub.identity}
+    for a in range(sub.order):
+        if a not in span:
+            gens.append(a)
+            span = _spread(sub, sub, gens, gens).keys()
+    sub_orders, orders = _element_orders(sub), _element_orders(group)
+
+    def extend(images: list[int]) -> bool:
+        k = len(images)
+        if _spread(sub, group, gens[:k], images) is None:
+            return False
+        return k == len(gens) or any(extend(images + [y]) for y in range(group.order)
+                                     if orders[y] == sub_orders[gens[k]])
+
+    return extend([])
 
 
 @dataclass(frozen=True)

@@ -480,7 +480,9 @@ def poset_from_json(obj) -> Poset:
     rank = obj.get("rank")
     if not is_int(n) or not isinstance(covers, list):
         raise InputError("poset descriptor needs integer 'n' and list 'covers'")
-    if not all(is_int_list(c, 2) for c in covers):
+    # inline type tests: this runs once per cover, thousands per file
+    if not all(type(c) is list and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+               for c in covers):
         raise InputError("each poset cover must be an integer pair [a, b]")
     if rank is not None and not is_int_list(rank):
         raise InputError("poset 'rank' must be a list of integers")

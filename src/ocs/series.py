@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError, InputError, is_int_list
-from .groups import GroupTable, group_from_json
+from .groups import GroupTable, embeds, group_from_json
 
 __all__ = [
     "WeightedSeries",
@@ -211,6 +211,9 @@ class SpaceInput:
         for stab, _ in self.orbit_data:
             if self.group.order % stab.order != 0:
                 raise InputError("orbit stabilizer order must divide the group order")
+            # an orbit G/H needs H to be a subgroup of G, up to isomorphism
+            if not embeds(stab, self.group):
+                raise InputError("orbit stabilizer is not isomorphic to a subgroup of the group")
 
     @property
     def top_degree(self) -> int:

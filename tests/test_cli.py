@@ -14,7 +14,7 @@ import ocs.cli
 import ocs.dowling
 import ocs.homology
 import ocs.symrep
-from ocs.cli import COMMANDS, _load_descriptor, build_parser, run
+from ocs.cli import COMMANDS, WINDOW_CAP, _load_descriptor, build_parser, run
 from ocs.dowling import (
     DEFAULT_CAP,
     DowlingSpec,
@@ -27,8 +27,10 @@ from ocs.dowling import (
     spec_partition,
     spec_to_json,
 )
-from ocs.errors import CapExceeded
+from ocs.errors import CapExceeded, DomainError
+from ocs.homology import reduced_homology, whitney_homology
 from ocs.groups import cyclic_group
+from ocs.posets import poset_from_json, proper_part
 from ocs.series import NMAX_CAP, space_from_json
 from ocs.stability import STEPS_CAP
 from ocs.symrep import (
@@ -89,17 +91,25 @@ PARTITION_N2 = {
 }
 
 
-@pytest.mark.parametrize("block", [
+MALFORMED_DOWLING_BLOCKS = [
     {"elements": []},
     {"spec": PARTITION_N2},
     {"spec": PARTITION_N2, "elements": 7},
     {"spec": PARTITION_N2, "elements": []},
     "partition",
-])
-def test_rep_rejects_malformed_dowling_block(block, tmp_path, capsys):
-    # ROADMAP D3: these used to escape as KeyError, TypeError or IndexError
+]
+
+
+def _two_chain_with(block, tmp_path) -> Path:
     path = tmp_path / "poset.json"
     path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "rank": [0, 1], "dowling": block}))
+    return path
+
+
+@pytest.mark.parametrize("block", MALFORMED_DOWLING_BLOCKS)
+def test_rep_rejects_malformed_dowling_block(block, tmp_path, capsys):
+    # ROADMAP D3: these used to escape as KeyError, TypeError or IndexError
+    path = _two_chain_with(block, tmp_path)
     rc = run(["rep", "decompose", "--rank", "1", "--poset", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
@@ -144,6 +154,16 @@ def _refuses_descriptor(cmd: list[str], obj: dict, message: str, tmp_path, capsy
     ({"n": True, "covers": []}, "poset descriptor needs integer 'n' and list 'covers'"),
     ({"n": 2, "covers": [[0, True]]}, "each poset cover must be an integer pair [a, b]"),
     ({"n": 2, "covers": [[0, 1]], "rank": [0, True]}, "poset 'rank' must be a list of integers"),
+    # every other JSON type, where the covers are checked by exact type
+    ({"n": 2.0, "covers": []}, "poset descriptor needs integer 'n' and list 'covers'"),
+    ({"n": 2, "covers": [[0, 1.0]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, "1"]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[None, 1]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, [1]]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, 1, 1]]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, 1], 1]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [{"0": 1}]}, "each poset cover must be an integer pair [a, b]"),
+    ({"n": 2, "covers": [[0, 1]], "rank": [0, 1.5]}, "poset 'rank' must be a list of integers"),
 ])
 def test_poset_descriptor_refuses_wrong_types(obj, message, tmp_path, capsys):
     _refuses_descriptor(["poset", "mobius", "--poset"], obj, message, tmp_path, capsys)
@@ -612,6 +632,49 @@ def test_an_orbit_space_refuses_a_large_n_before_building_it(capsys):
         "partialCount": 90001}
 
 
+@pytest.mark.parametrize("lo, hi", [(WINDOW_CAP + 1, WINDOW_CAP + 1), (4, WINDOW_CAP + 1),
+                                    (4, 60)])
+def test_rep_stability_refuses_a_window_past_its_cap(lo, hi, capsys):
+    # with --cap raised past |D_n|, nothing bounded n: toricB at 22..22
+    # took 4.2 s, and each 2 n more about 3.5 times as long.  Here --cap is
+    # |D_hi|, so no element count refuses.
+    space = space_from_json(_space_json("toricB"))
+    cap = count_elements_species(spec_from_orbit_data(space.group, space.orbit_data, hi))
+    start = time.perf_counter()
+    assert run(["rep", "stability", "--spec", "toricB", "--rank", "2", "--window", f"{lo}..{hi}",
+                "--cap", str(cap)]) == 1
+    assert time.perf_counter() - start < 1
+    assert _single_json_error(capsys.readouterr().err) == {
+        "type": "domain", "message": f"window cap is {WINDOW_CAP}, got {hi}"}
+    # one element less, and the element cap refuses first, as before
+    assert run(["rep", "stability", "--spec", "toricB", "--rank", "2", "--window", f"{lo}..{hi}",
+                "--cap", str(cap - 1)]) == 1
+    assert _single_json_error(capsys.readouterr().err)["type"] == "cap"
+
+
+def test_a_stabilizer_that_is_no_subgroup_is_refused(tmp_path, capsys):
+    # Z4 has one element of order 2 and the Klein group three, so no G-set
+    # of Z4 has a Klein stabilizer; its order 4 divides |Z4|, and the
+    # descriptor used to load
+    space = {**_space_json("toricB"), "group": {"kind": "cyclic", "order": 4},
+             "orbits": [{"stabilizer": {"kind": "table", "mul": [list(r) for r in KLEIN.mul]},
+                         "inT": True}]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    for argv in (["rep", "stability", "--rank", "2", "--window", "3..4"],
+                 ["config", "e1", "--nmax", "3"]):
+        rc = run(argv + ["--spec", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert _single_json_error(err) == {
+            "type": "input",
+            "message": "orbit stabilizer is not isomorphic to a subgroup of the group"}
+    # the same orbit with a Z4 stabilizer, a fixed point, loads
+    space["orbits"][0]["stabilizer"] = {"kind": "cyclic", "order": 4}
+    path.write_text(json.dumps(space))
+    assert run(["rep", "stability", "--rank", "2", "--window", "3..4", "--spec", str(path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["count", "build"])
 def test_dowling_refuses_a_large_n_before_building_it(command, capsys):
     # the rank-1 level, all C(300, 2) 2 + 300 elements of it, used to be
@@ -810,20 +873,28 @@ def test_rep_decompose_matches_the_poset_oracle(spec, n, tmp_path, capsys):
     _decompose_matches_the_poset_oracle(path, spec_from_json(spec_obj), capsys)
 
 
-@pytest.mark.parametrize("n", range(4))
-@pytest.mark.parametrize("group, orbits", [
-    (cyclic_group(4), [([0, 2], True)]),
-    (cyclic_group(4), [([0, 2], False)]),
-    (KLEIN, [([0, 1], False), ([0, 2], True)]),
-    (cyclic_group(6), [([0, 3], True), ([0, 2, 4], False)]),
-], ids=["Z4-Z2-in-T", "Z4-Z2", "Klein-two-Z2", "Z6-Z2-Z3"])
-def test_rep_decompose_on_a_stabilizer_strictly_between(group, orbits, n, tmp_path, capsys):
-    # each orbit is the cosets of a subgroup, neither trivial nor the whole
-    # group, given by its elements, with its in-T flag
+# each orbit is the cosets of a subgroup, neither trivial nor the whole
+# group, given by its elements, with its in-T flag
+STABILIZERS_STRICTLY_BETWEEN = [
+    pytest.param(cyclic_group(4), [([0, 2], True)], id="Z4-Z2-in-T"),
+    pytest.param(cyclic_group(4), [([0, 2], False)], id="Z4-Z2"),
+    pytest.param(KLEIN, [([0, 1], False), ([0, 2], True)], id="Klein-two-Z2"),
+    pytest.param(cyclic_group(6), [([0, 3], True), ([0, 2, 4], False)], id="Z6-Z2-Z3"),
+]
+
+
+def _built_between(group, orbits, n: int, tmp_path) -> tuple[Path, DowlingSpec]:
     spec = DowlingSpec(group=group, gset=coset_gset(group, orbits), n=n)
     spec_path, path = tmp_path / "spec.json", tmp_path / "built.json"
     spec_path.write_text(json.dumps(spec_to_json(spec)))
     assert run(["dowling", "build", "--spec", str(spec_path), "--out", str(path)]) == 0
+    return path, spec
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("group, orbits", STABILIZERS_STRICTLY_BETWEEN)
+def test_rep_decompose_on_a_stabilizer_strictly_between(group, orbits, n, tmp_path, capsys):
+    path, spec = _built_between(group, orbits, n, tmp_path)
     _decompose_matches_the_poset_oracle(path, spec, capsys)
 
 
@@ -849,12 +920,16 @@ def _swap_rank_one_labels(built: dict) -> None:
     labels[x], labels[y] = labels[y], labels[x]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda built: built["rank"].__setitem__(1, 2),
-    _swap_rank_one_labels,
+NOT_ITS_SPEC_EDITS = [
+    pytest.param(lambda built: built["rank"].__setitem__(1, 2), id="rank-label"),
+    pytest.param(_swap_rank_one_labels, id="swapped-labels"),
     # typeC: T = {0, 1}, so the typeB elements are a part of its D_3
-    lambda built: built["dowling"]["spec"]["gset"].__setitem__("T", [0, 1]),
-], ids=["rank-label", "swapped-labels", "spec-with-more-elements"])
+    pytest.param(lambda built: built["dowling"]["spec"]["gset"].__setitem__("T", [0, 1]),
+                 id="spec-with-more-elements"),
+]
+
+
+@pytest.mark.parametrize("edit", NOT_ITS_SPEC_EDITS)
 def test_rep_decompose_refuses_a_poset_that_is_not_its_spec(edit, tmp_path, capsys):
     path = _typeb3_with(tmp_path, edit)
     capsys.readouterr()
@@ -863,6 +938,113 @@ def test_rep_decompose_refuses_a_poset_that_is_not_its_spec(edit, tmp_path, caps
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert _single_json_error(err) == NOT_ITS_SPEC
+
+
+# the two commands that answer a D_n file from one Mobius row
+POSET_COMMANDS = [["poset", "whitney"], ["poset", "homology", "--proper"]]
+
+
+def _order_complex_answers(path: Path) -> list:
+    """(exit code, JSON output or error) of each of POSET_COMMANDS on the
+    poset of a file, computed from order complexes: `whitney_homology`,
+    and `reduced_homology` of `proper_part`."""
+    p = poset_from_json(json.loads(path.read_text()))
+    whitney = {"whitney": [[r, k, d] for (r, k), d in sorted(whitney_homology(p).items())]}
+    try:
+        betti = reduced_homology(proper_part(p))
+        homology = (0, {"proper": True, "betti": [[k, r] for k, r in sorted(betti.items())]})
+    except DomainError as exc:
+        homology = (1, {"type": "domain", "message": str(exc)})
+    return [(0, whitney), homology]
+
+
+def _poset_outputs(path: Path, capsys) -> list:
+    """(exit code, stdout, stderr) of each of POSET_COMMANDS on a file, in
+    JSON and then in CSV."""
+    outs = []
+    for cmd in POSET_COMMANDS:
+        for fmt in ("json", "csv"):
+            rc = run(cmd + ["--format", fmt, "--poset", str(path)])
+            outs.append((rc, *capsys.readouterr()))
+    return outs
+
+
+def _answers_as_the_order_complex(path: Path, capsys) -> list:
+    """POSET_COMMANDS on a file give what the order complex gives for its
+    poset, and the same bytes in both formats as a copy of the file with
+    no `dowling` block, which every command reduces as it stands; returns
+    the outputs (`_poset_outputs`)."""
+    capsys.readouterr()
+    outs = _poset_outputs(path, capsys)
+    for (rc, out, err), expected in zip(outs[0::2], _order_complex_answers(path)):
+        assert (rc, json.loads(out) if rc == 0 else _single_json_error(err)) == expected
+    plain = json.loads(path.read_text())
+    del plain["dowling"]
+    plain_path = path.with_name("plain-" + path.name)
+    plain_path.write_text(json.dumps(plain))
+    assert _poset_outputs(plain_path, capsys) == outs
+    return outs
+
+
+def _mobius_path_matches_the_order_complex(path: Path, capsys) -> None:
+    """_answers_as_the_order_complex, and a copy of the file in another
+    order gives the same bytes."""
+    outs = _answers_as_the_order_complex(path, capsys)
+    built = json.loads(path.read_text())
+    shuffled = path.with_name("permuted-" + path.name)
+    shuffled.write_text(json.dumps(_permuted(built, built["n"])))
+    assert _poset_outputs(shuffled, capsys) == outs
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in POSET_SPECS for n in range(5)]
+                         + [("partition", 5)])
+def test_poset_commands_match_the_order_complex(spec, n, tmp_path, capsys):
+    path = tmp_path / f"{spec}-{n}.json"
+    assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--out", str(path)]) == 0
+    _mobius_path_matches_the_order_complex(path, capsys)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("group, orbits", STABILIZERS_STRICTLY_BETWEEN)
+def test_poset_commands_on_a_stabilizer_strictly_between(group, orbits, n, tmp_path, capsys):
+    path, _ = _built_between(group, orbits, n, tmp_path)
+    _mobius_path_matches_the_order_complex(path, capsys)
+
+
+@pytest.mark.parametrize("block", MALFORMED_DOWLING_BLOCKS)
+def test_poset_commands_fall_back_on_a_malformed_dowling_block(block, tmp_path, capsys):
+    # rep decompose refuses these files; the poset commands reduce them
+    path = _two_chain_with(block, tmp_path)
+    assert [rc for rc, _ in _order_complex_answers(path)] == [0, 0]
+    _answers_as_the_order_complex(path, capsys)
+
+
+@pytest.mark.parametrize("edit", NOT_ITS_SPEC_EDITS)
+def test_poset_commands_fall_back_on_a_poset_that_is_not_its_spec(edit, tmp_path, capsys):
+    path = _typeb3_with(tmp_path, edit)
+    # typeB n = 3 has no top, so the proper part is refused with exit 1
+    assert [rc for rc, _ in _order_complex_answers(path)] == [0, 1]
+    _answers_as_the_order_complex(path, capsys)
+
+
+def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys, monkeypatch):
+    called = []
+    real = ocs.homology.order_complex_chains
+    monkeypatch.setattr(ocs.homology, "order_complex_chains",
+                        lambda *a, **k: called.append(1) or real(*a, **k))
+    for spec in POSET_SPECS:
+        path = tmp_path / f"{spec}-4.json"
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
+        assert run(["poset", "whitney", "--poset", str(path)]) == 0
+        # typeB, typeC and typeD have no top: refused before any chain
+        assert run(["poset", "homology", "--proper", "--poset", str(path)]) == (
+            0 if spec in ("dowling_z2", "dowling_z3", "partition") else 1)
+    assert called == []
+    built = json.loads(path.read_text())
+    del built["dowling"]
+    path.write_text(json.dumps(built))
+    assert run(["poset", "whitney", "--poset", str(path)]) == 0
+    assert called
 
 
 USAGE_ERRORS = (

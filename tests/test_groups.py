@@ -10,6 +10,7 @@ from ocs.groups import (
     GSetSpec,
     WreathElement,
     cyclic_group,
+    embeds,
     group_from_json,
     group_from_table,
     gset_from_json,
@@ -89,6 +90,43 @@ def test_subgroup_table_rejects_non_closed():
     z4 = cyclic_group(4)
     with pytest.raises(InputError):
         subgroup_table(z4, [0, 1])
+
+
+def _permutation_group(perms) -> GroupTable:
+    """The group of the given permutations (closed under composition)."""
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return group_from_table([[index[tuple(a[i] for i in b)] for b in perms] for a in perms])
+
+
+def _product(g: GroupTable, h: GroupTable) -> GroupTable:
+    m = h.order
+    return group_from_table([[g.mul[a // m][b // m] * m + h.mul[a % m][b % m]
+                              for b in range(g.order * m)] for a in range(g.order * m)])
+
+
+SMALL_GROUPS = {
+    "Z1": cyclic_group(1), "Z2": cyclic_group(2), "Z3": cyclic_group(3), "Z4": cyclic_group(4),
+    "Klein": _product(cyclic_group(2), cyclic_group(2)), "Z6": cyclic_group(6),
+    "S3": _permutation_group(itertools.permutations(range(3))),
+    "Z2xZ4": _product(cyclic_group(2), cyclic_group(4)), "Z8": cyclic_group(8),
+}
+
+
+def _embeds_by_brute_force(sub: GroupTable, group: GroupTable) -> bool:
+    return any(all(f[sub.mul[a][b]] == group.mul[f[a]][f[b]]
+                   for a in range(sub.order) for b in range(sub.order))
+               for f in itertools.permutations(range(group.order), sub.order))
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS)
+@pytest.mark.parametrize("sub", SMALL_GROUPS)
+def test_embeds_finds_exactly_the_subgroups(sub, group):
+    h, g = SMALL_GROUPS[sub], SMALL_GROUPS[group]
+    expected = g.order % h.order == 0 and _embeds_by_brute_force(h, g)
+    assert embeds(h, g) is expected
+    if sub == "Klein":
+        assert expected is (group in ("Klein", "Z2xZ4"))
 
 
 def test_gset_validation_catches_non_action():
