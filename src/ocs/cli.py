@@ -27,12 +27,12 @@ from .dowling import (
     DEFAULT_CAP,
     DowlingSpec,
     _check_window_cap,
+    _levels,
     build_poset,
     count_elements_species,
     covers_of,
     element_rank,
     element_to_string,
-    enumerate_levels,
     factor_interval,
     parse_element,
     spec_from_json,
@@ -166,9 +166,11 @@ def _cmd_dowling_build(args) -> str:
 
 
 def _cmd_dowling_count(args) -> str:
+    """The level sizes of D_n, each element generated once from its
+    canonical parent (`_levels`), against the species count."""
     spec = spec_from_json(_load_descriptor(args.spec, "posets"), n=args.n)
-    levels = enumerate_levels(spec, cap=args.cap)
-    enumerated = sum(len(lv) for lv in levels)
+    levels = [len(level) for level in _levels(spec, args.cap)]
+    enumerated = sum(levels)
     species = count_elements_species(spec)
     return _json_text(
         {
@@ -176,7 +178,7 @@ def _cmd_dowling_count(args) -> str:
             "enumerated": enumerated,
             "species": species,
             "agree": enumerated == species,
-            "levels": [len(lv) for lv in levels],
+            "levels": levels,
         }
     )
 
@@ -274,18 +276,26 @@ def _cmd_poset_mobius(args) -> str:
 
 
 def _cmd_poset_homology(args) -> str:
-    """Reduced homology of the order complex.  The proper part of a D_n
-    file with a top and more than one element is the open interval
-    (bottom, top), Cohen-Macaulay like every interval of D_n, so its
-    homology is |mu(bottom, top)| in degree rank(top) - 2 and no order
-    complex is built; every other file is reduced as it stands."""
-    p, spec = _load_poset(args.poset)
-    if args.proper and spec is not None and p.n_elems > 1 and len(p.maximal_elements()) == 1:
-        top = p.top()
-        mu = abs(mobius(p, p.bottom(), top))
-        betti = {p.rank[top] - 2: mu} if mu else {}
+    """Reduced homology of the order complex.  A poset with exactly one
+    minimal or exactly one maximal element has a cone for its order
+    complex, so without --proper its reduced homology is zero and no chain
+    is built.  The proper part of a D_n file with a top and more than one
+    element is the open interval (bottom, top), Cohen-Macaulay like every
+    interval of D_n, so its homology is |mu(bottom, top)| in degree
+    rank(top) - 2 and no order complex is built; every other file is
+    reduced as it stands."""
+    if not args.proper:
+        p = poset_from_json(_poset_descriptor(args.poset))
+        cone = 1 in (len(p.minimal_elements()), len(p.maximal_elements()))
+        betti = {} if cone else reduced_homology(p)
     else:
-        betti = reduced_homology(proper_part(p) if args.proper else p)
+        p, spec = _load_poset(args.poset)
+        if spec is not None and p.n_elems > 1 and len(p.maximal_elements()) == 1:
+            top = p.top()
+            mu = abs(mobius(p, p.bottom(), top))
+            betti = {p.rank[top] - 2: mu} if mu else {}
+        else:
+            betti = reduced_homology(proper_part(p))
     pairs = [[k, r] for k, r in sorted(betti.items())]
     if args.format == "csv":
         return _csv_text(["degree", "rank"], pairs)

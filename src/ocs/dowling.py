@@ -15,9 +15,14 @@ Canonical form: within a block, the minimal element carries the group
 identity; blocks are sorted by minimal element; the canonical string joins
 blocks as comma-separated ``g:e`` entries with a final ``Z{e:s,...}``
 segment, e.g. ``0:0,1:1|Z{2:0}``.  Poset element order is breadth-first by
-rank, lexicographic by canonical string within a rank.  One breadth-first
-pass expands each element once; no caller reads the generation order in
-which ``covers_of`` lists the covers.
+rank, lexicographic by canonical string within a rank.
+
+Two breadth-first passes produce the rank levels.  ``build_poset`` expands
+each element once by ``covers_of`` and keeps one object per cover by
+lookup; no caller reads the generation order in which ``covers_of`` lists
+the covers.  ``enumerate_levels`` and ``ocs dowling count`` need no cover:
+``_levels`` generates each element once, from its canonical parent, and
+keeps no set of elements seen.
 
 ``covers_of`` builds every cover directly in canonical form, and the covers
 of one element are distinct by construction, so nothing is deduplicated or
@@ -30,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
@@ -319,16 +325,34 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     return out
 
 
-def _zero_block_counts(w: int, orbit_data, kmax: int) -> list[int]:
-    """[Z_0, ..., Z_kmax]: Z_k counts the valid zero-block colorings of k
+def _zero_block_counts(w: int, orbit_data):
+    """Z_0, Z_1, ...: Z_k counts the valid zero-block colorings of k
     labeled points.  Their exponential generating function has one factor
-    per orbit, sum_k (w/|G_s|)^k x^k/k!, with its x term dropped outside T."""
-    zero = [1] + [0] * kmax
-    for stab, in_t in orbit_data:
-        c = w // stab.order
-        zero = [sum(comb(k, i) * c**i * zero[k - i] for i in range(k + 1) if i != 1 or in_t)
-                for k in range(kmax + 1)]
-    return zero
+    per orbit, sum_k (w/|G_s|)^k x^k/k!, with its x term dropped outside T;
+    each partial product grows by one coefficient per k."""
+    factors = [(w // stab.order, in_t) for stab, in_t in orbit_data]
+    # partial[j][k]: coefficient k of the product of the first j factors
+    partial = [[] for _ in range(len(factors) + 1)]
+    for k in count():
+        partial[0].append(int(k == 0))
+        for (c, in_t), prev, cur in zip(factors, partial, partial[1:]):
+            cur.append(sum(comb(k, i) * c**i * prev[k - i] for i in range(k + 1)
+                           if i != 1 or in_t))
+        yield partial[-1][k]
+
+
+def _element_counts(w: int, orbit_data):
+    """|D_0|, |D_1|, ...: |D_n| = sum_k C(n, k) Z_k B(n - k), with Z_k the
+    zero-block colorings of k points (`_zero_block_counts`) and B(m) =
+    sum_b S(m, b) w^(m-b) the partitions of m points into blocks, w^(b-1)
+    colorings of a b-block (w = |G|)."""
+    zero_counts = _zero_block_counts(w, orbit_data)
+    zero, blocks = [], []  # blocks[m] = B(m)
+    for n in count():
+        zero.append(next(zero_counts))
+        # B(0) = 1; otherwise the block of point n - 1 has j other points
+        blocks.append(sum(comb(n - 1, j) * w**j * blocks[n - 1 - j] for j in range(n)) if n else 1)
+        yield sum(comb(n, k) * zero[k] * blocks[n - k] for k in range(n + 1))
 
 
 def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int) -> None:
@@ -341,16 +365,28 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
     are taken one diagonal s at a time.  Counts only grow with n, so the
     first n of the window over the cap at rank r bounds the n that refuses,
     and no diagonal is taken past it.  A rank with no elements is not
-    checked."""
+    checked.
+
+    Every total is at most |D_top|, since D_n embeds in D_(n+1), so the
+    scan is skipped when |D_top| is within the cap.  The counts |D_n| are
+    taken in order of n and stop at the first one over the cap, so a small
+    cap with a far top costs only a few."""
     lo, top = window[0], window[-1]
     w = group.order
+    for n, size in enumerate(_element_counts(w, orbit_data)):
+        if size > cap:
+            break
+        if n == top:
+            return
+    zero_counts = _zero_block_counts(w, orbit_data)
+    zero = [next(zero_counts)]  # zero[k] = Z_k for k <= r
     diagonals = [[1] * (top + 1)]  # diagonals[s][m] = d_s(m)
     totals = [1] * (top + 1)  # totals[m]: elements of D_m up to rank r
     refusal = None
     r = 0
     while r < top and lo <= top:
         r += 1
-        zero = _zero_block_counts(w, orbit_data, r)
+        zero.append(next(zero_counts))
         below, diag = diagonals[-1], [0] * (r + 1)
         diagonals.append(diag)
         for m in range(r, top + 1):
@@ -368,35 +404,120 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
                           partial_count=total)
 
 
-def _breadth_first(spec: DowlingSpec, cap: int, covers: list | None = None):
-    """The one pass behind enumerate_levels and build_poset: it expands
-    every element by covers_of once, and appends each element's covers, in
-    element order, to covers when that is a list.  The cap is checked from
-    element counts before anything is built."""
+def _levels(spec: DowlingSpec, cap: int):
+    """D_n's rank levels from the bottom up, each element generated exactly
+    once, from its canonical parent (reverse search), so nothing is looked
+    up or deduplicated and no element is kept once its level is done.  The
+    cap is checked from element counts before anything is built.  Within a
+    level the order is that of generation.
+
+    The parent rule.  For c other than the bottom, let m be c's largest
+    point that is not a singleton block: m lies in Z or in a block of at
+    least 2 points.  Then parent(c) is, one rank down and covered by c:
+      - m in a block: c with m split off as a singleton {m};
+      - m in Z, and the orbit O of its point s_m lies in T or Z hits O
+        k != 2 times: c with m moved out of Z into a singleton {m};
+      - m in Z, O outside T, and Z hits O exactly twice, at m' < m: c with
+        both points replaced by the block {m', m} colored (e, g), g the
+        least element with g.s_m' = s_m.
+    Read backwards, with M the largest non-singleton point of e (-1 at the
+    bottom), the children of e are:
+      1. for each singleton {x} with x > M, each block A before it (so
+         max A < x) and each g: A gains (x, g);
+      2. for each singleton {x} with x > M and each s whose orbit lies in
+         T or is hit at least twice by Z(e): Z gains (x, s);
+      3. when M's block is a pair {m', M} colored (e, g): for each s whose
+         orbit lies outside T and is not hit by Z(e), with g the least h
+         such that h.s = g.s: the pair is absorbed into Z along s.
+    Every block after the last one holding a point <= M is a singleton
+    {x} with x > M, and x exceeds every point of Z(e), so cases 1 and 2
+    append without a sort.
+    """
+    _check_window_cap(spec.group, spec.orbit_data, [spec.n], cap)
+    group_order, action = spec.group.order, spec.gset.action
+    orbit_id, in_t = spec._orbit_table
+    orbit_points = [[] for _ in in_t]
+    for s, o in enumerate(orbit_id):
+        orbit_points[o].append(s)
+    in_t_points = [s for s, o in enumerate(orbit_id) if in_t[o]]
+    # absorb[g]: the points s outside T for which g is the least h with h.s = g.s
+    absorb = [[s for s, o in enumerate(orbit_id) if not in_t[o]
+               and next(h for h in range(group_order) if action[h][s] == action[g][s]) == g]
+              for g in range(group_order)]
+    outside_t = not all(in_t)
+    # colored[x]: the entries (x, g), one per g
+    colored = [[(x, g) for g in range(group_order)] for x in range(spec.n)]
+    new = tuple.__new__
+    level = [bottom_element(spec)]
+    while level:
+        yield level
+        children = []
+        for blocks, zero in level:
+            top, pair = (zero[-1][0] if zero else -1), -1
+            for i, b in enumerate(blocks):
+                if len(b) > 1 and b[-1][0] > top:
+                    top, pair = b[-1][0], i
+            points, counts = in_t_points, None
+            if outside_t:  # orbit counts matter only outside T
+                counts = [0] * len(in_t)
+                for _, s in zero:
+                    counts[orbit_id[s]] += 1
+                points = in_t_points + [s for o, c in enumerate(counts) if c >= 2 and not in_t[o]
+                                        for s in orbit_points[o]]
+            first = len(blocks)
+            while first and blocks[first - 1][0][0] > top:
+                first -= 1
+            for j in range(first, len(blocks)):
+                x = blocks[j][0][0]
+                tail = blocks[j + 1 :]
+                for i in range(j):
+                    head, a, mid = blocks[:i], blocks[i], blocks[i + 1 : j]
+                    children += [new(DowlingElement, ((*head, (*a, xg), *mid, *tail), zero))
+                                 for xg in colored[x]]
+                rest = blocks[:j] + tail
+                children += [new(DowlingElement, (rest, (*zero, (x, s)))) for s in points]
+            if outside_t and pair >= 0 and len(blocks[pair]) == 2:
+                (low, _), (_, g) = blocks[pair]
+                rest = blocks[:pair] + blocks[pair + 1 :]
+                for s in absorb[g]:
+                    if not counts[orbit_id[s]]:
+                        moved = [*zero, (low, s)]
+                        moved.sort()
+                        moved.append((top, action[g][s]))
+                        children.append(new(DowlingElement, (rest, tuple(moved))))
+        level = children
+
+
+def _breadth_first(spec: DowlingSpec, cap: int):
+    """The breadth-first pass behind build_poset: (levels, covers), with
+    every element expanded by covers_of once and covers[i] the covers of
+    the i-th element in level order.  build_poset needs every cover
+    anyway, so it keeps one object per element by lookup instead of
+    generating each by its canonical parent (`_levels`).  The cap is
+    checked from element counts before anything is built."""
     _check_window_cap(spec.group, spec.orbit_data, [spec.n], cap)
     levels = [[bottom_element(spec)]]
+    covers: list[list[DowlingElement]] = []
     while True:
         found: dict[DowlingElement, DowlingElement] = {}
         for e in levels[-1]:
             # setdefault keeps one object per element, shared by every cover list
-            up = [found.setdefault(c, c) for c in covers_of(spec, e)]
-            if covers is not None:
-                covers.append(up)
+            covers.append([found.setdefault(c, c) for c in covers_of(spec, e)])
         if not found:
-            return levels
+            return levels, covers
         levels.append(sorted(found, key=element_to_string))
 
 
 def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[DowlingElement]]:
-    """Breadth-first rank levels from the bottom element, each sorted by
-    canonical string; no covers are kept.
+    """Rank levels from the bottom element, each sorted by canonical
+    string, generated by canonical parent (`_levels`); no covers are built.
 
     Raises:
         CapExceeded: before anything is built, when D_n has more than cap
             elements through some rank level; carries the count through
             the first such level.
     """
-    return _breadth_first(spec, cap)
+    return [sorted(level, key=element_to_string) for level in _levels(spec, cap)]
 
 
 def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[DowlingElement]]:
@@ -407,8 +528,8 @@ def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[
     poset index i; indices go rank by rank, lexicographic by canonical
     string within a rank; poset rank labels are n - #blocks.
     """
-    covers: list[list[DowlingElement]] = []
-    elements = [e for level in _breadth_first(spec, cap, covers) for e in level]
+    levels, covers = _breadth_first(spec, cap)
+    elements = [e for level in levels for e in level]
     index = {e: i for i, e in enumerate(elements)}
     pairs = [(i, index[c]) for i, up in enumerate(covers) for c in up]
     rank = tuple(element_rank(spec, e) for e in elements)
@@ -416,16 +537,8 @@ def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[
 
 
 def count_elements_species(spec: DowlingSpec) -> int:
-    """|D_n^T(G,S)| from counts, no enumeration: sum_k C(n, k) Z_k B(n - k),
-    with Z_k the zero-block colorings of k points (`_zero_block_counts`) and
-    B(m) = sum_b S(m, b) w^(m-b) the partitions of m points into blocks,
-    w^(b-1) colorings of a b-block (w = |G|)."""
-    n, w = spec.n, spec.group.order
-    blocks = [1]  # blocks[m] = B(m): the block of point m has j other points
-    for m in range(1, n + 1):
-        blocks.append(sum(comb(m - 1, j) * w**j * blocks[m - 1 - j] for j in range(m)))
-    zero = _zero_block_counts(w, spec.orbit_data, n)
-    return sum(comb(n, k) * zero[k] * blocks[n - k] for k in range(n + 1))
+    """|D_n^T(G,S)| from counts, no enumeration (`_element_counts`)."""
+    return next(islice(_element_counts(spec.group.order, spec.orbit_data), spec.n, None))
 
 
 @dataclass(frozen=True)

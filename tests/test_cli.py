@@ -407,11 +407,12 @@ def test_partition_lattice_spaces_are_the_type_a_specs():
 
 def test_rep_stability_builds_no_poset(monkeypatch, capsys):
     built = []
-    for module in (ocs.cli, ocs.dowling):
-        for name in ("build_poset", "enumerate_levels"):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda spec, cap=DEFAULT_CAP, real=real:
-                                built.append(spec.n) or real(spec, cap))
+    for module, name in [(ocs.cli, "build_poset"), (ocs.cli, "_levels"),
+                         (ocs.dowling, "build_poset"), (ocs.dowling, "enumerate_levels"),
+                         (ocs.dowling, "_levels")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda spec, cap=DEFAULT_CAP, real=real:
+                            built.append(spec.n) or real(spec, cap))
     for spec in SPACES:
         assert run(["rep", "stability", "--spec", spec, "--rank", "2", "--window", "4..8",
                     "--cap", "1000000000"]) == 0
@@ -652,6 +653,28 @@ def test_rep_stability_refuses_a_window_past_its_cap(lo, hi, capsys):
     assert _single_json_error(capsys.readouterr().err)["type"] == "cap"
 
 
+def test_a_cap_past_the_whole_window_skips_the_rank_scan(capsys, monkeypatch):
+    # toricB at 4..200 with --cap 10**600 spent about 5 s scanning the
+    # ranks of every n before the window cap refused.  |D_200| has 324
+    # digits, so no element count can refuse: |D_0|, ..., |D_200| draw
+    # Z_0, ..., Z_200 once, and no rank scan draws them again.
+    drawn = []
+    real = ocs.dowling._zero_block_counts
+
+    def counted(w, orbit_data):
+        drawn.append(0)
+        for z in real(w, orbit_data):
+            drawn[-1] += 1
+            yield z
+
+    monkeypatch.setattr(ocs.dowling, "_zero_block_counts", counted)
+    assert run(["rep", "stability", "--spec", "toricB", "--rank", "1", "--window", "4..200",
+                "--cap", str(10**600)]) == 1
+    assert drawn == [201]
+    assert _single_json_error(capsys.readouterr().err) == {
+        "type": "domain", "message": f"window cap is {WINDOW_CAP}, got 200"}
+
+
 def test_a_stabilizer_that_is_no_subgroup_is_refused(tmp_path, capsys):
     # Z4 has one element of order 2 and the Klein group three, so no G-set
     # of Z4 has a Klein stabilizer; its order 4 divides |Z4|, and the
@@ -790,6 +813,8 @@ def test_rep_decompose_builds_no_order_complex(tmp_path, capsys, monkeypatch):
         assert run(["rep", "decompose", "--poset", str(path)]) == 0
         assert run(["rep", "decompose", "--rank", "2", "--poset", str(path)]) == 0
     assert called == []
+    # an antichain is no cone, so its order complex is reduced
+    path.write_text(json.dumps({"n": 2, "covers": []}))
     assert run(["poset", "homology", "--poset", str(path)]) == 0
     assert "reduced_homology" in called and "order_complex_chains" in called
 
@@ -1045,6 +1070,78 @@ def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys,
     path.write_text(json.dumps(built))
     assert run(["poset", "whitney", "--poset", str(path)]) == 0
     assert called
+
+
+BOWTIE = [[0, 2], [0, 3], [1, 2], [1, 3]]
+CONE_TEST_POSETS = {
+    "empty": {"n": 0, "covers": []},
+    "one-element": {"n": 1, "covers": []},
+    "antichain": {"n": 3, "covers": []},
+    "bowtie": {"n": 4, "covers": BOWTIE},
+    "bowtie-with-bottom": {"n": 5, "covers": BOWTIE + [[4, 0], [4, 1]]},
+    "bowtie-with-top": {"n": 5, "covers": BOWTIE + [[2, 4], [3, 4]]},
+}
+
+
+def _poset_homology_both_formats(path: Path, capsys) -> list:
+    outs = []
+    for fmt in ("json", "csv"):
+        assert run(["poset", "homology", "--format", fmt, "--poset", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+def _reduced_homology_both_formats(path: Path) -> list:
+    p = poset_from_json(json.loads(path.read_text()))
+    pairs = [[k, r] for k, r in sorted(reduced_homology(p).items())]
+    return [json.dumps({"betti": pairs, "proper": False}, indent=2, sort_keys=True) + "\n",
+            "".join(f"{k},{r}\n" for k, r in [("degree", "rank"), *pairs])]
+
+
+@pytest.mark.parametrize("name", sorted(CONE_TEST_POSETS))
+def test_poset_homology_matches_the_order_complex(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CONE_TEST_POSETS[name]))
+    assert _poset_homology_both_formats(path, capsys) == _reduced_homology_both_formats(path)
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in POSET_SPECS for n in range(5)])
+def test_poset_homology_of_a_built_file_matches_the_order_complex(spec, n, tmp_path, capsys):
+    path = tmp_path / f"{spec}-{n}.json"
+    assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--out", str(path)]) == 0
+    assert _poset_homology_both_formats(path, capsys) == _reduced_homology_both_formats(path)
+
+
+def test_poset_homology_of_a_cone_builds_no_chain(tmp_path, capsys, monkeypatch):
+    # a file with a bottom or a top is a cone; Pi_7 took 8.9 s to reduce
+    called = []
+    real = ocs.homology.order_complex_chains
+    monkeypatch.setattr(ocs.homology, "order_complex_chains",
+                        lambda *a, **k: called.append(1) or real(*a, **k))
+    paths = []
+    for spec in POSET_SPECS:
+        paths.append(tmp_path / f"{spec}-4.json")
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(paths[-1])]) == 0
+    for name in ("one-element", "bowtie-with-bottom", "bowtie-with-top"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(CONE_TEST_POSETS[name]))
+    for path in paths:
+        _poset_homology_both_formats(path, capsys)
+    assert called == []
+    paths[-1].write_text(json.dumps(CONE_TEST_POSETS["bowtie"]))
+    _poset_homology_both_formats(paths[-1], capsys)
+    assert called
+
+
+def test_dowling_count_expands_no_cover(capsys, monkeypatch):
+    def no_covers_of(spec, elem):
+        raise AssertionError("covers_of called")
+
+    monkeypatch.setattr(ocs.dowling, "covers_of", no_covers_of)
+    monkeypatch.setattr(ocs.cli, "covers_of", no_covers_of)
+    for spec in POSET_SPECS:
+        assert run(["dowling", "count", "--spec", spec, "--n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"]
 
 
 USAGE_ERRORS = (

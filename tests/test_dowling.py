@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ocs.dowling import (
     DowlingElement,
     DowlingSpec,
+    _levels,
     _wreath_act,
     _zero_valid,
     bottom_element,
@@ -29,6 +30,7 @@ from ocs.dowling import (
 from ocs.errors import CapExceeded, InputError
 from ocs.groups import GSetSpec, WreathElement, cyclic_group, wreath_compose
 from test_groups import all_wreath_elements
+from poset_oracle import KLEIN, coset_gset
 from ocs.posets import is_isomorphic, lower_interval, mobius
 
 
@@ -222,6 +224,38 @@ def test_build_poset_expands_each_element_once(monkeypatch, name, n):
     p, elems = build_poset(spec)
     assert len(expanded) == p.n_elems == len(elems)
     assert set(expanded) == set(elems)
+
+
+def _coset_specs(n):
+    """Dowling specs over coset G-sets of Z4 and the Klein group: one orbit
+    per stabilizer, in and out of T, and pairs of orbits that mix
+    stabilizers and T."""
+    z4 = cyclic_group(4)
+    subgroups = {z4: [(0,), (0, 2), (0, 1, 2, 3)], KLEIN: [(0,), (0, 1), (0, 3), (0, 1, 2, 3)]}
+    pairs = {
+        z4: [[((0, 2), False), ((0, 2), True)], [((0,), False), ((0, 1, 2, 3), False)],
+             [((0, 2), False), ((0,), True)]],
+        KLEIN: [[((0, 1), False), ((0, 3), False)], [((0,), False), ((0, 3), True)],
+                [((0, 1, 2, 3), True), ((0, 1), False)]],
+    }
+    return [DowlingSpec(group=group, gset=coset_gset(group, orbits), n=n)
+            for group, subs in subgroups.items()
+            for orbits in [[(k, in_t)] for k in subs for in_t in (False, True)] + pairs[group]]
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(5)
+                         + [spec_partition(6)]
+                         + [spec_toric(n, t) for n in range(5) for t in ([], [0], [0, 1])]
+                         + [spec_single_point(cyclic_group(k), n, in_t)
+                            for k in (1, 2, 3) for n in range(5) for in_t in (False, True)]
+                         + [spec for n in range(5) for spec in _coset_specs(n)])
+def test_levels_are_the_breadth_first_levels(spec):
+    # generated by canonical parent, each element once: sorted, the levels
+    # are build_poset's elements, rank by rank
+    p, elements = build_poset(spec, cap=10**6)
+    levels = [sorted(level, key=element_to_string) for level in _levels(spec, 10**6)]
+    assert [e for level in levels for e in level] == elements
+    assert [len(level) for level in levels] == [p.rank.count(r) for r in range(len(levels))]
 
 
 def test_cap_exceeded_carries_partial_count():
