@@ -17,12 +17,11 @@ blocks as comma-separated ``g:e`` entries with a final ``Z{e:s,...}``
 segment, e.g. ``0:0,1:1|Z{2:0}``.  Poset element order is breadth-first by
 rank, lexicographic by canonical string within a rank.
 
-Two breadth-first passes produce the rank levels.  ``build_poset`` expands
-each element once by ``covers_of`` and keeps one object per cover by
-lookup; no caller reads the generation order in which ``covers_of`` lists
-the covers.  ``enumerate_levels`` and ``ocs dowling count`` need no cover:
-``_levels`` generates each element once, from its canonical parent, and
-keeps no set of elements seen.
+One pass produces the rank levels: ``_levels`` generates each element
+once, from its canonical parent, and keeps no set of elements seen.
+``enumerate_levels`` sorts each level, and ``build_poset`` then looks up
+the covers ``covers_of`` gives for each element by index; ``ocs dowling
+count`` needs only the level sizes.
 
 ``covers_of`` builds every cover directly in canonical form, and the covers
 of one element are distinct by construction, so nothing is deduplicated or
@@ -359,49 +358,39 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
     """Refuse the first n of the window whose D_n passes cap elements
     through some rank level, naming the first such rank and the total
     through it, from element counts alone; every `dowling` and `rep
-    stability` cap is this check.  Rank r of D_n has sum_(k <= r) C(n, k)
-    Z_k w^(r-k) S(n-k, n-r) elements (w = |G|), k points in the zero block
-    and the rest in n - r blocks.  The Stirling numbers d_s(m) = S(m, m - s)
-    are taken one diagonal s at a time.  Counts only grow with n, so the
-    first n of the window over the cap at rank r bounds the n that refuses,
-    and no diagonal is taken past it.  A rank with no elements is not
-    checked.
+    stability` cap is this check.
 
-    Every total is at most |D_top|, since D_n embeds in D_(n+1), so the
-    scan is skipped when |D_top| is within the cap.  The counts |D_n| are
-    taken in order of n and stop at the first one over the cap, so a small
-    cap with a far top costs only a few."""
-    lo, top = window[0], window[-1]
+    The total through the last rank is |D_n|, which only grows with n,
+    since D_n embeds in D_(n+1).  So the n that refuses is the first of the
+    window with |D_n| > max(cap, 1): a D_n that holds only its bottom has no
+    level to check.  The counts |D_n| are taken in order of n and stop
+    there, so a small cap with a far top costs only a few.  Then only that
+    D_n has its levels counted: rank r has sum_(k <= r) C(n, k) Z_k w^(r-k)
+    S(n-k, n-r) elements (w = |G|), k points in the zero block and the rest
+    in n - r blocks, with the Stirling numbers d_s(m) = S(m, m - s) taken
+    one diagonal s per rank."""
     w = group.order
     for n, size in enumerate(_element_counts(w, orbit_data)):
-        if size > cap:
+        if size > max(cap, 1):
             break
-        if n == top:
+        if n == window[-1]:
             return
+    n = max(n, window[0])
     zero_counts = _zero_block_counts(w, orbit_data)
     zero = [next(zero_counts)]  # zero[k] = Z_k for k <= r
-    diagonals = [[1] * (top + 1)]  # diagonals[s][m] = d_s(m)
-    totals = [1] * (top + 1)  # totals[m]: elements of D_m up to rank r
-    refusal = None
-    r = 0
-    while r < top and lo <= top:
-        r += 1
+    diagonals = [[1] * (n + 1)]  # diagonals[s][m] = d_s(m)
+    total = 1
+    for r in count(1):
         zero.append(next(zero_counts))
         below, diag = diagonals[-1], [0] * (r + 1)
+        for m in range(r + 1, n + 1):
+            diag.append(diag[m - 1] + (m - r) * below[m - 1])
         diagonals.append(diag)
-        for m in range(r, top + 1):
-            if m > r:
-                diag.append(diag[m - 1] + (m - r) * below[m - 1])
-            level = sum(comb(m, k) * zero[k] * w ** (r - k) * diagonals[r - k][m - k]
-                        for k in range(r + 1))
-            totals[m] += level
-            if m >= lo and level and totals[m] > cap:
-                refusal, top = (r, totals[m]), m - 1
-                break
-    if refusal:
-        rank, total = refusal
-        raise CapExceeded(f"element cap {cap} exceeded while enumerating rank {rank}",
-                          partial_count=total)
+        total += sum(comb(n, k) * zero[k] * w ** (r - k) * diagonals[r - k][n - k]
+                     for k in range(r + 1))
+        if total > cap:
+            raise CapExceeded(f"element cap {cap} exceeded while enumerating rank {r}",
+                              partial_count=total)
 
 
 def _levels(spec: DowlingSpec, cap: int):
@@ -488,26 +477,6 @@ def _levels(spec: DowlingSpec, cap: int):
         level = children
 
 
-def _breadth_first(spec: DowlingSpec, cap: int):
-    """The breadth-first pass behind build_poset: (levels, covers), with
-    every element expanded by covers_of once and covers[i] the covers of
-    the i-th element in level order.  build_poset needs every cover
-    anyway, so it keeps one object per element by lookup instead of
-    generating each by its canonical parent (`_levels`).  The cap is
-    checked from element counts before anything is built."""
-    _check_window_cap(spec.group, spec.orbit_data, [spec.n], cap)
-    levels = [[bottom_element(spec)]]
-    covers: list[list[DowlingElement]] = []
-    while True:
-        found: dict[DowlingElement, DowlingElement] = {}
-        for e in levels[-1]:
-            # setdefault keeps one object per element, shared by every cover list
-            covers.append([found.setdefault(c, c) for c in covers_of(spec, e)])
-        if not found:
-            return levels, covers
-        levels.append(sorted(found, key=element_to_string))
-
-
 def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[DowlingElement]]:
     """Rank levels from the bottom element, each sorted by canonical
     string, generated by canonical parent (`_levels`); no covers are built.
@@ -521,17 +490,16 @@ def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[Dow
 
 
 def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[DowlingElement]]:
-    """Materialize the poset from the covers that one breadth-first pass
-    keeps as it expands each element.
+    """Materialize the poset from the levels of `enumerate_levels` and the
+    covers `covers_of` gives for each element, looked up by index.
 
     Returns (poset, elements) with elements[i] the canonical element at
     poset index i; indices go rank by rank, lexicographic by canonical
     string within a rank; poset rank labels are n - #blocks.
     """
-    levels, covers = _breadth_first(spec, cap)
-    elements = [e for level in levels for e in level]
+    elements = [e for level in enumerate_levels(spec, cap) for e in level]
     index = {e: i for i, e in enumerate(elements)}
-    pairs = [(i, index[c]) for i, up in enumerate(covers) for c in up]
+    pairs = [(i, index[c]) for i, e in enumerate(elements) for c in covers_of(spec, e)]
     rank = tuple(element_rank(spec, e) for e in elements)
     return from_covers(len(elements), pairs, rank=rank), elements
 

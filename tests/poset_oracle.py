@@ -2,7 +2,7 @@
 cycle-length product (`symrep.dowling_whitney_characters`) and of the
 element-count cap check (`dowling._check_window_cap`): Whitney characters
 read off one built Dowling poset per n, and the `--cap` refusal read off
-the rank level sizes of its breadth-first enumeration.
+the rank level sizes of its enumeration (`enumerate_levels`).
 
 A spec comes from `spec_from_orbit_data` by default.  That rebuilds a
 G-set only when every stabilizer is trivial or the whole group, so

@@ -243,6 +243,20 @@ def _coset_specs(n):
             for orbits in [[(k, in_t)] for k in subs for in_t in (False, True)] + pairs[group]]
 
 
+def _breadth_first(spec):
+    """(levels, covers): the rank levels of spec's D_n as the breadth-first
+    closure of covers_of from the bottom, each level deduplicated by a set
+    and sorted by canonical string, and covers[e] = covers_of(spec, e)."""
+    levels, covers = [[bottom_element(spec)]], {}
+    while True:
+        for e in levels[-1]:
+            covers[e] = covers_of(spec, e)
+        found = {c for e in levels[-1] for c in covers[e]}
+        if not found:
+            return levels, covers
+        levels.append(sorted(found, key=element_to_string))
+
+
 @pytest.mark.parametrize("spec", bundled_poset_specs(5)
                          + [spec_partition(6)]
                          + [spec_toric(n, t) for n in range(5) for t in ([], [0], [0, 1])]
@@ -251,11 +265,15 @@ def _coset_specs(n):
                          + [spec for n in range(5) for spec in _coset_specs(n)])
 def test_levels_are_the_breadth_first_levels(spec):
     # generated by canonical parent, each element once: sorted, the levels
-    # are build_poset's elements, rank by rank
+    # are the breadth-first closure's, and build_poset has its covers
+    levels, covers = _breadth_first(spec)
+    assert [sorted(level, key=element_to_string) for level in _levels(spec, 10**6)] == levels
     p, elements = build_poset(spec, cap=10**6)
-    levels = [sorted(level, key=element_to_string) for level in _levels(spec, 10**6)]
     assert [e for level in levels for e in level] == elements
     assert [len(level) for level in levels] == [p.rank.count(r) for r in range(len(levels))]
+    index = {e: i for i, e in enumerate(elements)}
+    assert ({(i, j) for i, up in enumerate(p.hasse) for j in up}
+            == {(index[e], index[c]) for e, up in covers.items() for c in up})
 
 
 def test_cap_exceeded_carries_partial_count():
