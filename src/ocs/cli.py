@@ -82,11 +82,51 @@ def _rat(x):
     raise AssertionError(f"unserializable value {x!r}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _json_text(obj) -> str:
     """obj as sorted, indented JSON, with `_rat` applied to every value json
-    cannot encode itself.  Every dict key must be a str: json.dumps sorts
-    the keys before it converts them, so int keys would sort as numbers."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_rat) + "\n"
+    cannot encode itself: the text of ``json.dumps(obj, sort_keys=True,
+    indent=2, default=_rat) + "\\n"``, written directly, since json.dumps
+    encodes indented output in pure Python.
+
+    Raises:
+        TypeError: on a dict key that is not a str, from the str encoder
+            (json.dumps would sort int keys as numbers and then write them
+            as strings).
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """The JSON text of obj, which starts a line after `newline`: a line
+    break and the indent of obj's depth.  The types are tested in json's
+    order, so bools are not ints; an exact int in a list is written
+    without a call."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [int.__repr__(x) if type(x) is int else _json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + _json_value(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _json_value(_rat(obj), newline)
 
 
 def _csv_text(header, rows) -> str:
@@ -156,12 +196,9 @@ def _poset_descriptor(arg: str):
 
 def _cmd_dowling_build(args) -> str:
     spec = spec_from_json(_load_descriptor(args.spec, "posets"), n=args.n)
-    p, elems = build_poset(spec, cap=args.cap)
+    p, _, names = build_poset(spec, cap=args.cap)
     obj = poset_to_json(p)
-    obj["dowling"] = {
-        "spec": spec_to_json(spec),
-        "elements": [element_to_string(e) for e in elems],
-    }
+    obj["dowling"] = {"spec": spec_to_json(spec), "elements": names}
     return _json_text(obj)
 
 
@@ -186,14 +223,14 @@ def _cmd_dowling_count(args) -> str:
 def _cmd_dowling_interval(args) -> str:
     spec = spec_from_json(_load_descriptor(args.spec, "posets"), n=args.n)
     elem = parse_element(spec, args.element)
-    p, elems = build_poset(spec, cap=args.cap)
+    p, elems, _ = build_poset(spec, cap=args.cap)
     idx = elems.index(elem)
     interval, _ = lower_interval(p, idx)
     factors = factor_interval(spec, elem)
     product = chain_poset(1)
     described = []
     for f in factors:
-        fp, _ = build_poset(f.spec, cap=args.cap)
+        fp = build_poset(f.spec, cap=args.cap)[0]
         product = direct_product(product, fp)
         entry = {
             "kind": f.kind,

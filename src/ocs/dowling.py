@@ -19,9 +19,10 @@ rank, lexicographic by canonical string within a rank.
 
 One pass produces the rank levels: ``_levels`` generates each element
 once, from its canonical parent, and keeps no set of elements seen.
-``enumerate_levels`` sorts each level, and ``build_poset`` then looks up
-the covers ``covers_of`` gives for each element by index; ``ocs dowling
-count`` needs only the level sizes.
+``enumerate_levels`` names each element once and sorts each level by
+name; ``build_poset`` then looks up the covers ``covers_of`` gives for
+each element by index, and hands the names on for the output file; ``ocs
+dowling count`` needs only the level sizes.
 
 ``covers_of`` builds every cover directly in canonical form, and the covers
 of one element are distinct by construction, so nothing is deduplicated or
@@ -125,6 +126,21 @@ class DowlingSpec:
                 ids[pt] = i
             in_t.append(rep in self.gset.t_subset)
         return tuple(ids), tuple(in_t)
+
+    @cached_property
+    def _block_tables(self) -> dict:
+        """block -> its `_block_table`, filled as `covers_of` meets each
+        block, so the tables are built once per spec and block, not once
+        per element, and live as long as the spec."""
+        return {}
+
+    @cached_property
+    def _entries(self) -> list[list[tuple[int, int]]]:
+        """_entries[x][c] = (x, c) for each point x and each c below |G| and
+        |S|: the block tables hold these objects, not a copy per block, and
+        so do the covers built from them."""
+        colors = max(self.group.order, self.gset.size)
+        return [[(x, c) for c in range(colors)] for x in range(self.n)]
 
 
 def spec_from_orbit_data(group: GroupTable, orbit_data, n: int, name: str = "") -> DowlingSpec:
@@ -267,6 +283,24 @@ def parse_element(spec: DowlingSpec, text: str) -> DowlingElement:
     return elem
 
 
+def _block_table(spec: DowlingSpec, b) -> tuple[list, list]:
+    """(twists, moves) of the canonical block b: twists[g] is b with every
+    color multiplied by g on the right (b itself for the identity), and
+    moves[s] is b's points as zero-block entries, each color c sent to
+    c.s, for each point s of S.  Built on b's first use by `covers_of`,
+    then read from the spec's `_block_tables`."""
+    table = spec._block_tables.get(b)
+    if table is None:
+        mul, e, action = spec.group.mul, spec.group.identity, spec.gset.action
+        entries = spec._entries
+        table = spec._block_tables[b] = (
+            [b if g == e else tuple([entries[x][mul[c][g]] for x, c in b])
+             for g in range(spec.group.order)],
+            [tuple([entries[x][action[c][s]] for x, c in b]) for s in range(spec.gset.size)],
+        )
+    return table
+
+
 def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     """All covers of the canonical element elem, each built directly in
     canonical form, in generation order: merges by block pair i < j and
@@ -282,23 +316,19 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     len(b) points to the orbit of s and changes no other orbit, so the
     orbit counts of elem.zero, taken once, decide every move before its
     zero block is built; a move is kept exactly when its zero coloring is
-    valid, even if elem's own is not.
+    valid, even if elem's own is not.  Each block's twists and moves come
+    from its `_block_table`.
     """
-    mul, e = spec.group.mul, spec.group.identity
     # tuple.__new__ skips the Python-level __new__ of the NamedTuple
     new = tuple.__new__
     out = []
     blocks, zero = elem.blocks, elem.zero
-    # twisted[j][g]: block j with every color multiplied by g on the right;
-    # block 0 is never twisted
-    twisted = [()] + [[b if g == e else tuple([(x, mul[c][g]) for x, c in b])
-                       for g in range(spec.group.order)]
-                      for b in blocks[1:]]
+    tables = [_block_table(spec, b) for b in blocks]
     for i, a in enumerate(blocks):
         head = blocks[:i]
         for j in range(i + 1, len(blocks)):
             tail = blocks[i + 1 : j] + blocks[j + 1 :]
-            for b in twisted[j]:
+            for b in tables[j][0]:
                 merged = [*a, *b]
                 merged.sort()
                 out.append(new(DowlingElement, ((*head, tuple(merged), *tail), zero)))
@@ -313,12 +343,11 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     points = [s for s in range(spec.gset.size) if not bad or orbit_id[s] == bad[0]]
     # a singleton block must not hit a new orbit outside T exactly once
     single_points = [s for s in points if counts[orbit_id[s]] or in_t[orbit_id[s]]]
-    action = spec.gset.action
     for i, b in enumerate(blocks):
         rest = blocks[:i] + blocks[i + 1 :]
+        moves = tables[i][1]
         for s in single_points if len(b) == 1 else points:
-            moved = [(x, action[c][s]) for x, c in b]
-            moved += zero
+            moved = [*moves[s], *zero]
             moved.sort()
             out.append(new(DowlingElement, (rest, tuple(moved))))
     return out
@@ -367,8 +396,12 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
     there, so a small cap with a far top costs only a few.  Then only that
     D_n has its levels counted: rank r has sum_(k <= r) C(n, k) Z_k w^(r-k)
     S(n-k, n-r) elements (w = |G|), k points in the zero block and the rest
-    in n - r blocks, with the Stirling numbers d_s(m) = S(m, m - s) taken
-    one diagonal s per rank."""
+    in n - r blocks.  Those Stirling numbers are one column, kept for one
+    rank at a time, so nothing of size n is held: S(n, n-r) is
+    sum_j <<r, j>> C(n+r-1-j, 2r), with <<r, j>> the second-order Eulerian
+    numbers (Graham, Knuth and Patashnik, *Concrete Mathematics*, eq.
+    6.43), and the rest of the column follows from the column of rank r - 1
+    by the recurrence S(m, c) = c S(m-1, c) + S(m-1, c-1), read backwards."""
     w = group.order
     for n, size in enumerate(_element_counts(w, orbit_data)):
         if size > max(cap, 1):
@@ -378,16 +411,23 @@ def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int
     n = max(n, window[0])
     zero_counts = _zero_block_counts(w, orbit_data)
     zero = [next(zero_counts)]  # zero[k] = Z_k for k <= r
-    diagonals = [[1] * (n + 1)]  # diagonals[s][m] = d_s(m)
+    eulerian = [1]  # eulerian[j] = <<r, j>>, for j < max(r, 1)
+    column = [1]  # column[k] = S(n-k, n-r), for k <= r
     total = 1
-    for r in count(1):
+    # the total through the top rank n is |D_n|, over the cap
+    for r in range(1, n + 1):
         zero.append(next(zero_counts))
-        below, diag = diagonals[-1], [0] * (r + 1)
-        for m in range(r + 1, n + 1):
-            diag.append(diag[m - 1] + (m - r) * below[m - 1])
-        diagonals.append(diag)
-        total += sum(comb(n, k) * zero[k] * w ** (r - k) * diagonals[r - k][n - k]
-                     for k in range(r + 1))
+        padded = [0, *eulerian, 0]
+        eulerian = [(j + 1) * padded[j + 1] + (2 * r - 1 - j) * padded[j] for j in range(r)]
+        top, a = 0, n + r - 1
+        binomial = comb(a, 2 * r)
+        for e in eulerian:  # the term of <<r, j>>, with a = n + r - 1 - j
+            top += e * binomial
+            binomial = binomial * (a - 2 * r) // a  # C(a - 1, 2r)
+            a -= 1
+        column.append(0)  # S(n-r, n-r+1)
+        column = [top] + [column[k - 1] - (n - r + 1) * column[k] for k in range(1, r + 1)]
+        total += sum(comb(n, k) * zero[k] * w ** (r - k) * column[k] for k in range(r + 1))
         if total > cap:
             raise CapExceeded(f"element cap {cap} exceeded while enumerating rank {r}",
                               partial_count=total)
@@ -435,7 +475,7 @@ def _levels(spec: DowlingSpec, cap: int):
               for g in range(group_order)]
     outside_t = not all(in_t)
     # colored[x]: the entries (x, g), one per g
-    colored = [[(x, g) for g in range(group_order)] for x in range(spec.n)]
+    colored = [row[:group_order] for row in spec._entries]
     new = tuple.__new__
     level = [bottom_element(spec)]
     while level:
@@ -477,31 +517,39 @@ def _levels(spec: DowlingSpec, cap: int):
         level = children
 
 
-def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> list[list[DowlingElement]]:
-    """Rank levels from the bottom element, each sorted by canonical
-    string, generated by canonical parent (`_levels`); no covers are built.
+def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP
+                     ) -> list[list[tuple[str, DowlingElement]]]:
+    """Rank levels from the bottom element, generated by canonical parent
+    (`_levels`), as (canonical string, element) pairs sorted by string: each
+    string is built once, and no covers are built.  The strings are
+    distinct, so the sort never compares two elements.
 
     Raises:
         CapExceeded: before anything is built, when D_n has more than cap
             elements through some rank level; carries the count through
             the first such level.
     """
-    return [sorted(level, key=element_to_string) for level in _levels(spec, cap)]
+    return [sorted(zip(map(element_to_string, level), level)) for level in _levels(spec, cap)]
 
 
-def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP) -> tuple[Poset, list[DowlingElement]]:
+def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP
+                ) -> tuple[Poset, list[DowlingElement], list[str]]:
     """Materialize the poset from the levels of `enumerate_levels` and the
     covers `covers_of` gives for each element, looked up by index.
 
-    Returns (poset, elements) with elements[i] the canonical element at
-    poset index i; indices go rank by rank, lexicographic by canonical
-    string within a rank; poset rank labels are n - #blocks.
+    Returns (poset, elements, names) with elements[i] the canonical element
+    at poset index i and names[i] its canonical string; indices go rank by
+    rank, lexicographic by canonical string within a rank; poset rank
+    labels are the level indices, n - #blocks.
     """
-    elements = [e for level in enumerate_levels(spec, cap) for e in level]
+    levels = enumerate_levels(spec, cap)
+    names = [name for level in levels for name, _ in level]
+    elements = [e for level in levels for _, e in level]
+    rank = [r for r, level in enumerate(levels) for _ in level]
+    del levels  # its (name, element) pairs, before the covers add to the peak
     index = {e: i for i, e in enumerate(elements)}
     pairs = [(i, index[c]) for i, e in enumerate(elements) for c in covers_of(spec, e)]
-    rank = tuple(element_rank(spec, e) for e in elements)
-    return from_covers(len(elements), pairs, rank=rank), elements
+    return from_covers(len(elements), pairs, rank=rank), elements, names
 
 
 def count_elements_species(spec: DowlingSpec) -> int:

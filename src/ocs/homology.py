@@ -8,7 +8,8 @@ Everything here is integer arithmetic, with one strategy per question:
     The matrices are reduced from the top dimension down with clearing
     (Chen and Kerber, *Persistent homology computation with a twist*,
     2011): a chain that is already the lowest row of a kept column one
-    dimension up is not reduced as a column.
+    dimension up is not reduced as a column.  The chains are counted
+    first, and past `CHAIN_CAP` none is built.
   * Whitney homology: one reduction per distinct lower interval.  An
     interval is keyed by its re-indexed Hasse diagram, so equal keys are
     equal posets and the reuse is exact.  When the caller knows every
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .posets import (
     Poset,
     _bits,
@@ -47,6 +48,7 @@ from .posets import (
 )
 
 __all__ = [
+    "CHAIN_CAP",
     "order_complex_chains",
     "reduced_homology",
     "reduced_euler_characteristic",
@@ -184,12 +186,47 @@ def _boundary_ranks(bnd: list[list[dict[int, int]]]) -> list[int]:
     return ranks
 
 
+# The most chains the order complexes of one command may hold, counted
+# before any is built, set from a budget of 5 s per command: the largest
+# bundled order complex, `poset whitney` on the Pi_7 file without its
+# `dowling` block, builds 311,338 chains (262,759 for `poset homology
+# --proper`) in 2.5 s and 131 MB on a shared 2-core VM, and took 4 s on a
+# slower one.  Pi_8's proper part has 10,270,695 chains.
+CHAIN_CAP = 350_000
+
+
+def _check_chain_cap(p: Poset, masks) -> None:
+    """Refuse when the order complexes of p's subposets on the bitset masks
+    have more than CHAIN_CAP chains in all, before any chain is built.  The
+    chains ending at x number 1 plus those ending at each y < x, read from
+    p.geq in order of down-set size (a linear extension).
+
+    Raises:
+        CapExceeded: carrying the running count that passed the cap.
+    """
+    total = 0
+    for mask in masks:
+        ending = {}
+        for x in sorted(_bits(mask), key=lambda x: p.geq[x].bit_count()):
+            ending[x] = 1 + sum([ending[y] for y in _bits((p.geq[x] & mask) ^ (1 << x))])
+            total += ending[x]
+            if total > CHAIN_CAP:
+                raise CapExceeded(f"chain cap {CHAIN_CAP} exceeded while counting the "
+                                  "chains of the order complex", partial_count=total)
+
+
 def reduced_homology(p: Poset, mask: int | None = None) -> dict[int, int]:
     """Reduced Betti numbers of the order complex of p, or of its subposet
     on the bitset mask (rational ranks).
 
     The empty poset returns {-1: 1}.
+
+    Raises:
+        CapExceeded: past CHAIN_CAP chains (`_check_chain_cap`).
     """
+    if mask is None:
+        mask = (1 << p.n_elems) - 1
+    _check_chain_cap(p, [mask])
     chains = order_complex_chains(p, mask)
     ranks = _boundary_ranks(_boundary_matrices(chains))
     ranks.append(0)
@@ -224,26 +261,27 @@ def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
     copy (`_lower_hasse`, read off `p.geq` and `p.hasse` alone).  The Hasse
     diagram determines the poset, so two intervals with equal keys are the
     same poset, and one reduction serves all of them with no isomorphism
-    search.  On a miss, the open interval (bottom, x) is reduced as the
-    bitset p.geq[x] less x and the bottom; no subposet is built, and p
-    needs a unique minimum.  The memo lives for this call only; the tables
-    it hands out are shared between the x of one key.
+    search.  The open interval (bottom, x) of the first x of each key is
+    reduced as the bitset p.geq[x] less x and the bottom; no subposet is
+    built, and p needs a unique minimum.  The chains of all those open
+    intervals together are held to CHAIN_CAP before any is reduced.  The
+    memo lives for this call only; the tables it hands out are shared
+    between the x of one key.
+
+    Raises:
+        CapExceeded: past CHAIN_CAP chains in all (`_check_chain_cap`).
     """
     bottom = p.bottom()
-    memo: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
-    out = {}
-    for x in xs:
-        _, key = _lower_hasse(p, x)
-        table = memo.get(key)
-        if table is None:
-            if x == bottom:
-                table = {0: 1}
-            else:
-                betti = reduced_homology(p, p.geq[x] ^ (1 << x | 1 << bottom))
-                table = {deg + 2: rank for deg, rank in betti.items()}
-            memo[key] = table
-        out[x] = table
-    return out
+    keys = {x: _lower_hasse(p, x)[1] for x in xs}
+    first: dict[tuple[tuple[int, ...], ...], int] = {}
+    for x, key in keys.items():
+        first.setdefault(key, x)
+    masks = {key: p.geq[x] ^ (1 << x | 1 << bottom) for key, x in first.items() if x != bottom}
+    _check_chain_cap(p, masks.values())
+    memo = {key: {0: 1} for key, x in first.items() if x == bottom}
+    for key, mask in masks.items():
+        memo[key] = {deg + 2: rank for deg, rank in reduced_homology(p, mask).items()}
+    return {x: memo[key] for x, key in keys.items()}
 
 
 def interval_degree_table(p: Poset, x: int) -> dict[int, int]:

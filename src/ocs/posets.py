@@ -151,14 +151,15 @@ def from_covers(n: int, covers, rank=None) -> Poset:
     pairs = [tuple(c) for c in covers]
     seen = set()
     adj = [[] for _ in range(n)]
-    for a, b in pairs:
+    for pair in pairs:
+        a, b = pair
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"cover ({a},{b}) out of range")
         if a == b:
             raise InputError(f"cover ({a},{b}) is a self-loop")
-        if (a, b) in seen:
+        if pair in seen:
             raise InputError(f"duplicate cover ({a},{b})")
-        seen.add((a, b))
+        seen.add(pair)
         adj[a].append(b)
     hasse = tuple(tuple(sorted(u)) for u in adj)
     # Closure in reverse topological order, so each leq[b] is final before
@@ -167,8 +168,12 @@ def from_covers(n: int, covers, rank=None) -> Poset:
     leq = [0] * n
     above = [0] * n
     for a in reversed(_topo_order(n, hasse)):
-        above[a] = _strictly_above(hasse[a], leq)
-        leq[a] = above[a] | sum(1 << b for b in hasse[a]) | 1 << a
+        strict = up = 0
+        for c in hasse[a]:
+            strict |= leq[c] ^ (1 << c)
+            up |= leq[c]
+        above[a] = strict
+        leq[a] = up | 1 << a
     leq = tuple(leq)
     for a, b in pairs:
         if above[a] >> b & 1:

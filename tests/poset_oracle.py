@@ -27,7 +27,7 @@ KLEIN = group_from_table([[a ^ b for b in range(4)] for a in range(4)])
 def poset_characters(spec: DowlingSpec, ranks=None) -> dict:
     """{r: Whitney character of the built poset of spec} for r in ranks
     (None: every rank of the poset)."""
-    p, elements = build_poset(spec, cap=NO_CAP)
+    p, elements, _ = build_poset(spec, cap=NO_CAP)
     perms = sym_class_poset_perms(spec, elements)
     return {r: whitney_character(p, perms, r, spec.n)
             for r in (sorted(set(p.rank)) if ranks is None else ranks)}

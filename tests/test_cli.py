@@ -4,17 +4,29 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ocs
 import ocs.cli
 import ocs.dowling
 import ocs.homology
 import ocs.symrep
-from ocs.cli import COMMANDS, WINDOW_CAP, _load_descriptor, build_parser, run
+from ocs.cli import (
+    COMMANDS,
+    WINDOW_CAP,
+    _json_text,
+    _load_descriptor,
+    _rat,
+    build_parser,
+    run,
+)
 from ocs.dowling import (
     DEFAULT_CAP,
     DowlingSpec,
@@ -83,6 +95,31 @@ def _single_json_error(err: str) -> dict:
     lines = err.splitlines()
     assert len(lines) == 1, err
     return json.loads(lines[0])["error"]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.fractions(),
+    st.integers(-9, 9).map(lambda d: d * 10**499 - 1),  # 500 digits, or -1
+    st.text(), st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "Möbius μ 🙂"]),
+)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.lists(st.integers(), max_size=6), st.lists(st.one_of(st.integers(), st.booleans())),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": ()})
+@example([True, 1, False, 0, None, Fraction(4, 2), Fraction(-1, 3)])
+def test_json_text_is_the_text_of_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2, default=_rat) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2: "b"}], {(1,): 0}])
+def test_json_text_refuses_a_key_that_is_not_a_str(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
 
 
 PARTITION_N2 = {
@@ -405,6 +442,20 @@ def test_partition_lattice_spaces_are_the_type_a_specs():
     assert PARTITION_LATTICE_SPACES == ["typeA_C", "typeA_R1", "typeA_R2", "typeA_R3"]
 
 
+def test_dowling_build_names_each_element_once(tmp_path, monkeypatch):
+    named = []
+    real = ocs.dowling.element_to_string
+    for module in (ocs.dowling, ocs.cli):
+        monkeypatch.setattr(module, "element_to_string", lambda e: named.append(e) or real(e))
+    for spec in POSET_SPECS:
+        named.clear()
+        path = tmp_path / f"{spec}-4.json"
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
+        names = json.loads(path.read_text())["dowling"]["elements"]
+        assert len(named) == len(names) == len(set(names))
+        assert sorted(map(real, named)) == sorted(names)
+
+
 def test_rep_stability_builds_no_poset(monkeypatch, capsys):
     built = []
     for module, name in [(ocs.cli, "build_poset"), (ocs.cli, "_levels"),
@@ -433,7 +484,7 @@ def _names_from_the_poset(spec_obj: dict, rank: int, n: int) -> list:
     """The `rep stability` names at n, from the Whitney character of the
     Dowling poset that spec_obj builds."""
     spec = spec_from_json(spec_obj, n=n)
-    p, elements = build_poset(spec)
+    p, elements, _ = build_poset(spec)
     mult = decompose(whitney_character(p, sym_class_poset_perms(spec, elements), rank, n))
     names: dict = {}
     for lam, m in mult.items():
@@ -635,6 +686,27 @@ def test_a_late_refusal_counts_one_n(spec, rank, capsys):
     if spec == "typeA_R2":
         assert ((error["message"], error["partialCount"])
                 == levels_outcome(_stirling_levels(400), list(range(4, 401)), cap))
+
+
+@pytest.mark.parametrize("spec", ["typeA_R2", "toricB"])
+def test_the_cap_check_holds_nothing_of_size_n(spec):
+    # one list of length n per Stirling diagonal took 52 MB at n = 10**6
+    space = space_from_json(_space_json(spec))
+    n = 10**6
+    tracemalloc.start()
+    try:
+        outcomes = [_cap_outcome(space, [n], cap) for cap in (DEFAULT_CAP, 10**20)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    assert [message for message, _ in outcomes] == [
+        f"element cap {cap} exceeded while enumerating rank {r}"
+        for cap, r in ((DEFAULT_CAP, 1), (10**20, 2))]
+    if spec == "typeA_R2":  # Pi_n: S(n, n-1) = C(n, 2), S(n, n-2) = C(n, 3) (3n - 5) / 4
+        rank_one = 1 + comb(n, 2)
+        assert [count for _, count in outcomes] == [
+            rank_one, rank_one + comb(n, 3) * (3 * n - 5) // 4]
 
 
 def test_an_orbit_space_refuses_a_large_n_before_building_it(capsys):
@@ -1085,6 +1157,61 @@ def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys,
     path.write_text(json.dumps(built))
     assert run(["poset", "whitney", "--poset", str(path)]) == 0
     assert called
+
+
+def _without_its_block(tmp_path, spec: str, n: int) -> Path:
+    """A built D_n file with its `dowling` block removed, so that every
+    poset command reads its order complexes."""
+    path = tmp_path / f"{spec}-{n}.json"
+    assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--cap", "100000",
+                "--out", str(path)]) == 0
+    built = json.loads(path.read_text())
+    del built["dowling"]
+    path.write_text(json.dumps(built))
+    return path
+
+
+def test_poset_commands_refuse_past_the_chain_cap(tmp_path, capsys, monkeypatch):
+    # nothing bounded the order complex: Pi_8 without its block ran out of
+    # memory in `poset homology --proper`
+    path = _without_its_block(tmp_path, "partition", 5)
+    anti = tmp_path / "bowtie.json"  # no cone, so plain `poset homology` reduces it
+    anti.write_text(json.dumps({"n": 4, "covers": BOWTIE}))
+    commands = [["whitney", "--poset", str(path)], ["homology", "--proper", "--poset", str(path)],
+                ["homology", "--poset", str(anti)]]
+    answers = []
+    for argv in commands:
+        capsys.readouterr()
+        assert run(["poset", *argv]) == 0
+        answers.append(capsys.readouterr().out)
+    monkeypatch.setattr(ocs.homology, "CHAIN_CAP", 3)
+    for argv in commands:
+        capsys.readouterr()
+        assert run(["poset", *argv]) == 1
+        out, err = capsys.readouterr()
+        error = _single_json_error(err)
+        assert out == "" and error["type"] == "cap" and error["partialCount"] > 3
+        assert error["message"] == (
+            "chain cap 3 exceeded while counting the chains of the order complex")
+    # the same files are answered again under the documented cap
+    monkeypatch.undo()
+    for argv, answer in zip(commands, answers):
+        assert run(["poset", *argv]) == 0
+        assert capsys.readouterr().out == answer
+
+
+def test_pi_8_without_its_block_refuses_before_building_a_chain(tmp_path, capsys, monkeypatch):
+    path = _without_its_block(tmp_path, "partition", 8)
+    called = []
+    monkeypatch.setattr(ocs.homology, "order_complex_chains", lambda *a: called.append(1))
+    for argv in (["homology", "--proper"], ["whitney"]):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(["poset", *argv, "--poset", str(path)]) == 1
+        assert time.perf_counter() - start < 5
+        error = _single_json_error(capsys.readouterr().err)
+        assert error["type"] == "cap" and error["partialCount"] > ocs.homology.CHAIN_CAP
+    assert called == []
 
 
 BOWTIE = [[0, 2], [0, 3], [1, 2], [1, 3]]

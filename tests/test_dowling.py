@@ -29,7 +29,7 @@ from ocs.dowling import (
 )
 from ocs.errors import CapExceeded, InputError
 from ocs.groups import GSetSpec, WreathElement, cyclic_group, wreath_compose
-from test_groups import all_wreath_elements
+from test_groups import SMALL_GROUPS, all_wreath_elements
 from poset_oracle import KLEIN, coset_gset
 from ocs.posets import is_isomorphic, lower_interval, mobius
 
@@ -54,7 +54,7 @@ def strings(spec, cap=10000):
     return [
         element_to_string(e)
         for level in enumerate_levels(spec, cap)
-        for e in level
+        for _, e in level
     ]
 
 
@@ -172,10 +172,13 @@ def _check_covers_against_reference(spec, elem, valid=True):
     spec_toric(3, []),
     spec_toric(3, [0]),
     spec_toric(3, [0, 1]),
+    # S3 is not abelian, so a twist by g on the right is not one on the left
+    spec_single_point(SMALL_GROUPS["S3"], 3, in_t=True),
+    spec_from_orbit_data(SMALL_GROUPS["S3"], ((cyclic_group(1), False),), 3),
 ])
 def test_covers_of_matches_the_dedup_reference(spec):
     for level in enumerate_levels(spec):
-        for e in level:
+        for _, e in level:
             _check_covers_against_reference(spec, e)
 
 
@@ -190,7 +193,7 @@ def test_covers_of_matches_the_reference_on_invalid_zero_blocks(strict, loose):
     # outside the strict spec's T exactly once (one such orbit or two)
     invalid = 0
     for level in enumerate_levels(loose):
-        for e in level:
+        for _, e in level:
             invalid += not _zero_valid(strict, e.zero)
             _check_covers_against_reference(strict, e, valid=False)
     assert invalid
@@ -198,7 +201,7 @@ def test_covers_of_matches_the_reference_on_invalid_zero_blocks(strict, loose):
 
 def test_private_wreath_action_matches_wreath_act():
     spec = spec_dowling(2, 3)
-    _, elems = build_poset(spec)
+    _, elems, _ = build_poset(spec)
     for w in all_wreath_elements(spec.group, spec.n):
         for e in elems:
             assert _wreath_act(spec, w, e) == wreath_act(spec, w, e)
@@ -221,7 +224,7 @@ def test_build_poset_expands_each_element_once(monkeypatch, name, n):
         return covers_of(spec, elem)
 
     monkeypatch.setattr("ocs.dowling.covers_of", counting_covers_of)
-    p, elems = build_poset(spec)
+    p, elems, _ = build_poset(spec)
     assert len(expanded) == p.n_elems == len(elems)
     assert set(expanded) == set(elems)
 
@@ -268,12 +271,29 @@ def test_levels_are_the_breadth_first_levels(spec):
     # are the breadth-first closure's, and build_poset has its covers
     levels, covers = _breadth_first(spec)
     assert [sorted(level, key=element_to_string) for level in _levels(spec, 10**6)] == levels
-    p, elements = build_poset(spec, cap=10**6)
+    p, elements, _ = build_poset(spec, cap=10**6)
     assert [e for level in levels for e in level] == elements
     assert [len(level) for level in levels] == [p.rank.count(r) for r in range(len(levels))]
     index = {e: i for i, e in enumerate(elements)}
     assert ({(i, j) for i, up in enumerate(p.hasse) for j in up}
             == {(index[e], index[c]) for e, up in covers.items() for c in up})
+
+
+@pytest.mark.parametrize("spec", [
+    spec_single_point(cyclic_group(12), 3, in_t=True),
+    spec_from_orbit_data(cyclic_group(1), ((cyclic_group(1), True),) * 11, 3),
+])
+def test_levels_are_in_canonical_string_order(spec):
+    # colors of two digits: "10:1" sorts before "2:1", so tuple order is not
+    # string order, and the levels must follow the string
+    levels = list(_levels(spec, 10**6))
+    assert any(sorted(level) != sorted(level, key=element_to_string) for level in levels)
+    named = enumerate_levels(spec, 10**6)
+    assert [[e for _, e in level] for level in named] == [
+        sorted(level, key=element_to_string) for level in levels]
+    assert all(name == element_to_string(e) for level in named for name, e in level)
+    _, elements, names = build_poset(spec, 10**6)
+    assert names == [element_to_string(e) for e in elements]
 
 
 def test_cap_exceeded_carries_partial_count():
@@ -309,7 +329,7 @@ def test_frozen_counts():
 
 def test_build_poset_ranks_are_bfs_levels():
     spec = spec_dowling(2, 3)
-    p, elems = build_poset(spec)
+    p, elems, _ = build_poset(spec)
     assert p.rank is not None
     assert all(element_rank(spec, e) == p.rank[i] for i, e in enumerate(elems))
     assert p.bottom() == 0
@@ -320,8 +340,8 @@ def test_single_color_full_t_is_partition_lattice_shifted():
     # partition lattice on one more point
     for n in range(0, 5):
         spec = spec_single_point(cyclic_group(1), n, in_t=True)
-        p, _ = build_poset(spec)
-        q, _ = build_poset(spec_partition(n + 1))
+        p, _, _ = build_poset(spec)
+        q, _, _ = build_poset(spec_partition(n + 1))
         assert p.n_elems == q.n_elems
         assert is_isomorphic(p, q) is not None
 
@@ -329,7 +349,7 @@ def test_single_color_full_t_is_partition_lattice_shifted():
 def test_mobius_of_dowling_lattice_top():
     # |mu| of D_n(Z2) equals the falling product 1*3*5*...*(2n-1)
     spec = spec_dowling(2, 3)
-    p, _ = build_poset(spec)
+    p, _, _ = build_poset(spec)
     assert abs(mobius(p, p.bottom(), p.top())) == 1 * 3 * 5
 
 
@@ -347,7 +367,7 @@ def test_interval_factorization_is_isomorphic_spot():
     from ocs.posets import chain_poset, direct_product
 
     spec = spec_dowling(2, 3)
-    p, elems = build_poset(spec)
+    p, elems, _ = build_poset(spec)
     for idx, e in enumerate(elems):
         interval, _ = lower_interval(p, idx)
         prod = chain_poset(1)
@@ -360,7 +380,7 @@ def test_interval_factorization_is_isomorphic_spot():
 @given(st.data())
 def test_wreath_action_is_a_group_action(data):
     spec = spec_dowling(2, 3)
-    _, elems = build_poset(spec)
+    _, elems, _ = build_poset(spec)
     e = data.draw(st.sampled_from(elems))
     ws = list(all_wreath_elements(spec.group, 3))
     w1 = data.draw(st.sampled_from(ws))
@@ -372,7 +392,7 @@ def test_wreath_action_is_a_group_action(data):
 
 def test_wreath_action_preserves_order():
     for spec in [spec_dowling(2, 3), spec_toric(2, [0])]:
-        p, elems = build_poset(spec)
+        p, elems, _ = build_poset(spec)
         index = {e: i for i, e in enumerate(elems)}
         for w in all_wreath_elements(spec.group, spec.n):
             img = [index[wreath_act(spec, w, e)] for e in elems]

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 import ocs.homology
 import ocs.posets
 from ocs.dowling import build_poset, spec_from_json, spec_partition, spec_single_point
-from ocs.errors import DomainError, InputError
+from ocs.errors import CapExceeded, DomainError, InputError
 from ocs.groups import cyclic_group
 from ocs.homology import (
     _boundary_matrices,
+    _check_chain_cap,
     _boundary_ranks,
     _interval_tables,
     interval_degree_table,
@@ -288,7 +290,7 @@ def test_euler_and_lefschetz_match_chain_oracles_on_random_posets(case):
 def test_lefschetz_matches_chain_oracle_on_dowling_open_intervals():
     # symmetric-group action on every open interval (bottom, x) of Q_4(Z_2)
     spec = spec_single_point(cyclic_group(2), 4, in_t=True)
-    p, elements = build_poset(spec)
+    p, elements, _ = build_poset(spec)
     perms = sym_class_poset_perms(spec, elements)
     bottom, checked = p.bottom(), 0
     for x in range(p.n_elems):
@@ -501,6 +503,40 @@ def test_masked_homology_matches_the_reindexed_copy(case, data):
     full = (1 << p.n_elems) - 1
     assert order_complex_chains(p, full) == order_complex_chains(p)
     assert reduced_homology(p, full) == reduced_homology(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_with_automorphism(), st.data())
+def test_chain_cap_counts_the_chains_of_the_order_complex(case, data):
+    p, _ = case
+    masks = data.draw(st.lists(st.integers(0, (1 << p.n_elems) - 1), max_size=3))
+    chains = sum(len(level) for mask in masks for level in order_complex_chains(p, mask))
+    with mock.patch.object(ocs.homology, "CHAIN_CAP", chains):
+        _check_chain_cap(p, masks)
+    if chains:
+        with mock.patch.object(ocs.homology, "CHAIN_CAP", chains - 1):
+            with pytest.raises(CapExceeded) as exc:
+                _check_chain_cap(p, masks)
+        assert exc.value.partial_count == chains
+
+
+@PI5_AND_TYPEB4
+def test_whitney_holds_all_its_intervals_to_one_chain_cap(poset):
+    # the sum over the distinct open intervals, not the largest of them
+    p = poset()
+    bottom = p.bottom()
+    first = {}
+    for x in range(p.n_elems):
+        first.setdefault(_lower_hasse(p, x)[1], x)
+    sizes = [sum(map(len, order_complex_chains(p, p.geq[x] ^ (1 << x | 1 << bottom))))
+             for x in first.values() if x != bottom]
+    chains = sum(sizes)
+    with mock.patch.object(ocs.homology, "CHAIN_CAP", chains):
+        assert whitney_homology(p) == whitney_homology_reference(p)
+    with mock.patch.object(ocs.homology, "CHAIN_CAP", chains - 1):
+        with pytest.raises(CapExceeded) as exc:
+            whitney_homology(p)
+    assert exc.value.partial_count == chains > max(sizes)
 
 
 @settings(max_examples=100, deadline=None)

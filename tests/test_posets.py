@@ -423,7 +423,7 @@ def test_down_sets_match_the_scans(p):
 
 def test_down_sets_of_a_product_and_a_dowling_lattice():
     # posets not built by from_covers: a product, and intervals of intervals
-    p, _ = build_poset(spec_single_point(cyclic_group(2), 3, in_t=True))
+    p, _, _ = build_poset(spec_single_point(cyclic_group(2), 3, in_t=True))
     x = next(x for x in range(p.n_elems) if p.rank[x] == 2)
     for q in (direct_product(p, chain_poset(3)), lower_interval(p, x)[0]):
         assert q.geq == tuple(
@@ -438,14 +438,14 @@ def test_down_sets_of_a_product_and_a_dowling_lattice():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dowling_lattice_mobius_closed_form(order, n):
     # Dowling 1973: mu(Q_n(G)) = (-1)^n prod_{i<n} (1 + i|G|)
-    p, _ = build_poset(spec_single_point(cyclic_group(order), n, in_t=True))
+    p, _, _ = build_poset(spec_single_point(cyclic_group(order), n, in_t=True))
     expected = (-1) ** n * prod(1 + i * order for i in range(n))
     assert mobius(p, p.bottom(), p.top()) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partition_lattice_mobius_closed_form(n):
-    p, _ = build_poset(spec_partition(n))
+    p, _, _ = build_poset(spec_partition(n))
     assert mobius(p, p.bottom(), p.top()) == (-1) ** (n - 1) * factorial(n - 1)
 
 

@@ -204,7 +204,7 @@ def brute_orbit_generator_dim(stab, in_t, k):
     """The zero-block generator rank from its definition: the reduced
     homology of the proper part of the built k-point single-orbit poset,
     which must be concentrated in degree k - 2."""
-    poset, _ = build_poset(spec_single_point(stab, k, in_t))
+    poset, _, _ = build_poset(spec_single_point(stab, k, in_t))
     if poset.n_elems == 1:
         # k = 0, or k = 1 outside T: the lone element is the bottom
         return 1 if k == 0 else 0
@@ -229,7 +229,7 @@ def test_orbit_generator_dim_matches_mobius_number(stab, in_t):
     # for k >= 2 the poset is bounded and, its homology being concentrated,
     # (-1)^k mu(bottom, top) is the generator rank
     for k in range(2, 6):
-        poset, _ = build_poset(spec_single_point(stab, k, in_t))
+        poset, _, _ = build_poset(spec_single_point(stab, k, in_t))
         mu = mobius(poset, poset.bottom(), poset.top())
         assert orbit_generator_dim(stab, in_t, k) == (-1) ** k * mu
 
@@ -374,7 +374,7 @@ def whitney_factorization_check(spec: DowlingSpec, cap: int = 10000):
     values, and the side that disagrees.  Off-diagonal Whitney buckets are
     reported as mismatches too (the series side lives on the diagonal).
     """
-    poset, _ = build_poset(spec, cap=cap)
+    poset, _, _ = build_poset(spec, cap=cap)
     table = whitney_homology(poset)
     n = spec.n
     s = e1_series(SpaceInput((1,), spec.group, spec.orbit_data, i_acyclic=True), n)

@@ -66,7 +66,7 @@ def sign(mu: tuple[int, ...]) -> int:
 
 def partition_lattice_character(n: int, r: int) -> dict:
     spec = spec_partition(n)
-    p, elements = build_poset(spec)
+    p, elements, _ = build_poset(spec)
     return dict(whitney_character(p, sym_class_poset_perms(spec, elements), r, n).values)
 
 
@@ -187,7 +187,7 @@ def whitney_character_reference(p, class_perms, r, m):
     spec_single_point(cyclic_group(2), 3, in_t=False),
 ])
 def test_whitney_character_matches_the_per_element_reference(spec):
-    p, elements = build_poset(spec)
+    p, elements, _ = build_poset(spec)
     perms = sym_class_poset_perms(spec, elements)
     for r in sorted(set(p.rank)):
         try:
@@ -231,7 +231,7 @@ def sym_class_poset_perms_reference(spec, elements):
     spec_partition(n, "partition-lattice") for n in range(5, 8)
 ], ids=lambda spec: f"{spec.name}-{spec.n}")
 def test_class_perms_match_the_per_class_sweep(spec):
-    _, elements = build_poset(spec)
+    _, elements, _ = build_poset(spec)
     got = sym_class_poset_perms(spec, elements)
     expected = sym_class_poset_perms_reference(spec, elements)
     assert list(got.items()) == list(expected.items())
@@ -243,7 +243,7 @@ def test_class_perms_match_the_per_class_sweep(spec):
     spec_single_point(cyclic_group(3), 4, in_t=True, name="dowling-lattice-z3"),
 ], ids=lambda spec: f"{spec.name}-{spec.n}")
 def test_class_perms_act_by_the_adjacent_transpositions_only(spec, monkeypatch):
-    _, elements = build_poset(spec)
+    _, elements, _ = build_poset(spec)
     calls = 0
 
     def counted(*args):
@@ -261,7 +261,7 @@ def test_class_perms_refuse_the_same_element_lists_as_the_sweep(n):
     # drop each element in turn: the closure check must fire exactly when
     # the per-class sweep's does
     spec = spec_partition(n)
-    _, elements = build_poset(spec)
+    _, elements, _ = build_poset(spec)
     for i in range(len(elements)):
         kept = elements[:i] + elements[i + 1:]
         try:
