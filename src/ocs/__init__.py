@@ -19,13 +19,9 @@ from .groups import (
     gset_from_json,
     orbits_and_stabilizers,
     subgroup_table,
-    wreath_compose,
-    wreath_identity,
-    wreath_inverse,
 )
 from .posets import (
     Poset,
-    boolean_lattice,
     chain_poset,
     connected_components,
     direct_product,
@@ -40,9 +36,7 @@ from .posets import (
 )
 from .homology import (
     lefschetz_character,
-    reduced_euler_characteristic,
     reduced_homology,
-    whitney_from_mobius,
     whitney_homology,
 )
 from .dowling import (
@@ -74,10 +68,7 @@ from .series import (
     orbit_factor,
     orbit_generator_dim,
     series_exp,
-    series_log,
-    series_one,
     space_from_json,
-    space_to_json,
 )
 from .stability import (
     GenerationLocus,
@@ -88,7 +79,6 @@ from .stability import (
     iterate_report,
     locus_from_space,
     quotient_series,
-    taxicab_extrema,
     verify_generator_bound,
 )
 from .symrep import (
@@ -97,7 +87,6 @@ from .symrep import (
     decompose,
     partitions_of,
     stable_multiplicity_check,
-    strip_top_row,
     whitney_character,
 )
 

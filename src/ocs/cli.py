@@ -39,7 +39,7 @@ from .dowling import (
     spec_to_json,
 )
 from .errors import CapExceeded, DomainError, InputError
-from .homology import reduced_homology, whitney_from_mobius, whitney_homology
+from .homology import reduced_homology, whitney_homology
 from .posets import (
     Poset,
     chain_poset,
@@ -64,6 +64,7 @@ from .symrep import (
     ClassFunction,
     decompose,
     dowling_whitney_characters,
+    dowling_whitney_numbers,
     stable_multiplicity_check,
 )
 
@@ -319,8 +320,10 @@ def _cmd_poset_homology(args) -> str:
     is built.  The proper part of a D_n file with a top and more than one
     element is the open interval (bottom, top), Cohen-Macaulay like every
     interval of D_n, so its homology is |mu(bottom, top)| in degree
-    rank(top) - 2 and no order complex is built; every other file is
-    reduced as it stands."""
+    rank(top) - 2: the signless Whitney number at that rank, the only one
+    there, read off the spec's product (`dowling_whitney_numbers`) with no
+    Mobius row and no order complex.  Every other file is reduced as it
+    stands."""
     if not args.proper:
         p = poset_from_json(_poset_descriptor(args.poset))
         cone = 1 in (len(p.minimal_elements()), len(p.maximal_elements()))
@@ -328,9 +331,9 @@ def _cmd_poset_homology(args) -> str:
     else:
         p, spec = _load_poset(args.poset)
         if spec is not None and p.n_elems > 1 and len(p.maximal_elements()) == 1:
-            top = p.top()
-            mu = abs(mobius(p, p.bottom(), top))
-            betti = {p.rank[top] - 2: mu} if mu else {}
+            r = p.rank[p.top()]
+            mu = dowling_whitney_numbers(spec.group, spec.orbit_data, spec.n)[r]
+            betti = {r - 2: mu} if mu else {}
         else:
             betti = reduced_homology(proper_part(p))
     pairs = [[k, r] for k, r in sorted(betti.items())]
@@ -340,11 +343,16 @@ def _cmd_poset_homology(args) -> str:
 
 
 def _cmd_poset_whitney(args) -> str:
-    """Whitney homology: from one Mobius row for a D_n file, whose lower
-    intervals are all Cohen-Macaulay (`whitney_from_mobius`), and from the
-    order complex of every lower interval for any other file."""
+    """Whitney homology: for a D_n file, whose lower intervals are all
+    Cohen-Macaulay, the signless Whitney number w_r in bidegree (r, r),
+    from the cycle-length product of its spec (`dowling_whitney_numbers`);
+    for any other file, from the order complex of every lower interval."""
     p, spec = _load_poset(args.poset)
-    table = whitney_homology(p) if spec is None else whitney_from_mobius(p)
+    if spec is None:
+        table = whitney_homology(p)
+    else:
+        w = dowling_whitney_numbers(spec.group, spec.orbit_data, spec.n)
+        table = {(r, r): wr for r, wr in enumerate(w) if wr}
     triples = [[r, k, d] for (r, k), d in sorted(table.items())]
     if args.format == "csv":
         return _csv_text(["rank", "degree", "dim"], triples)
@@ -552,7 +560,7 @@ def _with(option, **kwargs):
 COMMANDS = {
     "dowling": ("Dowling poset enumeration", {
         "build": (_cmd_dowling_build, "enumerate and emit the poset as JSON", [SPEC, N, CAP]),
-        "count": (_cmd_dowling_count, "BFS count vs species count", [SPEC, N, CAP]),
+        "count": (_cmd_dowling_count, "enumerated count vs species count", [SPEC, N, CAP]),
         "interval": (_cmd_dowling_interval, "factor a lower interval",
                      [SPEC, N, ("--element", {"required": True}), CAP]),
     }),

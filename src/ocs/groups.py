@@ -22,9 +22,6 @@ __all__ = [
     "subgroup_table",
     "embeds",
     "orbits_and_stabilizers",
-    "wreath_identity",
-    "wreath_compose",
-    "wreath_inverse",
     "group_from_json",
     "gset_from_json",
 ]
@@ -305,27 +302,6 @@ class WreathElement:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-
-def wreath_identity(group: GroupTable, n: int) -> WreathElement:
-    return WreathElement(colors=(group.identity,) * n, perm=tuple(range(n)))
-
-
-def wreath_compose(group: GroupTable, w2: WreathElement, w1: WreathElement) -> WreathElement:
-    """Compose two wreath elements (w1 applied first)."""
-    if w1.n != w2.n:
-        raise InputError("wreath element length mismatch")
-    perm = tuple(w2.perm[w1.perm[i]] for i in range(w1.n))
-    colors = tuple(group.mul[w2.colors[w1.perm[i]]][w1.colors[i]] for i in range(w1.n))
-    return WreathElement(colors=colors, perm=perm)
-
-
-def wreath_inverse(group: GroupTable, w: WreathElement) -> WreathElement:
-    inv_perm = [0] * w.n
-    for i, j in enumerate(w.perm):
-        inv_perm[j] = i
-    colors = tuple(group.inv[w.colors[inv_perm[j]]] for j in range(w.n))
-    return WreathElement(colors=colors, perm=tuple(inv_perm))
 
 
 # JSON descriptors ----------------------------------------------------------

@@ -12,11 +12,11 @@ Everything here is integer arithmetic, with one strategy per question:
     first, and past `CHAIN_CAP` none is built.
   * Whitney homology: one reduction per distinct lower interval.  An
     interval is keyed by its re-indexed Hasse diagram, so equal keys are
-    equal posets and the reuse is exact.  When the caller knows every
-    lower interval is Cohen-Macaulay, as for a Dowling poset D_n (products
-    of geometric lattices: Folkman 1966, Bjorner 1980), the homology of
-    each lies in its top degree with rank |mu|, and one Mobius row gives
-    the table (`whitney_from_mobius`); the reduction is then the oracle.
+    equal posets and the reuse is exact.  A Dowling poset D_n needs none:
+    its lower intervals are products of geometric lattices, so
+    Cohen-Macaulay (Folkman 1966, Bjorner 1980), and its table is the
+    signless Whitney numbers at (r, r), which the cycle-length product
+    gives with no poset (`symrep.dowling_whitney_numbers`).
   * Euler characteristics, Lefschetz numbers and Whitney characters:
     P. Hall's theorem (1936), chi~(Delta(P)) = mu(0^, 1^) of P with a bottom
     and a top adjoined, one Mobius pass with no chains enumerated.  The one
@@ -51,10 +51,8 @@ __all__ = [
     "CHAIN_CAP",
     "order_complex_chains",
     "reduced_homology",
-    "reduced_euler_characteristic",
     "interval_degree_table",
     "whitney_homology",
-    "whitney_from_mobius",
     "lefschetz_character",
     "sparse_rank",
 ]
@@ -249,11 +247,6 @@ def _hall_euler(p: Poset, elems) -> int:
     return -1 - sum(_mobius_above(p, elems).values())
 
 
-def reduced_euler_characteristic(p: Poset) -> int:
-    """Euler characteristic of the reduced order complex, by Hall's theorem."""
-    return _hall_euler(p, range(p.n_elems))
-
-
 def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
     """{x: Whitney degree table of the interval below x} for x in xs.
 
@@ -334,19 +327,6 @@ def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
                 f"disagrees with signless Whitney number {numbers.get(r, 0)}"
             )
     return table
-
-
-def whitney_from_mobius(p: Poset) -> dict[tuple[int, int], int]:
-    """The `whitney_homology` table of a poset with a bottom, ranked from 0
-    there, whose lower intervals are all Cohen-Macaulay, from one Mobius
-    row and no order complex: the proper part of the interval below x has
-    its homology in degree rank(x) - 2 only, of rank |mu(bottom, x)|
-    (Hall's theorem), so the table is {(r, r): signless Whitney number at
-    rank r}.  The caller vouches for the Cohen-Macaulay property (every
-    lower interval of a Dowling poset D_n is a product of geometric
-    lattices); nothing here checks it."""
-    rk = p.rank if p.rank is not None else p.height()
-    return {(r, r): w for r, w in _signless_whitney_numbers(p, rk).items()}
 
 
 def _check_automorphism(p: Poset, perm) -> tuple[int, ...]:

@@ -28,7 +28,6 @@ __all__ = [
     "connected_components",
     "is_isomorphic",
     "chain_poset",
-    "boolean_lattice",
     "poset_to_json",
     "poset_from_json",
 ]
@@ -397,7 +396,12 @@ def is_isomorphic(p: Poset, q: Poset):
         A tuple ``f`` with ``f[i]`` the q-index of p-element i, or None.
 
     Backtracking over cover-compatible assignments with invariant-class
-    pruning; intended for posets up to a couple hundred elements.
+    pruning.  A candidate y for x must have as many assigned elements above
+    and below it as x has, counted through the bitsets of the assigned
+    elements.  Then only the assigned elements comparable to x are checked:
+    their images must be comparable to y the same way, and as f is
+    injective, the equal counts leave no other assigned element comparable
+    to y.
     """
     n = p.n_elems
     if q.n_elems != n:
@@ -414,35 +418,27 @@ def is_isomorphic(p: Poset, q: Poset):
     # Assign the most constrained elements first.
     order = sorted(range(n), key=lambda x: (len(by_class[ip[x]]), x))
     f = [-1] * n
-    used = [False] * n
-    pleq, qleq = p.leq, q.leq
+    pleq, qleq, pgeq, qgeq = p.leq, q.leq, p.geq, q.geq
 
-    def ok(x: int, y: int, depth: int) -> bool:
-        for x2 in order[:depth]:
-            y2 = f[x2]
-            if (pleq[x] >> x2 & 1) != (qleq[y] >> y2 & 1):
-                return False
-            if (pleq[x2] >> x & 1) != (qleq[y2] >> y & 1):
-                return False
-        return True
+    def ok(x: int, y: int, assigned: int, used: int) -> bool:
+        up, down = pleq[x] & assigned, pgeq[x] & assigned
+        return (up.bit_count() == (qleq[y] & used).bit_count()
+                and down.bit_count() == (qgeq[y] & used).bit_count()
+                and all(qleq[y] >> f[x2] & 1 for x2 in _bits(up))
+                and all(qgeq[y] >> f[x2] & 1 for x2 in _bits(down)))
 
-    def rec(k: int) -> bool:
+    def rec(k: int, assigned: int, used: int) -> bool:
         if k == n:
             return True
         x = order[k]
         for y in by_class[ip[x]]:
-            if used[y]:
-                continue
-            if ok(x, y, k):
+            if not used >> y & 1 and ok(x, y, assigned, used):
                 f[x] = y
-                used[y] = True
-                if rec(k + 1):
+                if rec(k + 1, assigned | 1 << x, used | 1 << y):
                     return True
-                used[y] = False
-                f[x] = -1
         return False
 
-    if rec(0):
+    if rec(0, 0, 0):
         return tuple(f)
     return None
 
@@ -450,17 +446,6 @@ def is_isomorphic(p: Poset, q: Poset):
 def chain_poset(k: int) -> Poset:
     """The k-element chain 0 < 1 < ... < k-1."""
     return from_covers(k, [(i, i + 1) for i in range(k - 1)], rank=tuple(range(k)))
-
-
-def boolean_lattice(k: int) -> Poset:
-    """Subsets of a k-set ordered by inclusion; element index = subset bitmask."""
-    covers = []
-    for s in range(1 << k):
-        for i in range(k):
-            if not s >> i & 1:
-                covers.append((s, s | 1 << i))
-    rank = tuple(bin(s).count("1") for s in range(1 << k))
-    return from_covers(1 << k, covers, rank=rank)
 
 
 # JSON I/O -------------------------------------------------------------------

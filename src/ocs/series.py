@@ -8,8 +8,8 @@ order), which turns induction products into literal series multiplication
 and free generators into exponentials.  Series are stored as those
 dimensions d = c w^n n!, so a product is the binomial convolution
 D_n = sum_k C(n, k) A_k B_(n-k) and exp the recurrence E_n = sum_{k=1..n}
-C(n-1, k-1) A_k E_(n-k) of the exponential formula (Stanley, EC2 5.1),
-which log inverts.  No step divides, so first-page series stay in ints.
+C(n-1, k-1) A_k E_(n-k) of the exponential formula (Stanley, EC2 5.1).
+No step divides, so first-page series stay in ints.
 
 The first page of the collision spectral sequence for a space X with
 Borel-Moore Betti numbers b_q factors as a product of
@@ -46,9 +46,7 @@ from .groups import GroupTable, embeds, group_from_json
 __all__ = [
     "WeightedSeries",
     "SpaceInput",
-    "series_one",
     "series_exp",
-    "series_log",
     "main_factor",
     "orbit_factor",
     "orbit_generator_dim",
@@ -58,7 +56,6 @@ __all__ = [
     "euler_series",
     "closed_form_euler",
     "space_from_json",
-    "space_to_json",
 ]
 
 
@@ -68,12 +65,13 @@ def _clean(poly: dict) -> dict:
             for k, v in poly.items() if v}
 
 
-def _convolve(out: dict, a: list, b: list, n: int, shift: int = 0, sign: int = 1) -> dict:
-    """out + sign * sum_k C(n - shift, k - shift) A_k B_(n-k), cleaned, over
+def _convolve(a: list, b: list, n: int, shift: int = 0) -> dict:
+    """sum_k C(n - shift, k - shift) A_k B_(n-k), cleaned, over
     shift <= k <= n with A_k given: the t^n part of a binomial convolution
     of t-graded lists of polynomials {(p, q): d} in x and y."""
+    out: dict = {}
     for k in range(shift, min(n + 1, len(a))):
-        scale = sign * comb(n - shift, k - shift)
+        scale = comb(n - shift, k - shift)
         for (p1, q1), x in a[k].items():
             x *= scale
             for (p2, q2), y in b[n - k].items():
@@ -153,15 +151,11 @@ class WeightedSeries:
     def __mul__(self, other: WeightedSeries) -> WeightedSeries:
         """The binomial convolution D_n = sum_k C(n, k) A_k B_(n-k)."""
         self._compat(other)
-        graded = [_convolve({}, self._dims, other._dims, n) for n in range(self.trunc + 1)]
+        graded = [_convolve(self._dims, other._dims, n) for n in range(self.trunc + 1)]
         return WeightedSeries._of(self.w, self.trunc, graded)
 
     def is_one(self) -> bool:
         return self._dims[0] == {(0, 0): 1} and not any(self._dims[1:])
-
-
-def series_one(w: int, trunc: int) -> WeightedSeries:
-    return WeightedSeries(w, trunc, {(0, 0, 0): Fraction(1)})
 
 
 def series_exp(arg: WeightedSeries) -> WeightedSeries:
@@ -172,22 +166,8 @@ def series_exp(arg: WeightedSeries) -> WeightedSeries:
         raise InputError("exp requires zero constant term")
     e = [{(0, 0): 1}]
     for n in range(1, arg.trunc + 1):
-        e.append(_convolve({}, a, e, n, 1))
+        e.append(_convolve(a, e, n, 1))
     return WeightedSeries._of(arg.w, arg.trunc, e)
-
-
-def series_log(s: WeightedSeries) -> WeightedSeries:
-    """log of a series with constant term 1: the exp recurrence solved for
-    A_n = E_n - sum_{k<n} C(n-1, k-1) A_k E_(n-k)."""
-    e = s._dims
-    if e[0].get((0, 0)) != 1:
-        raise InputError("log requires constant term 1")
-    if len(e[0]) != 1:
-        raise InputError("log requires constant coefficient exactly 1")
-    a: list[dict] = [{}]
-    for n in range(1, s.trunc + 1):
-        a.append(_convolve(dict(e[n]), a, e, n, 1, -1))
-    return WeightedSeries._of(s.w, s.trunc, a)
 
 
 @dataclass(frozen=True)
@@ -409,18 +389,3 @@ def space_from_json(obj) -> SpaceInput:
         i_acyclic=i_acyclic,
         name=obj.get("name", ""),
     )
-
-
-def space_to_json(space: SpaceInput) -> dict:
-    return {
-        "betti": list(space.betti),
-        "group": {"kind": "table", "mul": [list(r) for r in space.group.mul]},
-        "orbits": [
-            {
-                "stabilizer": {"kind": "table", "mul": [list(r) for r in stab.mul]},
-                "inT": in_t,
-            }
-            for stab, in_t in space.orbit_data
-        ],
-        "iAcyclic": space.i_acyclic,
-    }

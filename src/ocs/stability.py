@@ -60,7 +60,6 @@ __all__ = [
     "point_xy",
     "point_norm",
     "point_factor_id",
-    "taxicab_extrema",
     "classify_step",
     "bottom_step",
     "iterate_report",
@@ -148,26 +147,6 @@ def _candidates(locus: GenerationLocus):
     if locus.limit_present:
         out.append((Fraction(1), True, LIMIT))
     return out
-
-
-def taxicab_extrema(locus: GenerationLocus, count: int = 2):
-    """The `count` largest distinct norm values over the locus closure.
-
-    Returns a list of (norm, attained, points) in decreasing norm order;
-    points lists the attaining locus points/markers (empty for a supremum
-    only approached, as with degree-0 families accumulating at norm 1).
-    """
-    if not locus.families and not locus.limit_present:
-        raise DomainError("empty locus")
-    merged: dict[Fraction, tuple[bool, list]] = {}
-    for norm, attained, pt in _candidates(locus):
-        att, pts = merged.get(norm, (False, []))
-        if attained:
-            pts.append(pt)
-        merged[norm] = (att or attained, pts)
-    out = [(norm, att, pts) for norm, (att, pts) in merged.items()]
-    out.sort(key=lambda e: e[0], reverse=True)
-    return out[:count]
 
 
 @dataclass(frozen=True)

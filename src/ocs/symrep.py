@@ -6,6 +6,9 @@ products.
 
 The Whitney characters of a Dowling poset D_n(G, S) come with no poset at
 all (`dowling_whitney_characters`); both `rep` commands read them there.
+Their values at the identity, the signless Whitney numbers
+(`dowling_whitney_numbers`), answer `poset whitney` and `poset homology
+--proper` on a D_n file.
 Their Frobenius characteristics are the degree-(n, r) parts of the paper's
 product factorization read S_n-equivariantly: the plethystic exponential of
 the colored blocks, sgn (x) Lie_b in degree b - 1 (Lehrer-Solomon 1986;
@@ -38,15 +41,13 @@ from .posets import Poset, _mobius_above
 __all__ = [
     "check_partition",
     "partitions_of",
-    "conjugacy_class_size",
     "character_table",
     "ClassFunction",
     "decompose",
-    "strip_top_row",
-    "cycle_type_permutation",
     "sym_class_poset_perms",
     "whitney_character",
     "dowling_whitney_characters",
+    "dowling_whitney_numbers",
     "stable_multiplicity_check",
 ]
 
@@ -86,11 +87,6 @@ def _z_order(mu: tuple[int, ...]) -> int:
     for k, mk in counts.items():
         z *= k**mk * factorial(mk)
     return z
-
-
-def conjugacy_class_size(mu) -> int:
-    mu = check_partition(mu)
-    return factorial(sum(mu)) // _z_order(mu)
 
 
 def _times_power_sum(terms: dict, r: int) -> dict:
@@ -189,22 +185,6 @@ def decompose(cf: ClassFunction) -> dict[tuple[int, ...], int]:
     return out
 
 
-def strip_top_row(lam) -> tuple[int, ...]:
-    lam = check_partition(lam)
-    return lam[1:]
-
-
-def cycle_type_permutation(mu) -> tuple[int, ...]:
-    """The permutation of {0..m-1} with consecutive cycles of sizes mu."""
-    mu = check_partition(mu)
-    perm = []
-    start = 0
-    for part in mu:
-        perm.extend(list(range(start + 1, start + part)) + [start])
-        start += part
-    return tuple(perm)
-
-
 def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
     """For each cycle type of the degree-n symmetric group, the induced
     permutation of the poset's elements (restricting the wreath action to
@@ -212,7 +192,7 @@ def sym_class_poset_perms(spec: DowlingSpec, elements) -> dict:
 
     Only the n-1 adjacent transpositions act on the elements, one
     `_wreath_act` sweep each; they generate the group, so they check its
-    closure.  The cycle (s ... s+k-1) of a `cycle_type_permutation` is
+    closure.  The cycle (s ... s+k-1) of a cycle type is
     (s s+1)(s+1 s+2)...(s+k-2 s+k-1), one list lookup per element each.
 
     The elements must be valid and canonical, as build_poset and
@@ -307,6 +287,38 @@ def _times(p: list[int], q: list[int], r: int) -> list[int]:
     return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(r + 1)]
 
 
+def _cycle_factor(group: GroupTable, orbit_data, j: int, r: int, nmax: int) -> list[list[int]]:
+    """[V_j(0), ..., V_j(nmax // j)] of `dowling_whitney_characters`, each
+    cut at t^r: the factor that i cycles of length j contribute."""
+    w = group.order
+    a = [0] * (r + 1)
+    for d in range(1, j + 1):
+        mu = _moebius(d) if j % d == 0 else 0
+        if mu and j - j // d <= r:
+            a[j - j // d] += mu * _roots(group, d) * (-1) ** (j // d - 1)
+        if mu and j <= r:
+            a[j] += mu * sum(w // h.order * _roots(h, d) for h, _ in orbit_data)
+    v = [[1] + [0] * r]
+    for s in range(nmax // j):
+        f = a.copy()
+        if j <= r:
+            f[j] += s * j * w
+        v.append([(-1) ** (j - 1) * x for x in _times(v[-1], f, r)])
+    for h, in_t in orbit_data if j == 1 else ():
+        if not in_t:  # (1 - t p_1), with p_1 -> (w/|H|) p_1
+            v = [v[0]] + [[x - i * (w // h.order) * y for x, y in zip(v[i], [0] + v[i - 1])]
+                          for i in range(1, len(v))]
+    return v
+
+
+def dowling_whitney_numbers(group: GroupTable, orbit_data, n: int) -> list[int]:
+    """[w_0, ..., w_n], the signless Whitney numbers of the first kind of
+    D_n(G, S), w_r = sum of |mu(bottom, x)| over the rank-r x, with no
+    poset: the Whitney characters of `dowling_whitney_characters` at the
+    identity, which are the coefficients of V_1(n)."""
+    return _cycle_factor(group, orbit_data, 1, n, n)[n]
+
+
 def dowling_whitney_characters(group: GroupTable, orbit_data, r: int,
                                nmax: int) -> dict[int, ClassFunction]:
     """{n: character of S_n on the rank-r Whitney homology of D_n(G, S)} for
@@ -331,27 +343,8 @@ def dowling_whitney_characters(group: GroupTable, orbit_data, r: int,
     n, so ranks r < 0 and r > n give the zero character, and every
     polynomial is cut at t^r.
     """
-    w = group.order
-    factors = {}  # factors[j][i] = V_j(i)
-    for j in range(1, nmax + 1) if 0 <= r <= nmax else ():
-        a = [0] * (r + 1)
-        for d in range(1, j + 1):
-            mu = _moebius(d) if j % d == 0 else 0
-            if mu and j - j // d <= r:
-                a[j - j // d] += mu * _roots(group, d) * (-1) ** (j // d - 1)
-            if mu and j <= r:
-                a[j] += mu * sum(w // h.order * _roots(h, d) for h, _ in orbit_data)
-        v = [[1] + [0] * r]
-        for s in range(nmax // j):
-            f = a.copy()
-            if j <= r:
-                f[j] += s * j * w
-            v.append([(-1) ** (j - 1) * x for x in _times(v[-1], f, r)])
-        for h, in_t in orbit_data if j == 1 else ():
-            if not in_t:  # (1 - t p_1), with p_1 -> (w/|H|) p_1
-                v = [v[0]] + [[x - i * (w // h.order) * y for x, y in zip(v[i], [0] + v[i - 1])]
-                              for i in range(1, len(v))]
-        factors[j] = v
+    factors = {j: _cycle_factor(group, orbit_data, j, r, nmax)
+               for j in (range(1, nmax + 1) if 0 <= r <= nmax else ())}
     out = {}
     for n in range(1, nmax + 1):
         values = dict.fromkeys(partitions_of(n), 0)

@@ -1,0 +1,129 @@
+"""Constructions that the tests use as fixtures and oracles and that no
+`ocs` command needs: the wreath group law, the Boolean lattice, Hall's
+Euler characteristic of a whole poset, the series unit and logarithm, a
+space written back as JSON, the taxi-cab extrema of a locus, class sizes,
+cycle-type permutations and top-row stripping.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from ocs.errors import DomainError, InputError
+from ocs.groups import GroupTable, WreathElement
+from ocs.homology import _hall_euler
+from ocs.posets import Poset, from_covers
+from ocs.series import SpaceInput, WeightedSeries, _clean, _convolve
+from ocs.stability import GenerationLocus, _candidates
+from ocs.symrep import _z_order, check_partition
+
+
+def wreath_identity(group: GroupTable, n: int) -> WreathElement:
+    return WreathElement(colors=(group.identity,) * n, perm=tuple(range(n)))
+
+
+def wreath_compose(group: GroupTable, w2: WreathElement, w1: WreathElement) -> WreathElement:
+    """Compose two wreath elements (w1 applied first)."""
+    if w1.n != w2.n:
+        raise InputError("wreath element length mismatch")
+    perm = tuple(w2.perm[w1.perm[i]] for i in range(w1.n))
+    colors = tuple(group.mul[w2.colors[w1.perm[i]]][w1.colors[i]] for i in range(w1.n))
+    return WreathElement(colors=colors, perm=perm)
+
+
+def wreath_inverse(group: GroupTable, w: WreathElement) -> WreathElement:
+    inv_perm = [0] * w.n
+    for i, j in enumerate(w.perm):
+        inv_perm[j] = i
+    colors = tuple(group.inv[w.colors[inv_perm[j]]] for j in range(w.n))
+    return WreathElement(colors=colors, perm=tuple(inv_perm))
+
+
+def boolean_lattice(k: int) -> Poset:
+    """Subsets of a k-set ordered by inclusion; element index = subset bitmask."""
+    covers = []
+    for s in range(1 << k):
+        for i in range(k):
+            if not s >> i & 1:
+                covers.append((s, s | 1 << i))
+    rank = tuple(bin(s).count("1") for s in range(1 << k))
+    return from_covers(1 << k, covers, rank=rank)
+
+
+def reduced_euler_characteristic(p: Poset) -> int:
+    """Euler characteristic of the reduced order complex, by Hall's theorem."""
+    return _hall_euler(p, range(p.n_elems))
+
+
+def series_one(w: int, trunc: int) -> WeightedSeries:
+    return WeightedSeries(w, trunc, {(0, 0, 0): Fraction(1)})
+
+
+def series_log(s: WeightedSeries) -> WeightedSeries:
+    """log of a series with constant term 1: the exp recurrence solved for
+    A_n = E_n - sum_{k<n} C(n-1, k-1) A_k E_(n-k)."""
+    e = s._dims
+    if e[0].get((0, 0)) != 1:
+        raise InputError("log requires constant term 1")
+    if len(e[0]) != 1:
+        raise InputError("log requires constant coefficient exactly 1")
+    a: list[dict] = [{}]
+    for n in range(1, s.trunc + 1):
+        rest = _convolve(a, e, n, 1)
+        a.append(_clean({k: e[n].get(k, 0) - rest.get(k, 0) for k in e[n].keys() | rest.keys()}))
+    return WeightedSeries._of(s.w, s.trunc, a)
+
+
+def space_to_json(space: SpaceInput) -> dict:
+    return {
+        "betti": list(space.betti),
+        "group": {"kind": "table", "mul": [list(r) for r in space.group.mul]},
+        "orbits": [
+            {
+                "stabilizer": {"kind": "table", "mul": [list(r) for r in stab.mul]},
+                "inT": in_t,
+            }
+            for stab, in_t in space.orbit_data
+        ],
+        "iAcyclic": space.i_acyclic,
+    }
+
+
+def taxicab_extrema(locus: GenerationLocus, count: int = 2):
+    """The `count` largest distinct norm values over the locus closure.
+
+    Returns a list of (norm, attained, points) in decreasing norm order;
+    points lists the attaining locus points/markers (empty for a supremum
+    only approached, as with degree-0 families accumulating at norm 1).
+    """
+    if not locus.families and not locus.limit_present:
+        raise DomainError("empty locus")
+    merged: dict[Fraction, tuple[bool, list]] = {}
+    for norm, attained, pt in _candidates(locus):
+        att, pts = merged.get(norm, (False, []))
+        if attained:
+            pts.append(pt)
+        merged[norm] = (att or attained, pts)
+    out = [(norm, att, pts) for norm, (att, pts) in merged.items()]
+    out.sort(key=lambda e: e[0], reverse=True)
+    return out[:count]
+
+
+def conjugacy_class_size(mu) -> int:
+    mu = check_partition(mu)
+    return factorial(sum(mu)) // _z_order(mu)
+
+
+def strip_top_row(lam) -> tuple[int, ...]:
+    lam = check_partition(lam)
+    return lam[1:]
+
+
+def cycle_type_permutation(mu) -> tuple[int, ...]:
+    """The permutation of {0..m-1} with consecutive cycles of sizes mu."""
+    mu = check_partition(mu)
+    perm = []
+    start = 0
+    for part in mu:
+        perm.extend(list(range(start + 1, start + part)) + [start])
+        start += part
+    return tuple(perm)

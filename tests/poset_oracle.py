@@ -1,8 +1,10 @@
-"""The poset path of the `rep` commands, kept as the oracle of the
-cycle-length product (`symrep.dowling_whitney_characters`) and of the
-element-count cap check (`dowling._check_window_cap`): Whitney characters
-read off one built Dowling poset per n, and the `--cap` refusal read off
-the rank level sizes of its enumeration (`enumerate_levels`).
+"""The poset paths of the commands that answer from a spec, kept as the
+oracles of the cycle-length product (`symrep.dowling_whitney_characters`
+and `dowling_whitney_numbers`) and of the element-count cap check
+(`dowling._check_window_cap`): Whitney characters read off one built
+Dowling poset per n, the Whitney table read off one Mobius row of it
+(`whitney_from_mobius`), and the `--cap` refusal read off the rank level
+sizes of its enumeration (`enumerate_levels`).
 
 A spec comes from `spec_from_orbit_data` by default.  That rebuilds a
 G-set only when every stabilizer is trivial or the whole group, so
@@ -14,6 +16,7 @@ import ocs.cli
 from ocs.dowling import DowlingSpec, build_poset, enumerate_levels, spec_from_orbit_data
 from ocs.errors import CapExceeded
 from ocs.groups import GSetSpec, group_from_table
+from ocs.homology import _signless_whitney_numbers
 from ocs.symrep import sym_class_poset_perms, whitney_character
 
 # a cap that no enumeration of the oracle reaches, so its refusals come
@@ -31,6 +34,19 @@ def poset_characters(spec: DowlingSpec, ranks=None) -> dict:
     perms = sym_class_poset_perms(spec, elements)
     return {r: whitney_character(p, perms, r, spec.n)
             for r in (sorted(set(p.rank)) if ranks is None else ranks)}
+
+
+def whitney_from_mobius(p) -> dict[tuple[int, int], int]:
+    """The `whitney_homology` table of a poset with a bottom, ranked from 0
+    there, whose lower intervals are all Cohen-Macaulay, from one Mobius
+    row and no order complex: the proper part of the interval below x has
+    its homology in degree rank(x) - 2 only, of rank |mu(bottom, x)|
+    (Hall's theorem), so the table is {(r, r): signless Whitney number at
+    rank r}.  The caller vouches for the Cohen-Macaulay property (every
+    lower interval of a Dowling poset D_n is a product of geometric
+    lattices); nothing here checks it."""
+    rk = p.rank if p.rank is not None else p.height()
+    return {(r, r): w for r, w in _signless_whitney_numbers(p, rk).items()}
 
 
 def levels_outcome(levels: dict, window: list[int], cap: int):

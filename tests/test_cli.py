@@ -17,6 +17,7 @@ import ocs
 import ocs.cli
 import ocs.dowling
 import ocs.homology
+import ocs.posets
 import ocs.symrep
 from ocs.cli import (
     COMMANDS,
@@ -48,7 +49,6 @@ from ocs.stability import STEPS_CAP
 from ocs.symrep import (
     decompose,
     partitions_of,
-    strip_top_row,
     sym_class_poset_perms,
     whitney_character,
 )
@@ -59,6 +59,7 @@ from poset_oracle import (
     poset_characters,
     use_the_poset_path,
 )
+from helpers import strip_top_row
 
 SPACES = sorted(
     res.name.removesuffix(".json")
@@ -1098,7 +1099,7 @@ def _answers_as_the_order_complex(path: Path, capsys) -> list:
     return outs
 
 
-def _mobius_path_matches_the_order_complex(path: Path, capsys) -> None:
+def _spec_path_matches_the_order_complex(path: Path, capsys) -> None:
     """_answers_as_the_order_complex, and a copy of the file in another
     order gives the same bytes."""
     outs = _answers_as_the_order_complex(path, capsys)
@@ -1113,14 +1114,14 @@ def _mobius_path_matches_the_order_complex(path: Path, capsys) -> None:
 def test_poset_commands_match_the_order_complex(spec, n, tmp_path, capsys):
     path = tmp_path / f"{spec}-{n}.json"
     assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--out", str(path)]) == 0
-    _mobius_path_matches_the_order_complex(path, capsys)
+    _spec_path_matches_the_order_complex(path, capsys)
 
 
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("group, orbits", STABILIZERS_STRICTLY_BETWEEN)
 def test_poset_commands_on_a_stabilizer_strictly_between(group, orbits, n, tmp_path, capsys):
     path, _ = _built_between(group, orbits, n, tmp_path)
-    _mobius_path_matches_the_order_complex(path, capsys)
+    _spec_path_matches_the_order_complex(path, capsys)
 
 
 @pytest.mark.parametrize("block", MALFORMED_DOWLING_BLOCKS)
@@ -1140,10 +1141,15 @@ def test_poset_commands_fall_back_on_a_poset_that_is_not_its_spec(edit, tmp_path
 
 
 def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys, monkeypatch):
-    called = []
+    called, rows = [], []
     real = ocs.homology.order_complex_chains
     monkeypatch.setattr(ocs.homology, "order_complex_chains",
                         lambda *a, **k: called.append(1) or real(*a, **k))
+    # nor a Mobius row: the Whitney numbers come from the spec's product
+    real_row = ocs.posets._mobius_row
+    for module in (ocs.posets, ocs.homology):
+        monkeypatch.setattr(module, "_mobius_row",
+                            lambda *a, **k: rows.append(1) or real_row(*a, **k))
     for spec in POSET_SPECS:
         path = tmp_path / f"{spec}-4.json"
         assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
@@ -1151,12 +1157,12 @@ def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys,
         # typeB, typeC and typeD have no top: refused before any chain
         assert run(["poset", "homology", "--proper", "--poset", str(path)]) == (
             0 if spec in ("dowling_z2", "dowling_z3", "partition") else 1)
-    assert called == []
+    assert called == [] and rows == []
     built = json.loads(path.read_text())
     del built["dowling"]
     path.write_text(json.dumps(built))
     assert run(["poset", "whitney", "--poset", str(path)]) == 0
-    assert called
+    assert called and rows
 
 
 def _without_its_block(tmp_path, spec: str, n: int) -> Path:

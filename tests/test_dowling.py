@@ -28,7 +28,8 @@ from ocs.dowling import (
     wreath_act,
 )
 from ocs.errors import CapExceeded, InputError
-from ocs.groups import GSetSpec, WreathElement, cyclic_group, wreath_compose
+from ocs.groups import GSetSpec, WreathElement, cyclic_group
+from helpers import wreath_compose
 from test_groups import SMALL_GROUPS, all_wreath_elements
 from poset_oracle import KLEIN, coset_gset
 from ocs.posets import is_isomorphic, lower_interval, mobius

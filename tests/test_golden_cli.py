@@ -29,7 +29,10 @@ the same digests.
 
 A fourth set pins `--help` of all 18 parsers (the top level, every group
 and every command) at 80 columns.  Its digests in `golden_help.json` were
-recorded before the parser was built from the `COMMANDS` table.
+recorded before the parser was built from the `COMMANDS` table, except
+`dowling --help`, re-recorded when the `count` help became "enumerated
+count vs species count" (it said "BFS count", but nothing enumerates D_n
+breadth-first).
 
 A fifth set pins `rep stability` of typeA_R2 at ranks 0 to 5 on the wide
 window n=4..14, where the character table, not the characters, is most of

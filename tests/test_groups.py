@@ -16,10 +16,8 @@ from ocs.groups import (
     gset_from_json,
     orbits_and_stabilizers,
     subgroup_table,
-    wreath_compose,
-    wreath_identity,
-    wreath_inverse,
 )
+from helpers import wreath_compose, wreath_identity, wreath_inverse
 
 
 def all_wreath_elements(group: GroupTable, n: int):

@@ -19,7 +19,6 @@ from ocs.homology import (
     interval_degree_table,
     lefschetz_character,
     order_complex_chains,
-    reduced_euler_characteristic,
     reduced_homology,
     sparse_rank,
     whitney_homology,
@@ -27,7 +26,6 @@ from ocs.homology import (
 from ocs.posets import (
     Poset,
     _lower_hasse,
-    boolean_lattice,
     chain_poset,
     from_covers,
     induced_subposet,
@@ -36,6 +34,7 @@ from ocs.posets import (
     proper_part,
 )
 from ocs.symrep import sym_class_poset_perms
+from helpers import boolean_lattice, reduced_euler_characteristic
 
 
 def crown4():

@@ -8,7 +8,6 @@ from ocs.errors import DomainError, InputError
 from ocs.groups import cyclic_group
 from ocs.posets import (
     Poset,
-    boolean_lattice,
     canonical_poset_bytes,
     chain_poset,
     connected_components,
@@ -23,6 +22,7 @@ from ocs.posets import (
     proper_part,
 )
 from ocs.posets import _refine_invariants, _restricted_leq
+from helpers import boolean_lattice
 
 
 def diamond():
@@ -149,6 +149,23 @@ def test_is_isomorphic_requires_backtracking():
     for a in range(4):
         for b in range(4):
             assert p.is_leq(a, b) == q.is_leq(f[a], f[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_isomorphic_finds_a_relabeled_interval(data):
+    spec = data.draw(st.sampled_from([spec_single_point(cyclic_group(2), 3, in_t=False),
+                                      spec_single_point(cyclic_group(3), 3, in_t=True),
+                                      spec_partition(5)]))
+    p, _, _ = build_poset(spec)
+    interval, _ = lower_interval(p, data.draw(st.integers(0, p.n_elems - 1)))
+    n = interval.n_elems
+    label = data.draw(st.permutations(range(n)))
+    relabeled = from_covers(n, [(label[a], label[b]) for a in range(n) for b in interval.hasse[a]])
+    f = is_isomorphic(interval, relabeled)
+    assert f is not None
+    assert all(interval.is_leq(a, b) == relabeled.is_leq(f[a], f[b])
+               for a in range(n) for b in range(n))
 
 
 def test_induced_subposet_recomputes_covers():

@@ -24,11 +24,9 @@ from ocs.series import (
     orbit_factor,
     orbit_generator_dim,
     series_exp,
-    series_log,
-    series_one,
     space_from_json,
-    space_to_json,
 )
+from helpers import series_log, series_one, space_to_json
 
 TRIV = cyclic_group(1)
 Z2 = cyclic_group(2)

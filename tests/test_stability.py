@@ -34,9 +34,9 @@ from ocs.stability import (
     point_xy,
     quotient_series,
     remove_point,
-    taxicab_extrema,
     verify_generator_bound,
 )
+from helpers import taxicab_extrema
 
 TRIV = cyclic_group(1)
 

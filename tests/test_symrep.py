@@ -25,16 +25,17 @@ from ocs.series import space_from_json
 from ocs.symrep import (
     ClassFunction,
     character_table,
-    conjugacy_class_size,
-    cycle_type_permutation,
     decompose,
     dowling_whitney_characters,
+    dowling_whitney_numbers,
     _z_order,
     partitions_of,
     sym_class_poset_perms,
     whitney_character,
 )
-from poset_oracle import KLEIN, coset_gset, poset_characters
+from helpers import conjugacy_class_size, cycle_type_permutation
+from poset_oracle import KLEIN, NO_CAP, coset_gset, poset_characters, whitney_from_mobius
+from test_cli import STABILIZERS_STRICTLY_BETWEEN
 from test_dowling import bundled_poset_specs
 
 
@@ -504,6 +505,25 @@ def test_product_formula_matches_the_poset_path_on_hand_built_g_sets(group, orbi
     assert [stab.order for stab, _ in orbit_data] == [len(sub) for sub, _ in orbits]
     _matches_the_poset_path(lambda n: DowlingSpec(group=group, gset=gset, n=n),
                             group, orbit_data, nmax)
+
+
+def _whitney_numbers_match_the_mobius_row(spec: DowlingSpec) -> None:
+    w = dowling_whitney_numbers(spec.group, spec.orbit_data, spec.n)
+    assert len(w) == spec.n + 1
+    p = build_poset(spec, cap=NO_CAP)[0]
+    assert {(r, r): wr for r, wr in enumerate(w) if wr} == whitney_from_mobius(p)
+
+
+@pytest.mark.parametrize("spec", bundled_poset_specs(5))
+def test_whitney_numbers_match_the_mobius_row_on_every_bundled_spec(spec):
+    _whitney_numbers_match_the_mobius_row(spec)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("group, orbits", STABILIZERS_STRICTLY_BETWEEN)
+def test_whitney_numbers_match_the_mobius_row_on_a_stabilizer_strictly_between(group, orbits, n):
+    _whitney_numbers_match_the_mobius_row(
+        DowlingSpec(group=group, gset=coset_gset(group, orbits), n=n))
 
 
 def test_a_huge_rank_allocates_nothing_of_its_size():
