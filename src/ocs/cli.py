@@ -27,11 +27,10 @@ from .dowling import (
     DEFAULT_CAP,
     DowlingSpec,
     _check_window_cap,
+    _cover_lists,
     _levels,
     build_poset,
     count_elements_species,
-    covers_of,
-    element_rank,
     element_to_string,
     factor_interval,
     parse_element,
@@ -104,7 +103,8 @@ def _json_value(obj, newline: str) -> str:
     """The JSON text of obj, which starts a line after `newline`: a line
     break and the indent of obj's depth.  The types are tested in json's
     order, so bools are not ints; an exact int in a list is written
-    without a call."""
+    without a call, and so is a list of pairs of exact ints, one row
+    template per pair."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -119,7 +119,16 @@ def _json_value(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        items = [int.__repr__(x) if type(x) is int else _json_value(x, inner) for x in obj]
+        first = obj[0]
+        if (type(first) is list and len(first) == 2 and type(first[0]) is int
+                and type(first[1]) is int
+                and all([type(x) is list and len(x) == 2 and type(x[0]) is int
+                         and type(x[1]) is int for x in obj])):
+            # a list of int pairs, such as the covers: one template per row
+            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            items = [row % (a, b) for a, b in obj]
+        else:
+            items = [int.__repr__(x) if type(x) is int else _json_value(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -262,25 +271,54 @@ def _dowling_spec(d, p: Poset) -> DowlingSpec:
     file's poset p is D_n of that spec: its elements are D_n's, each once,
     and each carries its own rank and exactly its own upper covers, in any
     order.  So an answer computed from the spec, or from what every D_n
-    is, is an answer about the file."""
+    is, is an answer about the file.
+
+    The file is checked against D_n regenerated by `_cover_lists`, with
+    the file's size for its cap, so a larger D_n is refused from counts
+    before it is built.  When D_n has as many elements as the file has
+    strings, each string is looked up among D_n's canonical names, and only
+    a string that is not one is parsed (`parse_element`), to find its
+    element's name or refuse it.  Ranks and covers are compared through
+    that map, as whole tuples when it is the identity, as it is for every
+    file `ocs dowling build` writes.  Any other file is parsed string by
+    string, so its refusals come in one order: a string that does not
+    parse, then a repeated element, then the mismatch."""
     if not (
         isinstance(d, dict) and "spec" in d and isinstance(d.get("elements"), list)
         and len(d["elements"]) == p.n_elems and all(isinstance(s, str) for s in d["elements"])
     ):
         raise InputError("'dowling' block needs 'spec' and one element string per poset element")
-    spec = spec_from_json(d["spec"])
-    elements = [parse_element(spec, s) for s in d["elements"]]
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise InputError("'dowling' element strings must name distinct elements")
-    # distinct valid elements, as many as D_n has, are D_n's elements, so
-    # every cover below is in the index
-    if (len(elements) != count_elements_species(spec) or p.rank is None
-            or any(p.rank[i] != element_rank(spec, e)
-                   or p.hasse[i] != tuple(sorted([index[c] for c in covers_of(spec, e)]))
-                   for i, e in enumerate(elements))):
-        raise InputError(
-            "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'")
+    spec, strings = spec_from_json(d["spec"]), d["elements"]
+    not_distinct = InputError("'dowling' element strings must name distinct elements")
+    not_its_spec = InputError(
+        "the poset does not match its 'dowling' spec; build it with 'ocs dowling build'")
+    try:  # a D_n larger than the file is refused from its counts, unbuilt
+        names, elements, rank, up = _cover_lists(spec, cap=len(strings))
+    except CapExceeded:
+        names = elements = None
+    if names is None or len(names) != len(strings):
+        elements = [parse_element(spec, s) for s in strings]
+        raise not_distinct if len(set(elements)) != len(elements) else not_its_spec
+    del elements  # only names, ranks and covers are compared
+    index = dict(zip(names, range(len(names))))
+    del names
+    at = [index[s] if s in index else index[element_to_string(parse_element(spec, s))]
+          for s in strings]
+    del index
+    if len(set(at)) != len(at):
+        raise not_distinct
+    if p.rank is None:
+        raise not_its_spec
+    if at == list(range(len(at))):
+        same = p.rank == tuple(rank) and p.hasse == tuple(up)
+    else:
+        where = [0] * len(at)  # where[k]: the file index of D_n's element k
+        for i, k in enumerate(at):
+            where[k] = i
+        same = all(p.rank[i] == rank[k] and p.hasse[i] == tuple(sorted([where[j] for j in up[k]]))
+                   for i, k in enumerate(at))
+    if not same:
+        raise not_its_spec
     return spec
 
 

@@ -20,18 +20,26 @@ rank, lexicographic by canonical string within a rank.
 One pass produces the rank levels: ``_levels`` generates each element
 once, from its canonical parent, and keeps no set of elements seen.
 ``enumerate_levels`` names each element once and sorts each level by
-name; ``build_poset`` then looks up the covers ``covers_of`` gives for
-each element by index, and hands the names on for the output file; ``ocs
-dowling count`` needs only the level sizes.
+name; ``ocs dowling count`` needs only the level sizes.
 
-``covers_of`` builds every cover directly in canonical form, and the covers
-of one element are distinct by construction, so nothing is deduplicated or
-re-sorted.  Elements are NamedTuples, hashed and compared in C; an element
-compares equal to the plain tuple ``(blocks, zero)`` of the same fields.
+Covers are found by integer arithmetic on point codes.  With B = n|G| + |S|,
+the code of a canonical element is sum_x v(x) B^x, where a point x of a
+block with minimum m, colored c, has v(x) = m|G| + c, and a point of the
+zero block colored s has v(x) = n|G| + s.  The canonical form is unique, so
+the code is injective.  A cover changes only the points of the blocks it
+touches, so its code is the element's code plus a delta read from per-block
+tables (`_block_code`): ``_cover_deltas`` lists the deltas of one element,
+and ``_cover_lists`` finds each cover's index in one ``{code: index}`` dict,
+with no cover element built.  ``build_poset`` takes its Hasse diagram from
+there and hands the names on for the output file; ``covers_of`` decodes the
+same codes into elements, so there is one cover rule.  Elements are
+NamedTuples, hashed and compared in C; an element compares equal to the
+plain tuple ``(blocks, zero)`` of the same fields.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,7 +65,6 @@ __all__ = [
     "DowlingSpec",
     "IntervalFactor",
     "bottom_element",
-    "element_rank",
     "element_to_string",
     "parse_element",
     "validate_element",
@@ -128,17 +135,30 @@ class DowlingSpec:
         return tuple(ids), tuple(in_t)
 
     @cached_property
-    def _block_tables(self) -> dict:
-        """block -> its `_block_table`, filled as `covers_of` meets each
-        block, so the tables are built once per spec and block, not once
-        per element, and live as long as the spec."""
+    def _code_base(self) -> int:
+        """B = n|G| + |S|, the base of the point codes: every point value
+        v(x) is below it."""
+        return self.n * self.group.order + self.gset.size
+
+    @cached_property
+    def _zero_values(self) -> list[list[int]]:
+        """_zero_values[x][s] = (n|G| + s) B^x, the code term of a zero-block
+        point x colored s."""
+        top, base = self.n * self.group.order, self._code_base
+        return [[(top + s) * base**x for s in range(self.gset.size)] for x in range(self.n)]
+
+    @cached_property
+    def _block_codes(self) -> dict:
+        """block -> its `_block_code`, filled as elements meet each block, so
+        the tables are built once per spec and block, not once per element,
+        and live as long as the spec."""
         return {}
 
     @cached_property
     def _entries(self) -> list[list[tuple[int, int]]]:
         """_entries[x][c] = (x, c) for each point x and each c below |G| and
-        |S|: the block tables hold these objects, not a copy per block, and
-        so do the covers built from them."""
+        |S|: the elements that `_levels` and `covers_of` build hold these
+        objects, not a copy per element."""
         colors = max(self.group.order, self.gset.size)
         return [[(x, c) for c in range(colors)] for x in range(self.n)]
 
@@ -190,10 +210,6 @@ def bottom_element(spec: DowlingSpec) -> DowlingElement:
         blocks=tuple(((x, e),) for x in range(spec.n)),
         zero=(),
     )
-
-
-def element_rank(spec: DowlingSpec, elem: DowlingElement) -> int:
-    return spec.n - len(elem.blocks)
 
 
 def _canonical_block(spec: DowlingSpec, entries) -> tuple[tuple[int, int], ...]:
@@ -283,56 +299,71 @@ def parse_element(spec: DowlingSpec, text: str) -> DowlingElement:
     return elem
 
 
-def _block_table(spec: DowlingSpec, b) -> tuple[list, list]:
-    """(twists, moves) of the canonical block b: twists[g] is b with every
-    color multiplied by g on the right (b itself for the identity), and
-    moves[s] is b's points as zero-block entries, each color c sent to
-    c.s, for each point s of S.  Built on b's first use by `covers_of`,
-    then read from the spec's `_block_tables`."""
-    table = spec._block_tables.get(b)
+def _block_code(spec: DowlingSpec, b) -> tuple[int, list[list[int]], list[int]]:
+    """(value, merges, moves) of the canonical block b with minimum m, in
+    point codes (B = n|G| + |S|):
+      - value = sum_(x in b) (m|G| + c_x) B^x, b's share of a code;
+      - merges[m'][g], for each m' < m, is what merging b into a block with
+        minimum m' along g adds: (m' - m)|G| sum_(x in b) B^x +
+        sum_(x in b) (c_x g - c_x) B^x;
+      - moves[s] = sum_(x in b) (n|G| + c_x.s) B^x - value, what moving b
+        into the zero block along s adds.
+    Built on b's first use, then read from the spec's `_block_codes`."""
+    table = spec._block_codes.get(b)
     if table is None:
-        mul, e, action = spec.group.mul, spec.group.identity, spec.gset.action
-        entries = spec._entries
-        table = spec._block_tables[b] = (
-            [b if g == e else tuple([entries[x][mul[c][g]] for x, c in b])
-             for g in range(spec.group.order)],
-            [tuple([entries[x][action[c][s]] for x, c in b]) for s in range(spec.gset.size)],
+        mul, action, order = spec.group.mul, spec.gset.action, spec.group.order
+        base, m = spec._code_base, b[0][0]
+        powers = [base**x for x, _ in b]
+        weight = order * sum(powers)
+        value = m * weight + sum([c * p for (_, c), p in zip(b, powers)])
+        twists = [sum([(mul[c][g] - c) * p for (_, c), p in zip(b, powers)]) - m * weight
+                  for g in range(order)]
+        to_zero = spec.n * weight - value  # each point's value becomes n|G| + its color
+        table = spec._block_codes[b] = (
+            value,
+            [[low * weight + t for t in twists] for low in range(m)],
+            [to_zero + sum([action[c][s] * p for (_, c), p in zip(b, powers)])
+             for s in range(spec.gset.size)],
         )
     return table
 
 
-def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
-    """All covers of the canonical element elem, each built directly in
-    canonical form, in generation order: merges by block pair i < j and
-    twist g, then color moves by block and point s of S.
+def _code(spec: DowlingSpec, elem: DowlingElement) -> int:
+    """The point code of elem: its blocks' values plus its zero block's
+    terms."""
+    zero_values = spec._zero_values
+    return (sum([_block_code(spec, b)[0] for b in elem.blocks])
+            + sum([zero_values[x][s] for x, s in elem.zero]))
 
-    The covers are distinct by construction, so none is deduplicated: a
-    merge of blocks i < j with twist g colors b = blocks[j]'s minimum by g,
-    a color move of a block along s puts s on that block's minimum, and a
-    merge keeps the zero block while a color move grows it.
 
-    The merged block keeps block i's minimum, so it takes block i's place
-    and the block tuple needs no re-sort.  A color move along s adds
-    len(b) points to the orbit of s and changes no other orbit, so the
-    orbit counts of elem.zero, taken once, decide every move before its
-    zero block is built; a move is kept exactly when its zero coloring is
-    valid, even if elem's own is not.  Each block's twists and moves come
-    from its `_block_table`.
+def _cover_deltas(spec: DowlingSpec, elem: DowlingElement) -> list[int]:
+    """What each cover of elem adds to elem's point code, in generation
+    order: merges by block pair i < j and twist g, then color moves by
+    block and point s of S.
+
+    A merge of blocks i < j gives every point of block j block i's minimum
+    and its color times g; a color move of a block along s sends its
+    points into the zero block, each color c to c.s.  The covers are
+    distinct: a merge colors block j's minimum by g, a move puts s on its
+    block's minimum, and a merge keeps the zero block while a move grows it.
+
+    A color move along s adds len(b) points to the orbit of s and changes
+    no other orbit, so the orbit counts of elem.zero, taken once, decide
+    every move; a move is kept exactly when its zero coloring is valid,
+    even if elem's own is not.
     """
-    # tuple.__new__ skips the Python-level __new__ of the NamedTuple
-    new = tuple.__new__
-    out = []
     blocks, zero = elem.blocks, elem.zero
-    tables = [_block_table(spec, b) for b in blocks]
-    for i, a in enumerate(blocks):
-        head = blocks[:i]
-        for j in range(i + 1, len(blocks)):
-            tail = blocks[i + 1 : j] + blocks[j + 1 :]
-            for b in tables[j][0]:
-                merged = [*a, *b]
-                merged.sort()
-                out.append(new(DowlingElement, ((*head, tuple(merged), *tail), zero)))
+    tables = [_block_code(spec, b) for b in blocks]
+    out = []
+    for i in range(len(blocks) - 1):
+        m = blocks[i][0][0]
+        for _, merges, _ in tables[i + 1 :]:
+            out += merges[m]
     orbit_id, in_t = spec._orbit_table
+    if all(in_t):  # no zero coloring is invalid, so every move is kept
+        for _, _, moves in tables:
+            out += moves
+        return out
     counts = [0] * len(in_t)
     for _, s in zero:
         counts[orbit_id[s]] += 1
@@ -343,29 +374,57 @@ def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     points = [s for s in range(spec.gset.size) if not bad or orbit_id[s] == bad[0]]
     # a singleton block must not hit a new orbit outside T exactly once
     single_points = [s for s in points if counts[orbit_id[s]] or in_t[orbit_id[s]]]
-    for i, b in enumerate(blocks):
-        rest = blocks[:i] + blocks[i + 1 :]
-        moves = tables[i][1]
-        for s in single_points if len(b) == 1 else points:
-            moved = [*moves[s], *zero]
-            moved.sort()
-            out.append(new(DowlingElement, (rest, tuple(moved))))
+    for b, (_, _, moves) in zip(blocks, tables):
+        out += [moves[s] for s in (single_points if len(b) == 1 else points)]
     return out
+
+
+def _decode(spec: DowlingSpec, code: int) -> DowlingElement:
+    """The canonical element of a point code.  Points are read in
+    increasing order, so each block starts at its minimum, the blocks come
+    out sorted by minimum and every entry list sorted by point."""
+    order, base, entries = spec.group.order, spec._code_base, spec._entries
+    top = spec.n * order
+    blocks: dict[int, list] = {}
+    zero = []
+    for x in range(spec.n):
+        code, v = divmod(code, base)
+        if v < top:
+            m, c = divmod(v, order)
+            blocks.setdefault(m, []).append(entries[x][c])
+        else:
+            zero.append(entries[x][v - top])
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple
+    return tuple.__new__(DowlingElement, (tuple(map(tuple, blocks.values())), tuple(zero)))
+
+
+def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
+    """All covers of the canonical element elem, in generation order
+    (`_cover_deltas`), each decoded from its point code, so in canonical
+    form and distinct."""
+    code = _code(spec, elem)
+    return [_decode(spec, code + d) for d in _cover_deltas(spec, elem)]
 
 
 def _zero_block_counts(w: int, orbit_data):
     """Z_0, Z_1, ...: Z_k counts the valid zero-block colorings of k
     labeled points.  Their exponential generating function has one factor
     per orbit, sum_k (w/|G_s|)^k x^k/k!, with its x term dropped outside T;
-    each partial product grows by one coefficient per k."""
+    each partial product grows by one coefficient per k.  Each factor
+    keeps its row C(k, i) c^i, stepped to the next k by Pascal's rule, so
+    no binomial or power is computed from scratch."""
     factors = [(w // stab.order, in_t) for stab, in_t in orbit_data]
+    rows = [[1] for _ in factors]  # rows[j][i] = C(k, i) c^i for factor j
     # partial[j][k]: coefficient k of the product of the first j factors
     partial = [[] for _ in range(len(factors) + 1)]
     for k in count():
         partial[0].append(int(k == 0))
-        for (c, in_t), prev, cur in zip(factors, partial, partial[1:]):
-            cur.append(sum(comb(k, i) * c**i * prev[k - i] for i in range(k + 1)
-                           if i != 1 or in_t))
+        for j, ((c, in_t), prev, cur) in enumerate(zip(factors, partial, partial[1:])):
+            if k:
+                rows[j] = [a + c * b for a, b in zip(rows[j] + [0], [0, *rows[j]])]
+            row = rows[j]
+            term = sum(map(operator.mul, row, reversed(prev)))
+            cur.append(term if in_t or not k else term - row[1] * prev[k - 1])
         yield partial[-1][k]
 
 
@@ -373,14 +432,20 @@ def _element_counts(w: int, orbit_data):
     """|D_0|, |D_1|, ...: |D_n| = sum_k C(n, k) Z_k B(n - k), with Z_k the
     zero-block colorings of k points (`_zero_block_counts`) and B(m) =
     sum_b S(m, b) w^(m-b) the partitions of m points into blocks, w^(b-1)
-    colorings of a b-block (w = |G|)."""
+    colorings of a b-block (w = |G|).  The rows C(n, k) and C(n - 1, j) w^j
+    are stepped from one n to the next by Pascal's rule."""
     zero_counts = _zero_block_counts(w, orbit_data)
     zero, blocks = [], []  # blocks[m] = B(m)
+    binomial, colored = [1], [1]  # C(n, k) for k <= n; C(n - 1, j) w^j for j < n
     for n in count():
         zero.append(next(zero_counts))
+        if n > 1:
+            colored = [a + w * b for a, b in zip(colored + [0], [0, *colored])]
+        if n:
+            binomial = [a + b for a, b in zip(binomial + [0], [0, *binomial])]
         # B(0) = 1; otherwise the block of point n - 1 has j other points
-        blocks.append(sum(comb(n - 1, j) * w**j * blocks[n - 1 - j] for j in range(n)) if n else 1)
-        yield sum(comb(n, k) * zero[k] * blocks[n - k] for k in range(n + 1))
+        blocks.append(sum(map(operator.mul, colored, reversed(blocks))) if n else 1)
+        yield sum(map(operator.mul, map(operator.mul, binomial, zero), reversed(blocks)))
 
 
 def _check_window_cap(group: GroupTable, orbit_data, window: list[int], cap: int) -> None:
@@ -532,23 +597,43 @@ def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP
     return [sorted(zip(map(element_to_string, level), level)) for level in _levels(spec, cap)]
 
 
-def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP
-                ) -> tuple[Poset, list[DowlingElement], list[str]]:
-    """Materialize the poset from the levels of `enumerate_levels` and the
-    covers `covers_of` gives for each element, looked up by index.
+def _cover_lists(spec: DowlingSpec, cap: int = DEFAULT_CAP
+                 ) -> tuple[list[str], list[DowlingElement], list[int], list[list[int]]]:
+    """(names, elements, rank, up) of D_n from the levels of
+    `enumerate_levels`: elements[i] is the canonical element at index i,
+    names[i] its canonical string and rank[i] its level, and up[i] is the
+    sorted tuple of the indices of its covers.  Indices go rank by
+    rank, lexicographic by canonical string within a rank.  Each cover
+    index is one addition and one lookup in a {code: index} dict: the
+    element's point code plus a `_cover_deltas` delta.
 
-    Returns (poset, elements, names) with elements[i] the canonical element
-    at poset index i and names[i] its canonical string; indices go rank by
-    rank, lexicographic by canonical string within a rank; poset rank
-    labels are the level indices, n - #blocks.
+    Raises:
+        CapExceeded: as `enumerate_levels`.
     """
     levels = enumerate_levels(spec, cap)
     names = [name for level in levels for name, _ in level]
     elements = [e for level in levels for _, e in level]
     rank = [r for r, level in enumerate(levels) for _ in level]
     del levels  # its (name, element) pairs, before the covers add to the peak
-    index = {e: i for i, e in enumerate(elements)}
-    pairs = [(i, index[c]) for i, e in enumerate(elements) for c in covers_of(spec, e)]
+    codes = [_code(spec, e) for e in elements]
+    index = dict(zip(codes, range(len(codes))))
+    up = [tuple(sorted([index[code + d] for d in _cover_deltas(spec, e)]))
+          for code, e in zip(codes, elements)]
+    return names, elements, rank, up
+
+
+def build_poset(spec: DowlingSpec, cap: int = DEFAULT_CAP
+                ) -> tuple[Poset, list[DowlingElement], list[str]]:
+    """Materialize the poset from the cover lists of `_cover_lists`.
+
+    Returns (poset, elements, names) with elements[i] the canonical element
+    at poset index i and names[i] its canonical string; indices go rank by
+    rank, lexicographic by canonical string within a rank; poset rank
+    labels are the level indices, n - #blocks.
+    """
+    names, elements, rank, up = _cover_lists(spec, cap)
+    pairs = [(i, j) for i, js in enumerate(up) for j in js]
+    del up
     return from_covers(len(elements), pairs, rank=rank), elements, names
 
 

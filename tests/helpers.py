@@ -2,11 +2,13 @@
 `ocs` command needs: the wreath group law, the Boolean lattice, Hall's
 Euler characteristic of a whole poset, the series unit and logarithm, a
 space written back as JSON, the taxi-cab extrema of a locus, class sizes,
-cycle-type permutations and top-row stripping.
+cycle-type permutations and top-row stripping; and the rank of a Dowling
+element and the element counts of D_n as direct sums of binomials.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import count
+from math import comb, factorial
 
 from ocs.errors import DomainError, InputError
 from ocs.groups import GroupTable, WreathElement
@@ -127,3 +129,35 @@ def cycle_type_permutation(mu) -> tuple[int, ...]:
         perm.extend(list(range(start + 1, start + part)) + [start])
         start += part
     return tuple(perm)
+
+
+def element_rank(spec, elem) -> int:
+    """The rank of a Dowling element: n minus its number of blocks."""
+    return spec.n - len(elem.blocks)
+
+
+def zero_block_counts_by_comb(w: int, orbit_data):
+    """Z_0, Z_1, ... as `ocs.dowling._zero_block_counts` gives them, with
+    every coefficient summed afresh: Z_k of the product of the orbit
+    factors, each sum_k (w/|G_s|)^k x^k/k! with its x term dropped outside
+    T, convolved through C(k, i)."""
+    factors = [(w // stab.order, in_t) for stab, in_t in orbit_data]
+    partial = [[] for _ in range(len(factors) + 1)]
+    for k in count():
+        partial[0].append(int(k == 0))
+        for (c, in_t), prev, cur in zip(factors, partial, partial[1:]):
+            cur.append(sum(comb(k, i) * c**i * prev[k - i] for i in range(k + 1)
+                           if i != 1 or in_t))
+        yield partial[-1][k]
+
+
+def element_counts_by_comb(w: int, orbit_data):
+    """|D_0|, |D_1|, ... as `ocs.dowling._element_counts` gives them, with
+    every binomial and power computed afresh: |D_n| = sum_k C(n, k) Z_k
+    B(n - k), and B(m) = sum_j C(m - 1, j) w^j B(m - 1 - j)."""
+    zero_counts = zero_block_counts_by_comb(w, orbit_data)
+    zero, blocks = [], []
+    for n in count():
+        zero.append(next(zero_counts))
+        blocks.append(sum(comb(n - 1, j) * w**j * blocks[n - 1 - j] for j in range(n)) if n else 1)
+        yield sum(comb(n, k) * zero[k] * blocks[n - k] for k in range(n + 1))

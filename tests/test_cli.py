@@ -117,6 +117,29 @@ def test_json_text_is_the_text_of_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2, default=_rat) + "\n"
 
 
+_BIG = 9 * 10**499 - 1  # 500 digits
+_PAIR_ITEMS = st.one_of(st.integers(), st.sampled_from([_BIG, -_BIG]))
+_PAIRS = st.lists(st.lists(_PAIR_ITEMS, min_size=2, max_size=2), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _PAIRS,
+    # a pair list with one item that is no pair of ints, anywhere in it
+    st.tuples(_PAIRS, st.sampled_from([[1, True], [False, 0], (1, 2), [1, 2, 3], [1],
+                                       [1, None], [Fraction(1, 2), 0], [[1, 2], [3, 4]]]),
+              st.integers(0, 6)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    st.lists(_PAIRS, min_size=1, max_size=3),  # nested pair lists
+    st.dictionaries(st.text(max_size=3), _PAIRS, max_size=3),
+))
+@example([[1, True], [2, 3]])
+@example([[_BIG, -_BIG], [-1, 0]])
+@example([[1, 2], (3, 4), [5, 6, 7]])
+@example([[[1, 2], [3, 4]], [[5, 6]]])
+def test_json_text_writes_int_pairs_as_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2, default=_rat) + "\n"
+
+
 @pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2: "b"}], {(1,): 0}])
 def test_json_text_refuses_a_key_that_is_not_a_str(obj):
     with pytest.raises(TypeError):
@@ -936,6 +959,22 @@ def test_rep_rejects_elements_not_closed_under_the_action(tmp_path, capsys):
     assert _single_json_error(err) == NOT_ITS_SPEC
 
 
+@pytest.mark.parametrize("n", [3, 100000])
+def test_the_check_counts_no_d_n_larger_than_the_file(n, tmp_path, capsys):
+    # a D_n larger than the file is refused from its counts; counting all
+    # of |D_100000| would take minutes
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": 2, "covers": [[0, 1]], "rank": [0, 1], "dowling": {
+        "spec": {**PARTITION_N2, "n": n}, "elements": ["0:0|0:1|0:2|Z{}", "0:0,0:1,0:2|Z{}"]}}))
+    start = time.perf_counter()
+    rc = run(["rep", "decompose", "--poset", str(path)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == NOT_ITS_SPEC if n == 3 else {
+        "type": "input", "message": "blocks and zero block must partition the ground set"}
+
+
 def _permuted(built: dict, seed: int) -> dict:
     """The same poset file with its elements, and its cover list, in a
     seed-chosen order."""
@@ -1165,6 +1204,103 @@ def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys,
     assert called and rows
 
 
+def _non_canonical(text: str, mul) -> str:
+    """The element string text rewritten as a valid string of the same
+    element that is not canonical: every block's colors times a g other
+    than the identity on the right (when the group has one), so its minimum
+    is not colored by the identity; the entries of each block, the blocks
+    and the Z{} entries each in reverse order."""
+    e = next(x for x, row in enumerate(mul) if row == list(range(len(mul))))
+    g = next((x for x in range(len(mul)) if x != e), e)
+    *blocks, zero = text.split("|")
+    blocks = [",".join(f"{mul[int(c)][g]}:{x}" for c, x in
+                       reversed([entry.split(":") for entry in block.split(",")]))
+              for block in reversed(blocks)]
+    return "|".join(blocks + ["Z{" + ",".join(reversed(zero[2:-1].split(","))) + "}"])
+
+
+# the commands whose answer on a D_n file comes from its spec
+SPEC_COMMANDS = [["poset", "whitney"], ["poset", "homology", "--proper"], ["rep", "decompose"]]
+
+
+def _rewritten(path: Path, edit) -> Path:
+    """A copy of a built file with each element string text replaced by
+    edit(text, mul), mul the multiplication table of its group."""
+    built = json.loads(path.read_text())
+    mul = built["dowling"]["spec"]["group"]["mul"]
+    built["dowling"]["elements"] = [edit(t, mul) for t in built["dowling"]["elements"]]
+    other = path.with_name("rewritten-" + path.name)
+    other.write_text(json.dumps(built))
+    return other
+
+
+@pytest.mark.parametrize("spec, n", [(spec, 3) for spec in POSET_SPECS]
+                         + [("dowling_z3", 4), ("partition", 5)])
+def test_non_canonical_strings_give_the_same_answers(spec, n, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{spec}-{n}.json"
+    assert run(["dowling", "build", "--spec", spec, "--n", str(n), "--out", str(path)]) == 0
+    rewritten = _rewritten(path, _non_canonical)
+    elements = json.loads(path.read_text())["dowling"]["elements"]
+    changed = json.loads(rewritten.read_text())["dowling"]["elements"]
+    assert sum(a != b for a, b in zip(elements, changed)) >= len(elements) // 2
+    shuffled = path.with_name("permuted-" + path.name)
+    shuffled.write_text(json.dumps(_permuted(json.loads(rewritten.read_text()), n)))
+    capsys.readouterr()
+    expected = [(run(cmd + ["--poset", str(path)]), *capsys.readouterr()) for cmd in SPEC_COMMANDS]
+    assert expected[-1][0] == 0
+    # the rewritten files pass the check: no order complex is reduced
+    for name in ("whitney_homology", "reduced_homology"):
+        monkeypatch.setattr(ocs.cli, name, lambda *a, name=name: pytest.fail(name))
+    for file in (rewritten, shuffled):
+        assert [(run(cmd + ["--poset", str(file)]), *capsys.readouterr())
+                for cmd in SPEC_COMMANDS] == expected
+
+
+def _swap(x: int, y: int, canonical: bool):
+    """An edit for `_rewritten`: the strings of elements x and y trade
+    places, the one that moves to x written non-canonically unless
+    canonical."""
+    def edit(built: dict) -> None:
+        labels = built["dowling"]["elements"]
+        mul = built["dowling"]["spec"]["group"]["mul"]
+        labels[x], labels[y] = labels[y], labels[x]
+        if not canonical:
+            labels[x] = _non_canonical(labels[x], mul)
+    return edit
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("x, y", [(1, 2), (1, 3), (1, 12), (4, 20), (0, 30)])
+def test_a_swapped_in_string_is_not_its_spec(x, y, canonical, tmp_path, capsys):
+    # typeB n = 3: 1, 2 and 3 share rank 1 but not their covers; the
+    # other pairs lie at different ranks
+    path = _typeb3_with(tmp_path, _swap(x, y, canonical))
+    capsys.readouterr()
+    rc = run(["rep", "decompose", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _single_json_error(err) == NOT_ITS_SPEC
+
+
+def test_the_check_parses_no_string_of_a_built_file(tmp_path, capsys, monkeypatch):
+    parsed = []
+    real = ocs.cli.parse_element
+    monkeypatch.setattr(ocs.cli, "parse_element",
+                        lambda spec, text: parsed.append(text) or real(spec, text))
+    for spec in POSET_SPECS:
+        path = tmp_path / f"{spec}-4.json"
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
+        for cmd in SPEC_COMMANDS:
+            run(cmd + ["--poset", str(path)])
+    assert parsed == []
+    # only the strings that are not canonical names are parsed
+    bottom = json.loads(path.read_text())["dowling"]["elements"][0]
+    rewritten = _rewritten(path, lambda text, mul: _non_canonical(text, mul)
+                           if text == bottom else text)
+    assert run(["rep", "decompose", "--poset", str(rewritten)]) == 0
+    assert parsed == [json.loads(rewritten.read_text())["dowling"]["elements"][0]] != [bottom]
+
+
 def _without_its_block(tmp_path, spec: str, n: int) -> Path:
     """A built D_n file with its `dowling` block removed, so that every
     poset command reads its order complexes."""
@@ -1282,11 +1418,12 @@ def test_poset_homology_of_a_cone_builds_no_chain(tmp_path, capsys, monkeypatch)
 
 
 def test_dowling_count_expands_no_cover(capsys, monkeypatch):
-    def no_covers_of(spec, elem):
-        raise AssertionError("covers_of called")
+    def no_covers(spec, elem):
+        raise AssertionError("covers expanded")
 
-    monkeypatch.setattr(ocs.dowling, "covers_of", no_covers_of)
-    monkeypatch.setattr(ocs.cli, "covers_of", no_covers_of)
+    # the cover rule, as codes and as decoded elements
+    monkeypatch.setattr(ocs.dowling, "_cover_deltas", no_covers)
+    monkeypatch.setattr(ocs.dowling, "covers_of", no_covers)
     for spec in POSET_SPECS:
         assert run(["dowling", "count", "--spec", spec, "--n", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["agree"]

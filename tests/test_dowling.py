@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from ocs.dowling import (
     DowlingElement,
     DowlingSpec,
+    _cover_deltas,
+    _element_counts,
     _levels,
     _wreath_act,
+    _zero_block_counts,
     _zero_valid,
     bottom_element,
     build_poset,
     count_elements_species,
     covers_of,
-    element_rank,
     element_to_string,
     enumerate_levels,
     factor_interval,
@@ -29,7 +32,13 @@ from ocs.dowling import (
 )
 from ocs.errors import CapExceeded, InputError
 from ocs.groups import GSetSpec, WreathElement, cyclic_group
-from helpers import wreath_compose
+from ocs.series import space_from_json
+from helpers import (
+    element_counts_by_comb,
+    element_rank,
+    wreath_compose,
+    zero_block_counts_by_comb,
+)
 from test_groups import SMALL_GROUPS, all_wreath_elements
 from poset_oracle import KLEIN, coset_gset
 from ocs.posets import is_isomorphic, lower_interval, mobius
@@ -220,11 +229,11 @@ def test_build_poset_expands_each_element_once(monkeypatch, name, n):
         resources.files("ocs").joinpath("specs", "posets", f"{name}.json").read_text()), n=n)
     expanded = []
 
-    def counting_covers_of(spec, elem):
+    def counting_cover_deltas(spec, elem):
         expanded.append(elem)
-        return covers_of(spec, elem)
+        return _cover_deltas(spec, elem)
 
-    monkeypatch.setattr("ocs.dowling.covers_of", counting_covers_of)
+    monkeypatch.setattr("ocs.dowling._cover_deltas", counting_cover_deltas)
     p, elems, _ = build_poset(spec)
     assert len(expanded) == p.n_elems == len(elems)
     assert set(expanded) == set(elems)
@@ -261,12 +270,15 @@ def _breadth_first(spec):
         levels.append(sorted(found, key=element_to_string))
 
 
-@pytest.mark.parametrize("spec", bundled_poset_specs(5)
-                         + [spec_partition(6)]
-                         + [spec_toric(n, t) for n in range(5) for t in ([], [0], [0, 1])]
-                         + [spec_single_point(cyclic_group(k), n, in_t)
-                            for k in (1, 2, 3) for n in range(5) for in_t in (False, True)]
-                         + [spec for n in range(5) for spec in _coset_specs(n)])
+LEVEL_SPECS = (bundled_poset_specs(5)
+               + [spec_partition(6)]
+               + [spec_toric(n, t) for n in range(5) for t in ([], [0], [0, 1])]
+               + [spec_single_point(cyclic_group(k), n, in_t)
+                  for k in (1, 2, 3) for n in range(5) for in_t in (False, True)]
+               + [spec for n in range(5) for spec in _coset_specs(n)])
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS)
 def test_levels_are_the_breadth_first_levels(spec):
     # generated by canonical parent, each element once: sorted, the levels
     # are the breadth-first closure's, and build_poset has its covers
@@ -278,6 +290,19 @@ def test_levels_are_the_breadth_first_levels(spec):
     index = {e: i for i, e in enumerate(elements)}
     assert ({(i, j) for i, up in enumerate(p.hasse) for j in up}
             == {(index[e], index[c]) for e, up in covers.items() for c in up})
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS + [
+    # S3 is not abelian, so a twist by g on the right is not one on the left
+    spec_single_point(SMALL_GROUPS["S3"], 3, in_t=True),
+    spec_from_orbit_data(SMALL_GROUPS["S3"], ((cyclic_group(1), False),), 3),
+])
+def test_build_poset_has_the_covers_of_the_reference(spec):
+    # the covers found from point codes are the dedup reference's, by index
+    p, elements, _ = build_poset(spec, cap=10**6)
+    index = {e: i for i, e in enumerate(elements)}
+    assert list(p.hasse) == [tuple(sorted(index[c] for c in covers_of_reference(spec, e)))
+                             for e in elements]
 
 
 @pytest.mark.parametrize("spec", [
@@ -485,3 +510,18 @@ def test_validate_element_catches_foreign_support():
     bad_spec = spec_dowling(2, 3)
     with pytest.raises(InputError):
         validate_element(spec, parse_element(bad_spec, "0:0,0:1,0:2|Z{}"))
+
+
+SPACES = sorted(res.name for res in resources.files("ocs").joinpath("specs", "spaces").iterdir()
+                if res.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_counts_stepped_by_pascal_match_the_binomial_sums(name):
+    space = space_from_json(json.loads(
+        resources.files("ocs").joinpath("specs", "spaces", name).read_text()))
+    w, orbit_data = space.group.order, space.orbit_data
+    assert (list(islice(_zero_block_counts(w, orbit_data), 61))
+            == list(islice(zero_block_counts_by_comb(w, orbit_data), 61)))
+    assert (list(islice(_element_counts(w, orbit_data), 61))
+            == list(islice(element_counts_by_comb(w, orbit_data), 61)))
