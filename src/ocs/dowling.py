@@ -28,13 +28,14 @@ block with minimum m, colored c, has v(x) = m|G| + c, and a point of the
 zero block colored s has v(x) = n|G| + s.  The canonical form is unique, so
 the code is injective.  A cover changes only the points of the blocks it
 touches, so its code is the element's code plus a delta read from per-block
-tables (`_block_code`): ``_cover_deltas`` lists the deltas of one element,
-and ``_cover_lists`` finds each cover's index in one ``{code: index}`` dict,
-with no cover element built.  ``build_poset`` takes its Hasse diagram from
-there and hands the names on for the output file; ``covers_of`` decodes the
-same codes into elements, so there is one cover rule.  Elements are
-NamedTuples, hashed and compared in C; an element compares equal to the
-plain tuple ``(blocks, zero)`` of the same fields.
+tables (`_block_code`): ``_code_and_deltas`` gives the code and the deltas
+of one element, and ``_cover_lists`` finds each cover's index in a
+``{code: index}`` dict of the level above, with no cover element built.
+``build_poset`` takes its Hasse diagram from there and hands the names on
+for the output file; ``covers_of`` decodes the same codes into elements, so
+there is one cover rule.  Elements are NamedTuples, hashed and compared in
+C; an element compares equal to the plain tuple ``(blocks, zero)`` of the
+same fields.
 """
 
 from __future__ import annotations
@@ -328,18 +329,11 @@ def _block_code(spec: DowlingSpec, b) -> tuple[int, list[list[int]], list[int]]:
     return table
 
 
-def _code(spec: DowlingSpec, elem: DowlingElement) -> int:
-    """The point code of elem: its blocks' values plus its zero block's
-    terms."""
-    zero_values = spec._zero_values
-    return (sum([_block_code(spec, b)[0] for b in elem.blocks])
-            + sum([zero_values[x][s] for x, s in elem.zero]))
-
-
-def _cover_deltas(spec: DowlingSpec, elem: DowlingElement) -> list[int]:
-    """What each cover of elem adds to elem's point code, in generation
-    order: merges by block pair i < j and twist g, then color moves by
-    block and point s of S.
+def _code_and_deltas(spec: DowlingSpec, elem: DowlingElement) -> tuple[int, list[int]]:
+    """The point code of elem, its blocks' values plus its zero block's
+    terms, and what each cover of elem adds to it, in generation order:
+    merges by block pair i < j and twist g, then color moves by block and
+    point s of S.  Each block's table (`_block_code`) is read once for both.
 
     A merge of blocks i < j gives every point of block j block i's minimum
     and its color times g; a color move of a block along s sends its
@@ -354,6 +348,9 @@ def _cover_deltas(spec: DowlingSpec, elem: DowlingElement) -> list[int]:
     """
     blocks, zero = elem.blocks, elem.zero
     tables = [_block_code(spec, b) for b in blocks]
+    zero_values = spec._zero_values
+    code = (sum([value for value, _, _ in tables])
+            + sum([zero_values[x][s] for x, s in zero]))
     out = []
     for i in range(len(blocks) - 1):
         m = blocks[i][0][0]
@@ -363,20 +360,20 @@ def _cover_deltas(spec: DowlingSpec, elem: DowlingElement) -> list[int]:
     if all(in_t):  # no zero coloring is invalid, so every move is kept
         for _, _, moves in tables:
             out += moves
-        return out
+        return code, out
     counts = [0] * len(in_t)
     for _, s in zero:
         counts[orbit_id[s]] += 1
     # orbits hit exactly once outside T; a move must land in the only one
     bad = [o for o, c in enumerate(counts) if c == 1 and not in_t[o]]
     if len(bad) > 1:
-        return out
+        return code, out
     points = [s for s in range(spec.gset.size) if not bad or orbit_id[s] == bad[0]]
     # a singleton block must not hit a new orbit outside T exactly once
     single_points = [s for s in points if counts[orbit_id[s]] or in_t[orbit_id[s]]]
     for b, (_, _, moves) in zip(blocks, tables):
         out += [moves[s] for s in (single_points if len(b) == 1 else points)]
-    return out
+    return code, out
 
 
 def _decode(spec: DowlingSpec, code: int) -> DowlingElement:
@@ -400,10 +397,10 @@ def _decode(spec: DowlingSpec, code: int) -> DowlingElement:
 
 def covers_of(spec: DowlingSpec, elem: DowlingElement) -> list[DowlingElement]:
     """All covers of the canonical element elem, in generation order
-    (`_cover_deltas`), each decoded from its point code, so in canonical
+    (`_code_and_deltas`), each decoded from its point code, so in canonical
     form and distinct."""
-    code = _code(spec, elem)
-    return [_decode(spec, code + d) for d in _cover_deltas(spec, elem)]
+    code, deltas = _code_and_deltas(spec, elem)
+    return [_decode(spec, code + d) for d in deltas]
 
 
 def _zero_block_counts(w: int, orbit_data):
@@ -598,14 +595,16 @@ def enumerate_levels(spec: DowlingSpec, cap: int = DEFAULT_CAP
 
 
 def _cover_lists(spec: DowlingSpec, cap: int = DEFAULT_CAP
-                 ) -> tuple[list[str], list[DowlingElement], list[int], list[list[int]]]:
+                 ) -> tuple[list[str], list[DowlingElement], list[int], list[tuple[int, ...]]]:
     """(names, elements, rank, up) of D_n from the levels of
     `enumerate_levels`: elements[i] is the canonical element at index i,
     names[i] its canonical string and rank[i] its level, and up[i] is the
     sorted tuple of the indices of its covers.  Indices go rank by
     rank, lexicographic by canonical string within a rank.  Each cover
     index is one addition and one lookup in a {code: index} dict: the
-    element's point code plus a `_cover_deltas` delta.
+    element's point code plus one of its deltas (`_code_and_deltas`).
+    Covers lie one level up, so the levels are walked from the top and
+    each dict holds the codes of one level.
 
     Raises:
         CapExceeded: as `enumerate_levels`.
@@ -614,11 +613,18 @@ def _cover_lists(spec: DowlingSpec, cap: int = DEFAULT_CAP
     names = [name for level in levels for name, _ in level]
     elements = [e for level in levels for _, e in level]
     rank = [r for r, level in enumerate(levels) for _ in level]
+    sizes = [len(level) for level in levels]
     del levels  # its (name, element) pairs, before the covers add to the peak
-    codes = [_code(spec, e) for e in elements]
-    index = dict(zip(codes, range(len(codes))))
-    up = [tuple(sorted([index[code + d] for d in _cover_deltas(spec, e)]))
-          for code, e in zip(codes, elements)]
+    up = [()] * len(elements)
+    index: dict[int, int] = {}  # code -> index, over the level above
+    end = len(elements)
+    for size in reversed(sizes):
+        start, below = end - size, {}
+        for i in range(start, end):
+            code, deltas = _code_and_deltas(spec, elements[i])
+            up[i] = tuple(sorted([index[code + d] for d in deltas]))
+            below[code] = i
+        index, end = below, start
     return names, elements, rank, up
 
 

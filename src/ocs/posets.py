@@ -1,18 +1,22 @@
 """Generic finite posets.
 
-Elements are integer indices ``0..n_elems-1``.  The order relation is stored
-as a bit-packed reachability table: ``leq[a]`` is an int whose bit ``b`` is
-set iff a <= b.  Its transpose ``geq``, built on first use, gives each
-lower interval without a scan.  The closures, the Hasse-diagram checks and
-the Mobius rows are bitset passes: one big-int OR per cover, and one pass per
-Mobius source whose cost is the number of comparable pairs above it.  That
-covers the largest posets this package builds (thousands of elements).
+Elements are integer indices ``0..n_elems-1``.  A poset stores its Hasse
+diagram and rank labels.  Its order relation is a bit-packed reachability
+table, ``leq[a]`` an int whose bit ``b`` is set iff a <= b, and its transpose
+``geq`` gives each lower interval without a scan; both are built from the
+Hasse diagram on first use, so a command that reads only covers and ranks
+never pays for them.  `from_covers` needs no closure to check a graded cover
+list, one whose every cover raises the rank by exactly one: a < c < b would
+need rank(b) >= rank(a) + 2, so such a list has no cycle and no implied cover.
+The closures, the Hasse-diagram checks and the Mobius rows are bitset passes:
+one big-int OR per cover, and one pass per Mobius source whose cost is the
+number of comparable pairs above it.  That covers the largest posets this
+package builds (thousands of elements).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, InputError, is_int, is_int_list
@@ -33,15 +37,40 @@ __all__ = [
 ]
 
 
-@dataclass
 class Poset:
-    n_elems: int
-    hasse: tuple[tuple[int, ...], ...]  # hasse[a] = sorted upper covers of a
-    leq: tuple[int, ...]  # bitmask reachability, reflexive
-    rank: tuple[int, ...] | None = None
+    """A finite poset: n_elems, hasse[a] the sorted upper covers of a, and
+    optional rank labels.  A constructor that already holds the closure
+    hands it in as leq; otherwise `leq` is built on first read.  Posets
+    compare equal when their sizes, Hasse diagrams and ranks are equal,
+    which fix leq."""
+
+    def __init__(self, n_elems: int, hasse: tuple[tuple[int, ...], ...],
+                 rank: tuple[int, ...] | None = None, leq: tuple[int, ...] | None = None):
+        self.n_elems = n_elems
+        self.hasse = hasse
+        self.rank = rank
+        if leq is not None:
+            self.leq = leq
+
+    def __eq__(self, other):
+        if not isinstance(other, Poset):
+            return NotImplemented
+        return (self.n_elems, self.hasse, self.rank) == (other.n_elems, other.hasse, other.rank)
 
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)
+
+    @cached_property
+    def leq(self) -> tuple[int, ...]:
+        """leq[a]: bitset of the elements b >= a, reflexive.  Built once, by
+        one big-int OR per cover in reverse topological order."""
+        leq = [1 << x for x in range(self.n_elems)]
+        for a in reversed(_topo_order(self.n_elems, self.hasse)):
+            up = leq[a]
+            for b in self.hasse[a]:
+                up |= leq[b]
+            leq[a] = up
+        return tuple(leq)
 
     @cached_property
     def geq(self) -> tuple[int, ...]:
@@ -134,8 +163,14 @@ def _hasse_from_leq(n: int, leq) -> tuple[tuple[int, ...], ...]:
 
 
 def from_covers(n: int, covers, rank=None) -> Poset:
-    """Build a poset from its Hasse diagram, with one big-int OR per cover
-    for the closure and the redundancy check together.
+    """Build a poset from its Hasse diagram.
+
+    A graded list, one with rank labels for all n elements and every cover
+    raising the rank by exactly one, is a Hasse diagram once its indices
+    are in range and no cover repeats, so no closure is built: `leq` is
+    left to its first read.  Any other list is checked with one big-int OR
+    per cover, for the closure and the redundancy check together, and the
+    closure is kept.
 
     Args:
         n: number of elements.
@@ -161,6 +196,10 @@ def from_covers(n: int, covers, rank=None) -> Poset:
         seen.add(pair)
         adj[a].append(b)
     hasse = tuple(tuple(sorted(u)) for u in adj)
+    if rank is not None:
+        rank = tuple(rank)
+        if len(rank) == n and all(rank[b] - rank[a] == 1 for a, b in pairs):
+            return Poset(n, hasse, rank)
     # Closure in reverse topological order, so each leq[b] is final before
     # a reads it.  A listed cover (a, b) is redundant iff b is strictly above
     # another listed cover of a, that is iff above[a] has bit b.
@@ -180,11 +219,9 @@ def from_covers(n: int, covers, rank=None) -> Poset:
             between = leq[a] & ~(1 << a) & ~(1 << b)
             c = next(c for c in _bits(between) if leq[c] >> b & 1)
             raise InputError(f"cover ({a},{b}) is implied by transitivity via {c}")
-    if rank is not None:
-        rank = tuple(rank)
-        if len(rank) != n:
-            raise InputError("rank label list has wrong length")
-    return Poset(n_elems=n, hasse=hasse, leq=leq, rank=rank)
+    if rank is not None and len(rank) != n:
+        raise InputError("rank label list has wrong length")
+    return Poset(n, hasse, rank, leq)
 
 
 def _mobius_above(p: Poset, elems) -> dict[int, int]:
@@ -255,7 +292,7 @@ def induced_subposet(p: Poset, elements) -> tuple[Poset, tuple[int, ...]]:
     leq, _ = _restricted_leq(p, elems)
     hasse = _hasse_from_leq(len(elems), leq)
     rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
-    return Poset(n_elems=len(elems), hasse=hasse, leq=leq, rank=rank), elems
+    return Poset(len(elems), hasse, rank, leq), elems
 
 
 def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -268,13 +305,17 @@ def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ..
 
 
 def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
-    """The induced subposet on {x : x <= b}, read off `p.geq`.
+    """The induced subposet on {x : x <= b}: its elements read off `p.geq`,
+    its Hasse diagram that of p restricted (`_lower_hasse`), and its ranks
+    p's.  Neither p's leq nor the interval's is built.
 
     Returns (interval, sorted tuple of original indices).
     """
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
-    return induced_subposet(p, _bits(p.geq[b]))
+    elems, hasse = _lower_hasse(p, b)
+    rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
+    return Poset(len(elems), hasse, rank), elems
 
 
 def direct_product(p: Poset, q: Poset) -> Poset:
@@ -304,12 +345,7 @@ def direct_product(p: Poset, q: Poset) -> Poset:
     rank = None
     if p.rank is not None and q.rank is not None:
         rank = tuple(p.rank[i] + q.rank[j] for i in range(p.n_elems) for j in range(nq))
-    return Poset(
-        n_elems=n,
-        hasse=tuple(tuple(sorted(u)) for u in hasse),
-        leq=tuple(leq),
-        rank=rank,
-    )
+    return Poset(n, tuple(tuple(sorted(u)) for u in hasse), rank, tuple(leq))
 
 
 def connected_components(p: Poset) -> list[list[int]]:

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -1204,6 +1205,54 @@ def test_poset_commands_on_a_built_file_build_no_order_complex(tmp_path, capsys,
     assert called and rows
 
 
+def _closures_built(monkeypatch) -> list[int]:
+    """The sizes of the posets whose order closure `Poset.leq` is built on
+    first read from here on; a closure handed in by its constructor is not
+    counted."""
+    built = []
+    build = ocs.posets.Poset.leq.func
+    spy = cached_property(lambda p: built.append(p.n_elems) or build(p))
+    spy.__set_name__(ocs.posets.Poset, "leq")
+    monkeypatch.setattr(ocs.posets.Poset, "leq", spy)
+    return built
+
+
+def test_dowling_paths_build_no_order_closure(tmp_path, capsys, monkeypatch):
+    built, ordered = _closures_built(monkeypatch), []
+    # nor any pass that needs a topological order: a closure that from_covers
+    # builds and hands in, or geq
+    real = ocs.posets._topo_order
+    monkeypatch.setattr(ocs.posets, "_topo_order", lambda n, hasse: ordered.append(n)
+                        or real(n, hasse))
+    for spec in POSET_SPECS:
+        path = tmp_path / f"{spec}-4.json"
+        assert run(["dowling", "build", "--spec", spec, "--n", "4", "--out", str(path)]) == 0
+        assert run(["poset", "whitney", "--poset", str(path)]) == 0
+        assert run(["rep", "decompose", "--poset", str(path)]) == 0
+        # typeB, typeC and typeD have no top: refused before any chain
+        assert run(["poset", "homology", "--proper", "--poset", str(path)]) == (
+            0 if spec in ("dowling_z2", "dowling_z3", "partition") else 1)
+    assert built == [] and ordered == []
+    path = tmp_path / "partition-4.json"
+    assert run(["poset", "mobius", "--poset", str(path)]) == 0
+    assert built
+    built.clear()
+    plain = json.loads(path.read_text())
+    del plain["dowling"]
+    path.write_text(json.dumps(plain))
+    assert run(["poset", "whitney", "--poset", str(path)]) == 0
+    assert built
+    # the interval reads the closure of the interval, never of the whole D_n
+    built.clear()
+    capsys.readouterr()
+    path = tmp_path / "typeB-3.json"
+    assert run(["dowling", "build", "--spec", "typeB", "--n", "3", "--out", str(path)]) == 0
+    d_n = json.loads(path.read_text())
+    top = d_n["dowling"]["elements"][-1]
+    assert run(["dowling", "interval", "--spec", "typeB", "--n", "3", "--element", top]) == 0
+    assert built and d_n["n"] not in built and json.loads(capsys.readouterr().out)["isomorphic"]
+
+
 def _non_canonical(text: str, mul) -> str:
     """The element string text rewritten as a valid string of the same
     element that is not canonical: every block's colors times a g other
@@ -1422,7 +1471,7 @@ def test_dowling_count_expands_no_cover(capsys, monkeypatch):
         raise AssertionError("covers expanded")
 
     # the cover rule, as codes and as decoded elements
-    monkeypatch.setattr(ocs.dowling, "_cover_deltas", no_covers)
+    monkeypatch.setattr(ocs.dowling, "_code_and_deltas", no_covers)
     monkeypatch.setattr(ocs.dowling, "covers_of", no_covers)
     for spec in POSET_SPECS:
         assert run(["dowling", "count", "--spec", spec, "--n", "4"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ocs.dowling import (
     DowlingElement,
     DowlingSpec,
-    _cover_deltas,
+    _code_and_deltas,
     _element_counts,
     _levels,
     _wreath_act,
@@ -229,11 +229,11 @@ def test_build_poset_expands_each_element_once(monkeypatch, name, n):
         resources.files("ocs").joinpath("specs", "posets", f"{name}.json").read_text()), n=n)
     expanded = []
 
-    def counting_cover_deltas(spec, elem):
+    def counting_code_and_deltas(spec, elem):
         expanded.append(elem)
-        return _cover_deltas(spec, elem)
+        return _code_and_deltas(spec, elem)
 
-    monkeypatch.setattr("ocs.dowling._cover_deltas", counting_cover_deltas)
+    monkeypatch.setattr("ocs.dowling._code_and_deltas", counting_code_and_deltas)
     p, elems, _ = build_poset(spec)
     assert len(expanded) == p.n_elems == len(elems)
     assert set(expanded) == set(elems)

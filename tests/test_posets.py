@@ -1,7 +1,7 @@
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ocs.dowling import build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError, InputError
@@ -22,7 +22,7 @@ from ocs.posets import (
     proper_part,
 )
 from ocs.posets import _refine_invariants, _restricted_leq
-from helpers import boolean_lattice
+from helpers import boolean_lattice, from_covers_by_closure
 
 
 def diamond():
@@ -229,6 +229,14 @@ def test_rank_is_kept():
     assert poset_to_json(p)["rank"] == [0, 1]
 
 
+def test_posets_compare_by_size_covers_and_rank():
+    # the closure is built by from_covers for the unranked list, later for the graded one
+    covers = [[0, 1], [0, 2], [1, 3], [2, 3]]
+    graded = from_covers(4, covers, rank=(0, 1, 1, 2))
+    assert diamond() == from_covers(4, covers[::-1]) != graded
+    assert graded == from_covers(4, covers, rank=[0, 1, 1, 2]) != chain_poset(4)
+
+
 # Oracles: the O(n)-scan versions the bitset passes replaced ----------------
 
 def old_from_covers_message(n, covers):
@@ -340,6 +348,68 @@ def test_from_covers_matches_between_scan(case):
         with pytest.raises(InputError) as exc:
             from_covers(n, covers)
         assert str(exc.value) == expected
+
+
+FAULTS = (None, "negative", "out of range", "self-loop", "duplicate", "cycle", "implied")
+
+
+@st.composite
+def ranked_cover_lists(draw):
+    """(n, covers, rank) for `from_covers`: a graded Hasse diagram or a
+    random one (`dag_hasse`); rank labels that are None, a grading, a
+    grading off by one at one element, or a list of the wrong length; and
+    at most one injected fault, at a random place in the list."""
+    n = draw(st.integers(1, 8))
+    grade = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        graded = [(a, b) for a in range(n) for b in range(n) if grade[b] == grade[a] + 1]
+        covers = [pair for pair in graded if draw(st.booleans())]
+        implied = [(a, d) for a, b in covers for c, d in covers if b == c]
+    else:
+        n, covers, implied = draw(dag_hasse())
+        grade = [0] * n  # the longest chain below each element: a grading if one exists
+        for _ in range(n):
+            for a, b in covers:
+                grade[b] = max(grade[b], grade[a] + 1)
+    kind = draw(st.sampled_from(["none", "graded", "off by one", "long", "short"]))
+    rank = {"none": None, "graded": grade, "long": grade + [0], "short": grade[:-1]}.get(kind)
+    if kind == "off by one":
+        rank = list(grade)
+        rank[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    fault = draw(st.sampled_from(FAULTS))
+    x = draw(st.integers(0, n - 1))
+    extra = []
+    if fault == "negative":
+        extra = [draw(st.sampled_from([(-1, x), (x, -1), (x, -n)]))]
+    elif fault == "out of range":
+        extra = [draw(st.sampled_from([(x, n), (n, x)]))]
+    elif fault == "self-loop":
+        extra = [(x, x)]
+    elif fault == "duplicate" and covers:
+        extra = [draw(st.sampled_from(covers))]
+    elif fault == "cycle" and covers:
+        a, b = draw(st.sampled_from(covers))
+        extra = [(b, a)]
+    elif fault == "implied":
+        assume(implied)
+        extra = [draw(st.sampled_from(implied))]
+    covers = draw(st.permutations(covers + extra))
+    return n, [list(c) if draw(st.booleans()) else c for c in covers], rank
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranked_cover_lists())
+def test_from_covers_matches_the_closure_oracle(case):
+    n, covers, rank = case
+    try:
+        expected = from_covers_by_closure(n, covers, rank)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            from_covers(n, covers, rank)
+        assert str(got.value) == str(exc)
+    else:
+        p = from_covers(n, covers, rank)
+        assert (p.hasse, p.rank, p.leq) == (expected.hasse, expected.rank, expected.leq)
 
 
 def test_from_covers_reports_lowest_witness_of_first_redundant_pair():
