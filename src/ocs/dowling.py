@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from math import comb
@@ -53,6 +52,7 @@ from .groups import (
     GroupTable,
     GSetSpec,
     WreathElement,
+    _Value,
     cyclic_group,
     gset_from_json,
     group_from_json,
@@ -100,14 +100,15 @@ class DowlingElement(NamedTuple):
         return sorted(seen) == list(range(n))
 
 
-@dataclass(frozen=True)
-class DowlingSpec:
-    group: GroupTable
-    gset: GSetSpec
-    n: int
-    name: str = ""
+class DowlingSpec(_Value):
+    """The data of D_n^T(G, S): a group, a G-set with its subset T, and the
+    ground set size n.  It has no __slots__: its cached properties live in
+    its __dict__, computed once per spec."""
 
-    def __post_init__(self):
+    _fields = ("group", "gset", "n", "name")
+
+    def __init__(self, group: GroupTable, gset: GSetSpec, n: int, name: str = ""):
+        self.group, self.gset, self.n, self.name = group, gset, n, name
         if self.n < 0:
             raise InputError("ground set size must be nonnegative")
         if self.gset.group is not self.group and self.gset.group != self.group:
@@ -125,8 +126,7 @@ class DowlingSpec:
     @cached_property
     def _orbit_table(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
         """(orbit id of each point of S, whether each orbit lies in T),
-        computed once per spec; the frozen dataclass still has a __dict__
-        for the cached value."""
+        computed once per spec."""
         ids = [0] * self.gset.size
         in_t = []
         for i, (orbit, rep, _stab) in enumerate(orbits_and_stabilizers(self.gset)):
@@ -648,8 +648,7 @@ def count_elements_species(spec: DowlingSpec) -> int:
     return next(islice(_element_counts(spec.group.order, spec.orbit_data), spec.n, None))
 
 
-@dataclass(frozen=True)
-class IntervalFactor:
+class IntervalFactor(NamedTuple):
     kind: str  # "partition" or "orbit"
     ground: tuple[int, ...]  # original ground-set labels
     spec: DowlingSpec

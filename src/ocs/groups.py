@@ -9,8 +9,6 @@ stabilizers and inverses exact and trivial to compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, is_int, is_int_list
 
 __all__ = [
@@ -27,8 +25,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class _Value:
+    """Equality, hashing and repr by the fields named in ``_fields``: two
+    objects are equal when they are of one class and their fields are
+    equal.  Written once here, so no class has methods generated for it
+    at import."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class GroupTable(_Value):
     """A finite group presented by its multiplication table.
 
     Attributes:
@@ -38,12 +57,11 @@ class GroupTable:
         inv: tuple; ``inv[a]`` is the two-sided inverse of ``a``.
     """
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
+    __slots__ = _fields = ("order", "mul", "identity", "inv")
 
-    def __post_init__(self):
+    def __init__(self, order: int, mul: tuple[tuple[int, ...], ...], identity: int,
+                 inv: tuple[int, ...]):
+        self.order, self.mul, self.identity, self.inv = order, mul, identity, inv
         n = self.order
         if n < 1:
             raise InputError("group order must be positive")
@@ -202,8 +220,7 @@ def embeds(sub: GroupTable, group: GroupTable) -> bool:
     return extend([])
 
 
-@dataclass(frozen=True)
-class GSetSpec:
+class GSetSpec(_Value):
     """A finite G-set S together with a distinguished G-invariant subset T.
 
     Attributes:
@@ -213,12 +230,11 @@ class GSetSpec:
         t_subset: frozenset of point indices, closed under the action.
     """
 
-    group: GroupTable
-    size: int
-    action: tuple[tuple[int, ...], ...]
-    t_subset: frozenset[int]
+    __slots__ = _fields = ("group", "size", "action", "t_subset")
 
-    def __post_init__(self):
+    def __init__(self, group: GroupTable, size: int, action: tuple[tuple[int, ...], ...],
+                 t_subset: frozenset[int]):
+        self.group, self.size, self.action, self.t_subset = group, size, action, t_subset
         G = self.group
         m = self.size
         if m < 0:
@@ -279,8 +295,7 @@ def orbits_and_stabilizers(gset: GSetSpec):
     return out
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(_Value):
     """An element (colors, perm) of the wreath product G^n x| S_n.
 
     ``perm`` maps positions: i goes to perm[i].  ``colors[i]`` is the group
@@ -289,10 +304,10 @@ class WreathElement:
     (w2 o w1).colors[i] = w2.colors[w1.perm[i]] * w1.colors[i].
     """
 
-    colors: tuple[int, ...]
-    perm: tuple[int, ...]
+    __slots__ = _fields = ("colors", "perm")
 
-    def __post_init__(self):
+    def __init__(self, colors: tuple[int, ...], perm: tuple[int, ...]):
+        self.colors, self.perm = colors, perm
         n = len(self.perm)
         if len(self.colors) != n:
             raise InputError("colors and perm must have equal length")

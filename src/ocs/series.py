@@ -36,12 +36,11 @@ packets from that argument before the one exp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError, InputError, is_int_list
-from .groups import GroupTable, embeds, group_from_json
+from .groups import GroupTable, _Value, embeds, group_from_json
 
 __all__ = [
     "WeightedSeries",
@@ -80,16 +79,14 @@ def _convolve(a: list, b: list, n: int, shift: int = 0) -> dict:
     return _clean(out)
 
 
-@dataclass(init=False, slots=True)
-class WeightedSeries:
+class WeightedSeries(_Value):
     """Truncated series sum c_{n,p,q} t^n x^p y^q, built from its exact
     weighted coefficients c and stored as the dimensions d = c * w^n * n!:
     per t-degree n <= trunc a map (p, q) -> d, an int wherever d is
-    integral."""
+    integral.  Series compare by value and, being mutable, do not hash."""
 
-    w: int
-    trunc: int
-    _dims: list[dict]
+    __slots__ = _fields = ("w", "trunc", "_dims")
+    __hash__ = None
 
     def __init__(self, w: int, trunc: int, coeffs: dict | None = None):
         if w < 1:
@@ -170,20 +167,19 @@ def series_exp(arg: WeightedSeries) -> WeightedSeries:
     return WeightedSeries._of(arg.w, arg.trunc, e)
 
 
-@dataclass(frozen=True)
-class SpaceInput:
+class SpaceInput(_Value):
     """A space description: Borel-Moore Betti numbers of X, the acting
     group, one (stabilizer, in-T) entry per orbit of excluded or singular
     points, and whether ordinary homology maps to Borel-Moore homology by
     zero (which makes the first page compute Betti numbers directly)."""
 
-    betti: tuple[int, ...]
-    group: GroupTable
-    orbit_data: tuple[tuple[GroupTable, bool], ...]
-    i_acyclic: bool
-    name: str = ""
+    __slots__ = _fields = ("betti", "group", "orbit_data", "i_acyclic", "name")
 
-    def __post_init__(self):
+    def __init__(self, betti: tuple[int, ...], group: GroupTable,
+                 orbit_data: tuple[tuple[GroupTable, bool], ...], i_acyclic: bool,
+                 name: str = ""):
+        self.betti, self.group, self.orbit_data = betti, group, orbit_data
+        self.i_acyclic, self.name = i_acyclic, name
         if not self.betti or all(b == 0 for b in self.betti):
             raise InputError("betti table must have a nonzero entry")
         if any(b < 0 for b in self.betti):

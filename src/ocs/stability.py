@@ -38,9 +38,9 @@ nothing beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import DomainError, InputError
 from .series import (
@@ -74,8 +74,7 @@ LIMIT = ("limit",)
 STEPS_CAP = 20000
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """The generator family {((n-1)/n, degree/n) : n >= first}."""
 
     degree: int
@@ -85,8 +84,7 @@ class Family:
         return n >= self.first
 
 
-@dataclass(frozen=True)
-class GenerationLocus:
+class GenerationLocus(NamedTuple):
     families: tuple[Family, ...]
     limit_present: bool
 
@@ -149,8 +147,7 @@ def _candidates(locus: GenerationLocus):
     return out
 
 
-@dataclass(frozen=True)
-class StabilityStep:
+class StabilityStep(NamedTuple):
     point: tuple
     classification: str  # "absolute" | "bounded" | "truncated"
     epsilon: Fraction | None
@@ -365,7 +362,7 @@ def remove_point(locus: GenerationLocus, pt) -> GenerationLocus:
         DomainError: for any other member, removed already or not.
     """
     if pt == LIMIT:
-        return replace(locus, limit_present=False)
+        return locus._replace(limit_present=False)
     _, i, n = pt
     fams = []
     for f in locus.families:
@@ -374,13 +371,12 @@ def remove_point(locus: GenerationLocus, pt) -> GenerationLocus:
                 raise DomainError(
                     f"only the first remaining member main({f.first},{i}) can be removed"
                 )
-            f = replace(f, first=n + 1)
+            f = f._replace(first=n + 1)
         fams.append(f)
-    return replace(locus, families=tuple(fams))
+    return locus._replace(families=tuple(fams))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     label: str
     variant: str
     steps: tuple[StabilityStep, ...]

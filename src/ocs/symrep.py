@@ -27,14 +27,13 @@ exponential, so no command takes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
 from .dowling import DowlingSpec, _wreath_act
 from .errors import DomainError, InputError
-from .groups import GroupTable, WreathElement
+from .groups import GroupTable, WreathElement, _Value
 from .homology import _check_automorphism, _interval_tables
 from .posets import Poset, _mobius_above
 
@@ -132,15 +131,14 @@ def character_table(m: int):
     return table
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(_Value):
     """An exact class function on the degree-m symmetric group, stored by
     conjugacy class (cycle type partition)."""
 
-    m: int
-    values: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = _fields = ("m", "values")
 
-    def __post_init__(self):
+    def __init__(self, m: int, values: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        self.m, self.values = m, values
         expected = set(partitions_of(self.m))
         got = [mu for mu, _ in self.values]
         if len(got) != len(set(got)):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -44,7 +45,7 @@ from ocs.dowling import (
 from ocs.errors import CapExceeded, DomainError
 from ocs.homology import reduced_homology, whitney_homology
 from ocs.groups import cyclic_group
-from ocs.posets import poset_from_json, proper_part
+from ocs.posets import CLOSURE_CAP, poset_from_json, proper_part
 from ocs.series import NMAX_CAP, space_from_json
 from ocs.stability import STEPS_CAP
 from ocs.symrep import (
@@ -1606,6 +1607,28 @@ def test_malformed_descriptor_is_one_json_input_error(flag, descriptor, tmp_path
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _single_json_error(err)["type"] == "input"
+
+
+@pytest.mark.parametrize("command", ["mobius", "whitney", "homology"])
+def test_a_huge_file_without_ranks_is_refused_at_once(command, tmp_path):
+    # it used to allocate one cover list per element: the kernel killed the
+    # process, or under a 1 GB limit it printed a MemoryError traceback after
+    # 7 s.  The child runs under that limit, so a regression fails here.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 10**12, "covers": []}))
+    env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
+    limit = 1 << 30
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ocs", "poset", command, "--poset", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert _single_json_error(proc.stderr) == {"type": "domain", "message": (
+        f"closure cap is {CLOSURE_CAP} elements for a poset that is not graded by its "
+        f"rank labels, got {10**12}")}
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
 @pytest.fixture

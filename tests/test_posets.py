@@ -1,3 +1,4 @@
+import re
 from math import factorial, prod
 
 import pytest
@@ -7,6 +8,7 @@ from ocs.dowling import build_poset, spec_partition, spec_single_point
 from ocs.errors import DomainError, InputError
 from ocs.groups import cyclic_group
 from ocs.posets import (
+    CLOSURE_CAP,
     Poset,
     canonical_poset_bytes,
     chain_poset,
@@ -410,6 +412,24 @@ def test_from_covers_matches_the_closure_oracle(case):
     else:
         p = from_covers(n, covers, rank)
         assert (p.hasse, p.rank, p.leq) == (expected.hasse, expected.rank, expected.leq)
+
+
+def test_from_covers_builds_no_closure_over_the_cap():
+    n = CLOSURE_CAP + 1
+    message = "^" + re.escape(f"closure cap is {CLOSURE_CAP} elements for a poset that is "
+                              f"not graded by its rank labels, got {n}") + "$"
+    # no rank, or one of the wrong length, is refused before the covers are
+    # read; a full rank that some cover does not raise by one, after them
+    for rank in (None, [0] * (n - 1), [0] * (n + 1)):
+        with pytest.raises(DomainError, match=message):
+            from_covers(n, [[0, n]], rank)
+    with pytest.raises(InputError, match=r"^cover \(0,%d\) out of range$" % n):
+        from_covers(n, [[0, n]], [0] * n)
+    with pytest.raises(DomainError, match=message):
+        from_covers(n, [[0, 1]], [0] * n)
+    assert from_covers(n, [[0, 1]], [0, 1] + [0] * (n - 2)).rank[:3] == (0, 1, 0)
+    chain = from_covers(CLOSURE_CAP, [(i, i + 1) for i in range(CLOSURE_CAP - 1)])
+    assert chain.leq[0] == (1 << CLOSURE_CAP) - 1
 
 
 def test_from_covers_reports_lowest_witness_of_first_redundant_pair():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -536,15 +535,15 @@ def test_a_rightmost_tie_without_the_limit_point_is_refused():
 
 def test_verify_generator_bound_reports_a_violation():
     report = iterate_report(R2, "left", 1)
-    step = dataclasses.replace(report.steps[0], epsilon=Fraction(100))
-    ok, info = verify_generator_bound(R2, dataclasses.replace(report, steps=(step,)), 0, 1, 12)
+    step = report.steps[0]._replace(epsilon=Fraction(100))
+    ok, info = verify_generator_bound(R2, report._replace(steps=(step,)), 0, 1, 12)
     assert not ok
     assert info["violations"] == [{"size": 2, "diagonal": 3, "dim": 1}]
 
 
 def test_dividing_a_factor_out_twice_is_refused():
     report = iterate_report(R2, "left", 1)
-    twice = dataclasses.replace(report, steps=report.steps * 2)
+    twice = report._replace(steps=report.steps * 2)
     with pytest.raises(DomainError, match="^" + re.escape(
             "negative dimension -1 at (1, 0, 2) after division") + "$"):
         verify_generator_bound(R2, twice, 1, 1, 12)
