@@ -209,8 +209,12 @@ def _check_chain_cap(p: Poset, masks) -> None:
             ending[x] = 1 + sum([ending[y] for y in _bits((p.geq[x] & mask) ^ (1 << x))])
             total += ending[x]
             if total > CHAIN_CAP:
-                raise CapExceeded(f"chain cap {CHAIN_CAP} exceeded while counting the "
-                                  "chains of the order complex", partial_count=total)
+                raise _chain_cap_exceeded(total)
+
+
+def _chain_cap_exceeded(total: int) -> CapExceeded:
+    return CapExceeded(f"chain cap {CHAIN_CAP} exceeded while counting the chains of the "
+                       "order complex", partial_count=total)
 
 
 def reduced_homology(p: Poset, mask: int | None = None) -> dict[int, int]:
@@ -256,25 +260,43 @@ def _interval_tables(p: Poset, xs) -> dict[int, dict[int, int]]:
     same poset, and one reduction serves all of them with no isomorphism
     search.  The open interval (bottom, x) of the first x of each key is
     reduced as the bitset p.geq[x] less x and the bottom; no subposet is
-    built, and p needs a unique minimum.  The chains of all those open
-    intervals together are held to CHAIN_CAP before any is reduced.  The
-    memo lives for this call only; the tables it hands out are shared
-    between the x of one key.
+    built, and p needs a unique minimum.  The memo lives for this call
+    only; the tables it hands out are shared between the x of one key.
+
+    The keys are taken in one pass in order of down-set size, with the
+    chains of each open interval counted on the way: ending(y), the chains
+    of (bottom, y] that end at y, is 1 plus the sum of ending(z) over
+    bottom < z < y, so (bottom, x) holds ending(x) - 1 chains.  The pass
+    stops as soon as the distinct keys seen so far hold more than
+    CHAIN_CAP chains in all, before any is built.
 
     Raises:
-        CapExceeded: past CHAIN_CAP chains in all (`_check_chain_cap`).
+        CapExceeded: past CHAIN_CAP chains in all.
     """
     bottom = p.bottom()
-    keys = {x: _lower_hasse(p, x)[1] for x in xs}
-    first: dict[tuple[tuple[int, ...], ...], int] = {}
-    for x, key in keys.items():
-        first.setdefault(key, x)
-    masks = {key: p.geq[x] ^ (1 << x | 1 << bottom) for key, x in first.items() if x != bottom}
-    _check_chain_cap(p, masks.values())
-    memo = {key: {0: 1} for key, x in first.items() if x == bottom}
-    for key, mask in masks.items():
-        memo[key] = {deg + 2: rank for deg, rank in reduced_homology(p, mask).items()}
-    return {x: memo[key] for x, key in keys.items()}
+    wanted = set(xs)
+    below = 0
+    for x in wanted:
+        below |= p.geq[x]
+    ending: dict[int, int] = {}
+    keys: dict[int, tuple[tuple[int, ...], ...]] = {}
+    masks: dict[tuple[tuple[int, ...], ...], int] = {}
+    total = 0
+    for y in sorted(_bits(below), key=lambda y: p.geq[y].bit_count()):
+        mask = p.geq[y] ^ (1 << y | 1 << bottom)
+        ending[y] = 1 + sum([ending[z] for z in _bits(mask)])
+        if y in wanted:
+            keys[y] = key = _lower_hasse(p, y)[1]
+            if y != bottom and key not in masks:
+                masks[key] = mask
+                total += ending[y] - 1
+                if total > CHAIN_CAP:
+                    raise _chain_cap_exceeded(total)
+    memo = {key: {deg + 2: rank for deg, rank in reduced_homology(p, mask).items()}
+            for key, mask in masks.items()}
+    if bottom in wanted:
+        memo[keys[bottom]] = {0: 1}
+    return {x: memo[keys[x]] for x in xs}
 
 
 def interval_degree_table(p: Poset, x: int) -> dict[int, int]:
@@ -311,12 +333,12 @@ def whitney_homology(p: Poset) -> dict[tuple[int, int], int]:
     sum |mu(bottom, x)| over rank-r elements.
     """
     rk = p.rank if p.rank is not None else p.height()
-    numbers = _signless_whitney_numbers(p, rk)
     table: dict[tuple[int, int], int] = {}
     for x, degrees in _interval_tables(p, range(p.n_elems)).items():
         for k, rank in degrees.items():
             key = (rk[x], k)
             table[key] = table.get(key, 0) + rank
+    numbers = _signless_whitney_numbers(p, rk)
     # Cross-check concentrated ranks against Mobius.
     ranks_seen = {r for r, _ in table}
     for r in ranks_seen:

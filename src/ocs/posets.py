@@ -1,17 +1,15 @@
 """Generic finite posets.
 
 Elements are integer indices ``0..n_elems-1``.  A poset stores its Hasse
-diagram and rank labels.  Its order relation is a bit-packed reachability
-table, ``leq[a]`` an int whose bit ``b`` is set iff a <= b, and its transpose
-``geq`` gives each lower interval without a scan; both are built from the
-Hasse diagram on first use, so a command that reads only covers and ranks
-never pays for them.  `from_covers` needs no closure to check a graded cover
-list, one whose every cover raises the rank by exactly one: a < c < b would
-need rank(b) >= rank(a) + 2, so such a list has no cycle and no implied cover.
-The closures, the Hasse-diagram checks and the Mobius rows are bitset passes:
+diagram and rank labels.  Its order closure, ``leq[a]`` an int whose bit
+``b`` is set iff a <= b, and its transpose ``geq``, is built from the Hasse
+diagram on first read (`Poset.leq`, `Poset.geq`), the one place that builds
+a closure from covers, and refused past CLOSURE_CAP elements.  So a command
+that reads only covers and ranks never pays for it: `from_covers` checks a
+graded list without it, and a lower interval or a proper part is p's Hasse
+diagram restricted.  The closures and the Mobius rows are bitset passes:
 one big-int OR per cover, and one pass per Mobius source whose cost is the
-number of comparable pairs above it.  That covers the largest posets this
-package builds (thousands of elements).
+number of comparable pairs above it.
 """
 
 from __future__ import annotations
@@ -36,19 +34,19 @@ __all__ = [
     "poset_from_json",
 ]
 
-# The most elements of a poset whose order closure `from_covers` builds: a
-# list without a rank per element, or whose covers do not each raise the
-# rank by one.  The closure is quadratic in memory; on a shared 2-core VM
-# the worst case, a rank-less chain of 20000, takes 0.14 s and 126 MB.
+# The most elements of a poset whose order closure is built, on the first
+# read of `leq` or `geq`, or by `from_covers` for a list not graded by its
+# rank labels.  It takes n^2/2 bits: on a shared 2-core VM a rank-less chain
+# of 20000 loads in 0.14 s and 126 MB.
 CLOSURE_CAP = 20000
 
 
 class Poset:
     """A finite poset: n_elems, hasse[a] the sorted upper covers of a, and
-    optional rank labels.  A constructor that already holds the closure
-    hands it in as leq; otherwise `leq` is built on first read.  Posets
-    compare equal when their sizes, Hasse diagrams and ranks are equal,
-    which fix leq."""
+    optional rank labels.  `leq` and `geq` are built from the Hasse diagram
+    on first read; only `induced_subposet`, which restricts p's closure,
+    hands in a leq.  Posets compare equal when their sizes, Hasse diagrams
+    and ranks are equal, which fix leq."""
 
     def __init__(self, n_elems: int, hasse: tuple[tuple[int, ...], ...],
                  rank: tuple[int, ...] | None = None, leq: tuple[int, ...] | None = None):
@@ -70,8 +68,9 @@ class Poset:
     def leq(self) -> tuple[int, ...]:
         """leq[a]: bitset of the elements b >= a, reflexive.  Built once, by
         one big-int OR per cover in reverse topological order."""
+        order = self._closure_order()
         leq = [1 << x for x in range(self.n_elems)]
-        for a in reversed(_topo_order(self.n_elems, self.hasse)):
+        for a in reversed(order):
             up = leq[a]
             for b in self.hasse[a]:
                 up |= leq[b]
@@ -82,18 +81,21 @@ class Poset:
     def geq(self) -> tuple[int, ...]:
         """geq[b]: bitset of the elements a <= b, the transpose of leq.
         Built once, by one big-int OR per cover in topological order."""
+        order = self._closure_order()
         geq = [1 << x for x in range(self.n_elems)]
-        for a in _topo_order(self.n_elems, self.hasse):
+        for a in order:
             for b in self.hasse[a]:
                 geq[b] |= geq[a]
         return tuple(geq)
 
+    def _closure_order(self) -> list[int]:
+        """A topological order for a closure's first build, past CLOSURE_CAP refused."""
+        if self.n_elems > CLOSURE_CAP:
+            raise DomainError(f"closure cap is {CLOSURE_CAP} elements, got {self.n_elems}")
+        return _topo_order(self.n_elems, self.hasse)
+
     def minimal_elements(self) -> list[int]:
-        has_lower = [False] * self.n_elems
-        for a in range(self.n_elems):
-            for b in self.hasse[a]:
-                has_lower[b] = True
-        return [x for x in range(self.n_elems) if not has_lower[x]]
+        return [x for x, lower in enumerate(_lower_covers(self)) if not lower]
 
     def maximal_elements(self) -> list[int]:
         return [x for x in range(self.n_elems) if not self.hasse[x]]
@@ -130,6 +132,15 @@ def _bits(m: int):
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _lower_covers(p: Poset) -> list[list[int]]:
+    """lower[b]: the lower covers of b, ascending."""
+    lower = [[] for _ in range(p.n_elems)]
+    for a, ups in enumerate(p.hasse):
+        for u in ups:
+            lower[u].append(a)
+    return lower
 
 
 def _strictly_above(elems, leq) -> int:
@@ -179,9 +190,9 @@ def from_covers(n: int, covers, rank=None) -> Poset:
     A graded list, one with rank labels for all n elements and every cover
     raising the rank by exactly one, is a Hasse diagram once its indices
     are in range and no cover repeats, so no closure is built: `leq` is
-    left to its first read.  Any other list is checked with one big-int OR
-    per cover, for the closure and the redundancy check together, and the
-    closure is kept.
+    left to its first read.  Any other list is checked through `leq`, read
+    at once: a cycle fails its topological order, and a listed cover (a, b)
+    is redundant iff b is strictly above another listed cover of a.
 
     Args:
         n: number of elements.
@@ -213,24 +224,13 @@ def from_covers(n: int, covers, rank=None) -> Poset:
             raise InputError(f"duplicate cover ({a},{b})")
         seen.add(pair)
         adj[a].append(b)
-    hasse = tuple(tuple(sorted(u)) for u in adj)
+    p = Poset(n, tuple(tuple(sorted(u)) for u in adj), rank)
     if rank is not None and len(rank) == n and all(rank[b] - rank[a] == 1 for a, b in pairs):
-        return Poset(n, hasse, rank)
+        return p
     if n > CLOSURE_CAP:
         raise _closure_cap_error(n)
-    # Closure in reverse topological order, so each leq[b] is final before
-    # a reads it.  A listed cover (a, b) is redundant iff b is strictly above
-    # another listed cover of a, that is iff above[a] has bit b.
-    leq = [0] * n
-    above = [0] * n
-    for a in reversed(_topo_order(n, hasse)):
-        strict = up = 0
-        for c in hasse[a]:
-            strict |= leq[c] ^ (1 << c)
-            up |= leq[c]
-        above[a] = strict
-        leq[a] = up | 1 << a
-    leq = tuple(leq)
+    leq = p.leq
+    above = [_strictly_above(up, leq) for up in p.hasse]
     for a, b in pairs:
         if above[a] >> b & 1:
             # report the lowest-index element strictly between a and b
@@ -239,7 +239,7 @@ def from_covers(n: int, covers, rank=None) -> Poset:
             raise InputError(f"cover ({a},{b}) is implied by transitivity via {c}")
     if rank is not None and len(rank) != n:
         raise InputError("rank label list has wrong length")
-    return Poset(n, hasse, rank, leq)
+    return p
 
 
 def _mobius_above(p: Poset, elems) -> dict[int, int]:
@@ -313,57 +313,56 @@ def induced_subposet(p: Poset, elements) -> tuple[Poset, tuple[int, ...]]:
     return Poset(len(elems), hasse, rank, leq), elems
 
 
-def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The sorted elements x <= b and the Hasse diagram of the interval they
-    form, re-indexed so that elems[i] becomes i; no leq is built.  A
-    down-closed subset inherits its Hasse diagram by restriction."""
-    elems = tuple(_bits(p.geq[b]))
+def _restricted_hasse(p: Poset, elems) -> tuple[tuple[int, ...], ...]:
+    """p's Hasse diagram on the sorted elems, re-indexed: the subposet's when
+    every element between two kept ones is kept, as in a down-set, or in p
+    less the bottom and top of each component."""
     pos = {e: i for i, e in enumerate(elems)}
-    return elems, tuple(tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems)
+    return tuple(tuple(pos[u] for u in p.hasse[e] if u in pos) for e in elems)
+
+
+def _restriction(p: Poset, elems) -> Poset:
+    """The subposet on the sorted elems, restricted (`_restricted_hasse`)."""
+    rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
+    return Poset(len(elems), _restricted_hasse(p, elems), rank)
+
+
+def _lower_hasse(p: Poset, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The sorted elements x <= b, read off `p.geq`, and the re-indexed Hasse
+    diagram of their interval, with no Poset built."""
+    elems = tuple(_bits(p.geq[b]))
+    return elems, _restricted_hasse(p, elems)
 
 
 def lower_interval(p: Poset, b: int) -> tuple[Poset, tuple[int, ...]]:
-    """The induced subposet on {x : x <= b}: its elements read off `p.geq`,
-    its Hasse diagram that of p restricted (`_lower_hasse`), and its ranks
-    p's.  Neither p's leq nor the interval's is built.
+    """The induced subposet on {x : x <= b}, found by walking down the
+    covers from b, so neither p's closure nor the interval's is built.
 
     Returns (interval, sorted tuple of original indices).
     """
     if not (0 <= b < p.n_elems):
         raise InputError("interval top out of range")
-    elems, hasse = _lower_hasse(p, b)
-    rank = tuple(p.rank[e] for e in elems) if p.rank is not None else None
-    return Poset(len(elems), hasse, rank), elems
+    lower = _lower_covers(p)
+    below = frontier = {b}
+    while frontier:
+        frontier = {a for x in frontier for a in lower[x]} - below
+        below |= frontier
+    elems = tuple(sorted(below))
+    return _restriction(p, elems), elems
 
 
 def direct_product(p: Poset, q: Poset) -> Poset:
     """Componentwise-order product; element (i, j) gets index i*|q| + j."""
     nq = q.n_elems
-    n = p.n_elems * nq
-    covers = []
+    hasse = []
     for i in range(p.n_elems):
         for j in range(nq):
-            a = i * nq + j
-            for i2 in p.hasse[i]:
-                covers.append((a, i2 * nq + j))
-            for j2 in q.hasse[j]:
-                covers.append((a, i * nq + j2))
-    leq = []
-    for i in range(p.n_elems):
-        pm = p.leq[i]
-        for j in range(nq):
-            qm = q.leq[j]
-            m = 0
-            for i2 in _bits(pm):
-                m |= qm << (i2 * nq)
-            leq.append(m)
-    hasse = [[] for _ in range(n)]
-    for a, b in covers:
-        hasse[a].append(b)
+            hasse.append(tuple(sorted([i2 * nq + j for i2 in p.hasse[i]]
+                                      + [i * nq + j2 for j2 in q.hasse[j]])))
     rank = None
     if p.rank is not None and q.rank is not None:
         rank = tuple(p.rank[i] + q.rank[j] for i in range(p.n_elems) for j in range(nq))
-    return Poset(n, tuple(tuple(sorted(u)) for u in hasse), rank, tuple(leq))
+    return Poset(p.n_elems * nq, tuple(hasse), rank)
 
 
 def connected_components(p: Poset) -> list[list[int]]:
@@ -389,7 +388,8 @@ def connected_components(p: Poset) -> list[list[int]]:
 
 def proper_part(p: Poset) -> Poset:
     """Remove the unique minimum and unique maximum of every connected
-    component.
+    component.  That adds no cover, so the Hasse diagram is p's,
+    restricted (`_restriction`), and no closure is read.
 
     Raises:
         DomainError: if some component lacks a unique minimal or unique
@@ -406,18 +406,13 @@ def proper_part(p: Poset) -> Poset:
             raise DomainError("component lacks a unique maximum")
         drop.add(mins[0])
         drop.add(maxs[0])
-    keep = [x for x in range(p.n_elems) if x not in drop]
-    sub, _ = induced_subposet(p, keep)
-    return sub
+    return _restriction(p, [x for x in range(p.n_elems) if x not in drop])
 
 
 def _refine_invariants(p: Poset) -> tuple[int, ...]:
     """Per-element invariant labels, stable under isomorphism, computed by
     iterated neighborhood refinement over the Hasse diagram."""
-    down_hasse = [[] for _ in range(p.n_elems)]
-    for a in range(p.n_elems):
-        for b in p.hasse[a]:
-            down_hasse[b].append(a)
+    down_hasse = _lower_covers(p)
     height = p.height()
     labels = [
         (height[x], p.geq[x].bit_count() - 1, p.leq[x].bit_count() - 1,
@@ -481,19 +476,22 @@ def is_isomorphic(p: Poset, q: Poset):
                 and all(qleq[y] >> f[x2] & 1 for x2 in _bits(up))
                 and all(qgeq[y] >> f[x2] & 1 for x2 in _bits(down)))
 
-    def rec(k: int, assigned: int, used: int) -> bool:
-        if k == n:
-            return True
-        x = order[k]
-        for y in by_class[ip[x]]:
-            if not used >> y & 1 and ok(x, y, assigned, used):
-                f[x] = y
-                if rec(k + 1, assigned | 1 << x, used | 1 << y):
-                    return True
-        return False
-
-    if rec(0, 0, 0):
-        return tuple(f)
+    if n == 0:
+        return ()
+    # Depth-first on an explicit stack, so no interval is too deep for it;
+    # frame k holds the bitsets before order[k] and its untried candidates.
+    stack = [(0, 0, iter(by_class[ip[order[0]]]))]
+    while stack:
+        assigned, used, candidates = stack[-1]
+        x = order[len(stack) - 1]
+        y = next((y for y in candidates if not used >> y & 1 and ok(x, y, assigned, used)), None)
+        if y is None:
+            stack.pop()
+            continue
+        f[x] = y
+        if len(stack) == n:
+            return tuple(f)
+        stack.append((assigned | 1 << x, used | 1 << y, iter(by_class[ip[order[len(stack)]]])))
     return None
 
 
@@ -524,7 +522,7 @@ def poset_from_json(obj) -> Poset:
     rank = obj.get("rank")
     if not is_int(n) or not isinstance(covers, list):
         raise InputError("poset descriptor needs integer 'n' and list 'covers'")
-    # inline type tests: this runs once per cover, thousands per file
+    # inline type tests: this runs once per cover, 10^5 or more per file
     if not all(type(c) is list and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
                for c in covers):
         raise InputError("each poset cover must be an integer pair [a, b]")

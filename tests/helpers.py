@@ -3,8 +3,10 @@
 Euler characteristic of a whole poset, the series unit and logarithm, a
 space written back as JSON, the taxi-cab extrema of a locus, class sizes,
 cycle-type permutations and top-row stripping; the rank of a Dowling
-element and the element counts of D_n as direct sums of binomials; and
-`from_covers` as it was before graded lists skipped the closure.
+element and the element counts of D_n as direct sums of binomials;
+`from_covers` as it was before graded lists skipped the closure; and the
+closure of a direct product by the product formula, as `direct_product`
+handed it in before it was left to `Poset.leq`.
 """
 
 from fractions import Fraction
@@ -201,3 +203,18 @@ def from_covers_by_closure(n: int, covers, rank=None) -> Poset:
         if len(rank) != n:
             raise InputError("rank label list has wrong length")
     return Poset(n, hasse, rank, leq)
+
+
+def direct_product_leq(p: Poset, q: Poset) -> tuple[int, ...]:
+    """The leq table of `ocs.posets.direct_product(p, q)` by the product
+    formula: (i, j) <= (i2, j2) iff i <= i2 in p and j <= j2 in q, with
+    (i, j) at index i*|q| + j."""
+    nq = q.n_elems
+    leq = []
+    for i in range(p.n_elems):
+        for j in range(nq):
+            m = 0
+            for i2 in _bits(p.leq[i]):
+                m |= q.leq[j] << (i2 * nq)
+            leq.append(m)
+    return tuple(leq)

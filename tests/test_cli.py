@@ -1609,6 +1609,20 @@ def test_malformed_descriptor_is_one_json_input_error(flag, descriptor, tmp_path
     assert _single_json_error(err)["type"] == "input"
 
 
+def _run_limited(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """`python -m ocs argv` in a child under a 1 GB address-space limit, so
+    an allocation of the poset's size fails there, and the child's CPU
+    seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
+    limit = 1 << 30
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ocs", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
 @pytest.mark.parametrize("command", ["mobius", "whitney", "homology"])
 def test_a_huge_file_without_ranks_is_refused_at_once(command, tmp_path):
     # it used to allocate one cover list per element: the kernel killed the
@@ -1616,19 +1630,54 @@ def test_a_huge_file_without_ranks_is_refused_at_once(command, tmp_path):
     # 7 s.  The child runs under that limit, so a regression fails here.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 10**12, "covers": []}))
-    env = {**os.environ, "PYTHONPATH": str(Path(ocs.__file__).parents[1])}
-    limit = 1 << 30
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ocs", "poset", command, "--poset", str(path)],
-        env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc, cpu = _run_limited(["poset", command, "--poset", str(path)])
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert _single_json_error(proc.stderr) == {"type": "domain", "message": (
         f"closure cap is {CLOSURE_CAP} elements for a poset that is not graded by its "
         f"rank labels, got {10**12}")}
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert cpu < 1
+
+
+def _chain_file(tmp_path, n: int, ranked: bool) -> Path:
+    path = tmp_path / f"chain-{n}{'-ranked' if ranked else ''}.json"
+    chain = {"n": n, "covers": [[i, i + 1] for i in range(n - 1)]}
+    path.write_text(json.dumps({**chain, "rank": list(range(n))} if ranked else chain))
+    return path
+
+
+@pytest.mark.parametrize("ranked", [False, True], ids=["rank-less", "ranked"])
+@pytest.mark.parametrize("argv", [["whitney"], ["homology", "--proper"]], ids=" ".join)
+def test_a_long_chain_is_refused_by_the_chain_cap_at_once(argv, ranked, tmp_path):
+    # the keys of every lower interval, or the closure of the proper part,
+    # were built before the chains were counted: 13 to 17 s, or a
+    # MemoryError traceback under 1 GB
+    proc, cpu = _run_limited(["poset", *argv, "--poset", str(_chain_file(tmp_path, 5000, ranked))])
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    error = _single_json_error(proc.stderr)
+    assert error["type"] == "cap" and error["partialCount"] > ocs.homology.CHAIN_CAP
+    assert cpu < 1
+
+
+def test_a_graded_file_past_the_closure_cap_is_refused_by_mobius(tmp_path):
+    # a graded file escapes the cap of from_covers; its closure, built on the
+    # first read, had none
+    n = 30000
+    proc, cpu = _run_limited(["poset", "mobius", "--poset", str(_chain_file(tmp_path, n, True))])
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert _single_json_error(proc.stderr) == {
+        "type": "domain", "message": f"closure cap is {CLOSURE_CAP} elements, got {n}"}
+    assert cpu < 1
+
+
+def test_dowling_interval_answers_an_interval_deeper_than_the_recursion_limit():
+    # the isomorphism search took one Python frame per element, so the
+    # 4140-element top interval of Pi_8 printed a RecursionError traceback
+    top = "0:0,0:1,0:2,0:3,0:4,0:5,0:6,0:7|Z{}"
+    proc, _ = _run_limited(["dowling", "interval", "--spec", "partition", "--n", "8",
+                            "--element", top])
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["isomorphic"] is True and out["intervalSize"] == out["productSize"] == 4140
 
 
 @pytest.fixture

@@ -548,3 +548,31 @@ def test_masked_open_intervals_match_the_proper_parts(p):
             pp = proper_part(lower_interval(p, x)[0])
             assert reduced_homology(p, mask) == reduced_homology(pp)
             assert _reindexed(p, mask)[0] == pp
+
+
+def test_interval_tables_stop_a_long_chain_after_a_few_keys(monkeypatch):
+    # every key, and every p.geq bitset, was taken before the chains were
+    # counted: quadratic work first, then the refusal
+    p = from_covers(400, [(i, i + 1) for i in range(399)])
+    keyed = []
+    real = ocs.homology._lower_hasse
+    monkeypatch.setattr(ocs.homology, "_lower_hasse", lambda q, x: keyed.append(x) or real(q, x))
+    with pytest.raises(CapExceeded) as exc:
+        _interval_tables(p, range(p.n_elems))
+    # the open interval below element k of the chain holds 2^(k-1) - 1 chains,
+    # so the keys of 0..k hold 2^k - 1 - k in all
+    k = next(k for k in range(p.n_elems) if 2**k - 1 - k > ocs.homology.CHAIN_CAP)
+    assert keyed == list(range(k + 1)) and exc.value.partial_count == 2**k - 1 - k
+
+
+def test_whitney_refuses_by_the_chain_cap_before_its_mobius_row(monkeypatch):
+    # the Mobius row, which costs the comparable pairs above the bottom, was
+    # taken first: on B_14 it cost 6 s of an 8 s refusal
+    b = boolean_lattice(8)
+    rows = []
+    real = ocs.homology._signless_whitney_numbers
+    monkeypatch.setattr(ocs.homology, "_signless_whitney_numbers",
+                        lambda q, rk: rows.append(q) or real(q, rk))
+    with pytest.raises(CapExceeded):
+        whitney_homology(b)
+    assert rows == []

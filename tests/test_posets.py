@@ -1,4 +1,5 @@
 import re
+import sys
 from math import factorial, prod
 
 import pytest
@@ -23,8 +24,9 @@ from ocs.posets import (
     poset_to_json,
     proper_part,
 )
-from ocs.posets import _refine_invariants, _restricted_leq
-from helpers import boolean_lattice, from_covers_by_closure
+import ocs.posets
+from ocs.posets import _bits, _refine_invariants, _restricted_leq
+from helpers import boolean_lattice, direct_product_leq, from_covers_by_closure
 
 
 def diamond():
@@ -306,10 +308,10 @@ def _closure(n, edges):
 
 
 @st.composite
-def dag_hasse(draw, max_n=8):
+def dag_hasse(draw, max_n=8, min_n=1):
     """(n, Hasse diagram, implied non-cover pairs) of a random poset whose
     labels are shuffled, so covers do not always go up in index."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     label = draw(st.permutations(range(n)))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=14))
@@ -333,8 +335,8 @@ def cover_lists(draw):
 
 
 @st.composite
-def posets(draw, max_n=8):
-    n, hasse, _ = draw(dag_hasse(max_n))
+def posets(draw, max_n=8, min_n=1):
+    n, hasse, _ = draw(dag_hasse(max_n, min_n))
     return from_covers(n, draw(st.permutations(hasse)))
 
 
@@ -559,3 +561,149 @@ def test_partition_lattice_mobius_closed_form(n):
 def test_boolean_lattice_12_mobius():
     b = boolean_lattice(12)
     assert mobius(b, 0, b.n_elems - 1) == 1
+
+
+# The restrictions, the product's closure and the search, against oracles --
+
+@st.composite
+def bounded_posets(draw):
+    """A disjoint union of one to three random posets, each with a new
+    bottom and a new top adjoined, labelled in no particular order, with
+    rank labels (heights) or without: a poset that `proper_part` accepts."""
+    covers, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        k, hasse, _ = draw(dag_hasse(max_n=5))
+        lo, hi = n + k, n + k + 1
+        covers += [(n + a, n + b) for a, b in hasse]
+        covers += [(lo, n + x) for x in range(k) if all(b != x for _, b in hasse)]
+        covers += [(n + x, hi) for x in range(k) if all(a != x for a, _ in hasse)]
+        n += k + 2
+    label = draw(st.permutations(range(n)))
+    p = from_covers(n, [(label[a], label[b]) for a, b in covers])
+    return from_covers(n, [(label[a], label[b]) for a, b in covers], rank=p.height()) \
+        if draw(st.booleans()) else p
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_posets())
+def test_proper_part_is_the_induced_subposet(p):
+    drop = set()
+    for comp in connected_components(p):
+        drop |= {x for x in comp if not p.hasse[x]}
+        drop |= {x for x in comp if not any(x in p.hasse[a] for a in comp)}
+    sub, _ = induced_subposet(p, [x for x in range(p.n_elems) if x not in drop])
+    pp = proper_part(p)
+    assert pp == sub and pp.leq == sub.leq
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets(), st.data())
+def test_lower_interval_is_the_induced_subposet(p, data):
+    if data.draw(st.booleans()):
+        p = from_covers(p.n_elems, [(a, b) for a in range(p.n_elems) for b in p.hasse[a]],
+                        rank=p.height())
+    b = data.draw(st.integers(0, p.n_elems - 1))
+    interval, elems = lower_interval(p, b)
+    sub, below = induced_subposet(p, [x for x in range(p.n_elems) if p.is_leq(x, b)])
+    assert (interval, elems) == (sub, below) and interval.leq == sub.leq
+
+
+@settings(max_examples=100, deadline=None)
+@given(posets(max_n=5), posets(max_n=5))
+def test_direct_product_closure_matches_the_product_formula(p, q):
+    prod = direct_product(p, q)
+    leq = direct_product_leq(p, q)
+    assert prod.leq == leq
+    assert prod.geq == tuple(sum(1 << a for a in range(prod.n_elems) if leq[a] >> b & 1)
+                             for b in range(prod.n_elems))
+    assert prod.hasse == old_hasse_from_leq(prod.n_elems, leq)
+
+
+def test_restrictions_build_no_closure(monkeypatch):
+    # a graded D_n holds no closure; the restrictions must not build one
+    p, _, _ = build_poset(spec_single_point(cyclic_group(2), 3, in_t=True))
+    q, _, _ = build_poset(spec_single_point(cyclic_group(2), 3, in_t=True))
+    intervals = [lower_interval(q, b) for b in range(q.n_elems)]
+    part = proper_part(q)
+    reads = []
+    for name in ("leq", "geq"):
+        monkeypatch.setattr(Poset, name, property(lambda r, name=name: reads.append(name)))
+    monkeypatch.setattr(ocs.posets, "induced_subposet", lambda *a: reads.append("induced"))
+    assert [lower_interval(p, b) for b in range(p.n_elems)] == intervals
+    assert proper_part(p) == part
+    assert reads == []
+
+
+def test_a_closure_past_the_cap_is_refused_on_first_read():
+    # a graded list escapes the cap of from_covers, so the first read holds it
+    chain = chain_poset(CLOSURE_CAP + 1)
+    message = "^" + re.escape(f"closure cap is {CLOSURE_CAP} elements, got {CLOSURE_CAP + 1}") + "$"
+    for read in (lambda: chain.leq, lambda: chain.geq, lambda: mobius(chain, 0, 1)):
+        with pytest.raises(DomainError, match=message):
+            read()
+    assert lower_interval(chain, 2)[1] == (0, 1, 2)
+    assert proper_part(chain).n_elems == CLOSURE_CAP - 1
+    assert chain_poset(CLOSURE_CAP).leq[0] == (1 << CLOSURE_CAP) - 1
+
+
+def old_is_isomorphic(p, q):
+    """`is_isomorphic` as it was, backtracking by recursion: one Python
+    frame per element assigned."""
+    n = p.n_elems
+    if q.n_elems != n:
+        return None
+    if sum(len(u) for u in p.hasse) != sum(len(u) for u in q.hasse):
+        return None
+    ip = _refine_invariants(p)
+    iq = _refine_invariants(q)
+    if sorted(ip) != sorted(iq):
+        return None
+    by_class = {}
+    for y, c in enumerate(iq):
+        by_class.setdefault(c, []).append(y)
+    order = sorted(range(n), key=lambda x: (len(by_class[ip[x]]), x))
+    f = [-1] * n
+
+    def ok(x, y, assigned, used):
+        up, down = p.leq[x] & assigned, p.geq[x] & assigned
+        return (up.bit_count() == (q.leq[y] & used).bit_count()
+                and down.bit_count() == (q.geq[y] & used).bit_count()
+                and all(q.leq[y] >> f[x2] & 1 for x2 in _bits(up))
+                and all(q.geq[y] >> f[x2] & 1 for x2 in _bits(down)))
+
+    def rec(k, assigned, used):
+        if k == n:
+            return True
+        x = order[k]
+        for y in by_class[ip[x]]:
+            if not used >> y & 1 and ok(x, y, assigned, used):
+                f[x] = y
+                if rec(k + 1, assigned | 1 << x, used | 1 << y):
+                    return True
+        return False
+
+    return tuple(f) if rec(0, 0, 0) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(posets(), st.data())
+def test_is_isomorphic_keeps_the_recursive_search_order(p, data):
+    n = p.n_elems
+    if data.draw(st.booleans()):
+        label = data.draw(st.permutations(range(n)))
+        q = from_covers(n, [(label[a], label[b]) for a in range(n) for b in p.hasse[a]])
+    else:
+        q = data.draw(posets(max_n=n, min_n=n))
+    assert is_isomorphic(p, q) == old_is_isomorphic(p, q)
+
+
+def test_is_isomorphic_is_not_bounded_by_the_recursion_limit():
+    # it assigned one element per Python frame, so an interval of more than
+    # about 1000 elements raised RecursionError
+    n = sys.getrecursionlimit() + 500
+    assert is_isomorphic(chain_poset(n), chain_poset(n)) == tuple(range(n))
+    crown = from_covers(n, [[i, n // 2 + j] for i in range(n // 2) for j in (i, (i + 1) % (n // 2))])
+    f = is_isomorphic(crown, crown)
+    assert f is not None and all(sorted(f[b] for b in crown.hasse[a]) == list(crown.hasse[f[a]])
+                                 for a in range(n))
+    assert is_isomorphic(Poset(0, ()), Poset(0, ())) == ()
